@@ -14,7 +14,7 @@ from .perms import (Perm, DecoratedPerm, all_perms, standardize, shuffles)
 from .forests import (PlainTree, PlainForest, OrderedForest,
                       EMPTY_PLAIN, EMPTY_ORDERED, act,
                       antichains, ordered_cuts, plain_cuts,
-                      linear_extensions, heap_order_lifts,
+                      linear_extensions, heap_order_lift, heap_order_lifts,
                       enumerate_heap_ordered, enumerate_ordered,
                       enumerate_plain_trees, enumerate_plain_forests)
 from .fqsym import (fq_product, fq_coproduct, fq_product_dec,
@@ -25,8 +25,8 @@ from .hopf import (Shuffle, CKForests, Ordered, HeapOrdered, FQSym,
                    ck_product, ck_coproduct, ck_antipode,
                    ho_product, ho_coproduct)
 from .morphisms import (theta, theta_dec, pi_ho, pi_sigma, theta_small,
-                        ThetaMatrix, theta_inverse_table,
-                        t_sigma, t_sigma_decorated, square_check)
+                        ThetaMatrix, theta_inverse_table, t_sigma,
+                        t_sigma_by_matrix, t_sigma_decorated, square_check)
 from .characters import (Character, unit_character, convolve, char_inverse,
                          validate_character, PolyPath, iter_int_word,
                          iter_int_tree, iter_int_char, tree_int_char,

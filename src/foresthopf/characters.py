@@ -16,9 +16,9 @@ from fractions import Fraction
 from .coeffs import LinComb, MultiPoly
 from .errors import ParseError, StructureMismatchError
 from .words import Word
-from .perms import Perm
 from .forests import PlainForest, PlainTree
-from .morphisms import theta_small, t_sigma_decorated
+from .morphisms import (theta_small, _simplex_expansion, t_sigma_by_matrix,
+                        decorate_by_order)
 
 
 class Character:
@@ -269,47 +269,16 @@ def fubini_tsigma(sigma, letters):
     Integration goes from the outermost variable inward; the domain of
     variable x_i is bounded by the already placed variables closest in
     the order sigma, and each lower bound above s splits the integral
-    into two. Choices of upper bounds are exactly parent assignments.
+    into two. Choices of upper bounds are exactly parent assignments,
+    enumerated by morphisms._simplex_expansion.
     """
-    letters = tuple(letters)
-    n = sigma.n
-    if len(letters) != n:
-        raise ValueError("decoration length must match the permutation size")
-    options = []
-    for i in range(1, n + 1):
-        upper = None
-        lower = None
-        for k in range(1, i):
-            if sigma(k) < sigma(i) and (upper is None or
-                                        sigma(k) > sigma(upper)):
-                upper = k
-            if sigma(k) > sigma(i) and (lower is None or
-                                        sigma(k) < sigma(lower)):
-                lower = k
-        opts = [(upper or 0, 1)]
-        if lower is not None:
-            opts.append((lower, -1))
-        options.append(opts)
-
-    out = LinComb.zero()
-
-    def expand(i, parent, sign):
-        nonlocal out
-        if i > n:
-            from .forests import OrderedForest
-            f = OrderedForest(tuple(parent), letters)
-            out = out + LinComb.of(f.to_plain(), sign)
-            return
-        for p, s in options[i - 1]:
-            expand(i + 1, parent + [p], sign * s)
-
-    expand(1, [], 1)
-    return out
+    return decorate_by_order(_simplex_expansion(sigma), letters, sigma.n)
 
 
 def fubini_matches_t_sigma(sigma, letters):
+    """The expansion against T^sigma by back substitution in ThetaMatrix."""
     lhs = fubini_tsigma(sigma, letters)
-    rhs = t_sigma_decorated(sigma, letters)
+    rhs = decorate_by_order(t_sigma_by_matrix(sigma), letters, sigma.n)
     if lhs != rhs:
         return f"Fubini expansion disagrees with T^{sigma} on {letters}"
     return None

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks pass, 1 an identity check failed,
-2 usage or parse error (including degree bounds), 3 singular input.
+2 usage, parse or value error (including degree bounds), 3 singular
+input.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ def cmd_theta_inv(args):
     if args.perm is None:
         raise ParseError("give a permutation or --matrix")
     sigma = Perm.parse(args.perm)
-    table = theta_inverse_table(sigma.n, args.bound)
-    value = table.inverse_column(sigma)
+    value = t_sigma(sigma.inverse(), args.bound)
     _emit_value(args, str(value), {"command": "theta-inv",
                                    "input": str(sigma),
                                    "terms": _lincomb_json(value)})
@@ -321,15 +321,30 @@ def build_parser():
     return parser
 
 
+# (argument, its name on the command line, least value it may take):
+# degrees and lengths count from 0, alphabets need at least one letter
+_LOWER_LIMITS = (("degree", "--degree", 0), ("n", "n", 0),
+                 ("jlen", "--jlen", 0), ("d", "--d", 1))
+
+
+def _check_limits(args):
+    for attr, name, least in _LOWER_LIMITS:
+        value = getattr(args, attr, None)
+        if value is not None and value < least:
+            raise ParseError(f"{name} must be at least {least}, got {value}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         if args.command == "fno" and args.mode in ("chi", "j") \
                 and args.word is None:
             raise ParseError(f"fno {args.mode} needs a word")
         return args.fn(args)
-    except (ParseError, BoundExceededError, FileNotFoundError) as exc:
+    except (ParseError, BoundExceededError, FileNotFoundError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SingularAtomError, MagnitudeTieError) as exc:

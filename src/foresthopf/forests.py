@@ -429,12 +429,12 @@ def ordered_cuts(forest):
 
 
 def plain_cuts(forest):
-    """Admissible cuts of a PlainForest, via an arbitrary heap lift.
+    """Admissible cuts of a PlainForest, via one heap lift.
 
     The lift only names the vertices; the resulting (Roo, Lea) multiset
     of plain parts does not depend on the choice.
     """
-    lift = heap_order_lifts(forest)[0] if forest.n else EMPTY_ORDERED
+    lift = heap_order_lift(forest)
     cuts = []
     all_vs = set(range(1, lift.n + 1))
     for vbar in antichains(lift):
@@ -493,15 +493,10 @@ def extension_count(forest):
     return total
 
 
-def heap_order_lifts(forest):
-    """All heap orders on a PlainForest's concrete vertices.
-
-    Returned as a list of OrderedForest, one per order assignment; when
-    the forest has coinciding subtrees, distinct assignments can yield
-    equal ordered objects, and both are listed.
-    """
-    # name concrete vertices by preorder over the canonical tree tuple
-    nodes = []     # (parent index or 0, decoration)
+def _preorder(forest):
+    """(parent index or 0, decoration) of each vertex of a PlainForest,
+    the vertices numbered by preorder over the canonical tree tuple."""
+    nodes = []
 
     def walk(tree, par):
         idx = len(nodes) + 1
@@ -511,6 +506,28 @@ def heap_order_lifts(forest):
 
     for tree in forest.trees:
         walk(tree, 0)
+    return nodes
+
+
+def heap_order_lift(forest):
+    """One heap order on a PlainForest: its vertices in preorder.
+
+    A parent precedes its children in preorder, so the numbering is a
+    heap order; it costs O(n), against n!/prod |subtree| for all lifts.
+    """
+    nodes = _preorder(forest)
+    return OrderedForest([p for p, _ in nodes], [d for _, d in nodes])
+
+
+def heap_order_lifts(forest):
+    """All heap orders on a PlainForest's concrete vertices.
+
+    Returned as a list of OrderedForest, one per order assignment; when
+    the forest has coinciding subtrees, distinct assignments can yield
+    equal ordered objects, and both are listed.  The first one listed is
+    heap_order_lift(forest).
+    """
+    nodes = _preorder(forest)
     n = len(nodes)
     lifts = []
     order = [0] * (n + 1)      # node -> assigned order index; order[0] = 0

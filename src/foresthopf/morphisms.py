@@ -7,21 +7,27 @@ m(F) = max S_F is a bijection onto the symmetric group and tau in S_F
 implies tau <= m(F), so the matrix of theta is unipotent triangular in
 that order. T^sigma denotes theta^{-1}(sigma^{-1}); its decorated
 projection to plain forests recovers single words under the small map.
+
+T^sigma is computed in closed form, by expanding the simplex integral
+along sigma into one heap-ordered forest per choice of parents (at most
+2^(n-1) signed terms). The n! x n! matrix of theta is built only on
+request (theta-inv --matrix) and as the independent check of that
+closed form, by back substitution.
 """
 
 from __future__ import annotations
 
 import json
-from math import factorial
+from itertools import product as _iproduct
+from math import factorial, prod
 
 from .coeffs import LinComb
 from .errors import BoundExceededError
 from .words import Word
 from .perms import Perm, DecoratedPerm, all_perms, standardize, shuffles
-from .fqsym import unique_factorization
 from .forests import (
-    OrderedForest, PlainForest, act, linear_extensions,
-    heap_order_lifts, enumerate_heap_ordered,
+    OrderedForest, act, linear_extensions, heap_order_lift,
+    enumerate_heap_ordered,
 )
 from .hopf import ho_product, ho_coproduct
 
@@ -55,9 +61,7 @@ def theta_small(forest):
     Computed through one heap-order lift; the answer does not depend
     on the lift chosen.
     """
-    if forest.n == 0:
-        return LinComb.of(Word(()))
-    lift = heap_order_lifts(forest)[0]
+    lift = heap_order_lift(forest)
     out = []
     for sigma in linear_extensions(lift):
         out.append((Word(tuple(lift.dec[sigma(i) - 1]
@@ -85,6 +89,13 @@ class ThetaMatrix:
             self._by_max[max(e.word for e in exts)] = f
         if len(self._by_max) != factorial(n):
             raise AssertionError(f"max extension not bijective at n={n}")
+        # back substitution visits the words from the largest down, each
+        # with its forest and that forest's other extensions
+        self._descending = []
+        for word in sorted(self._by_max, reverse=True):
+            f = self._by_max[word]
+            lower = [e.word for e in self._extensions[f] if e.word != word]
+            self._descending.append((word, f, lower))
         self._inverse_columns = {}
 
     def extensions(self, forest):
@@ -105,17 +116,15 @@ class ThetaMatrix:
         cached = self._inverse_columns.get(sigma)
         if cached is not None:
             return cached
-        residual = {sigma: 1}
+        residual = {sigma.word: 1}
         result = []
-        for tau in sorted(self.perms, key=lambda p: p.word, reverse=True):
-            c = residual.pop(tau, 0)
+        for word, f, lower in self._descending:
+            c = residual.pop(word, 0)
             if not c:
                 continue
-            f = self._by_max[tau.word]
             result.append((f, c))
-            for other in self._extensions[f]:
-                if other != tau:
-                    residual[other] = residual.get(other, 0) - c
+            for other in lower:
+                residual[other] = residual.get(other, 0) - c
         if any(residual.values()):
             raise AssertionError("back substitution left a residual")
         lc = LinComb(result)
@@ -141,30 +150,68 @@ class ThetaMatrix:
 _MATRIX_CACHE = {}
 
 
-def theta_inverse_table(n, bound=DEFAULT_BOUND):
+def _check_bound(n, bound):
     if n > bound:
         raise BoundExceededError(
             f"degree {n} exceeds bound {bound}; raise the bound explicitly")
+
+
+def theta_inverse_table(n, bound=DEFAULT_BOUND):
+    _check_bound(n, bound)
     if n not in _MATRIX_CACHE:
         _MATRIX_CACHE[n] = ThetaMatrix(n)
     return _MATRIX_CACHE[n]
 
 
+def _simplex_expansion(sigma):
+    """T^sigma as a signed sum of heap-ordered forests, without a bound.
+
+    Integrating the simplex along sigma variable by variable, vertex i
+    takes as parent either the earlier vertex whose sigma-value is the
+    nearest below sigma(i) (a root when there is none), with sign +1,
+    or the earlier vertex whose sigma-value is the nearest above, with
+    sign -1. Each choice of parents is a distinct forest.
+    """
+    choices = []
+    for i in range(1, sigma.n + 1):
+        v = sigma(i)
+        earlier = range(1, i)
+        below = max((k for k in earlier if sigma(k) < v), key=sigma,
+                    default=0)
+        above = min((k for k in earlier if sigma(k) > v), key=sigma,
+                    default=None)
+        choices.append([(below, 1)] if above is None
+                       else [(below, 1), (above, -1)])
+    return LinComb((OrderedForest(tuple(p for p, _ in picked)),
+                    prod(s for _, s in picked))
+                   for picked in _iproduct(*choices))
+
+
 def t_sigma(sigma, bound=DEFAULT_BOUND):
     """T^sigma = theta^{-1}(sigma^{-1}), a LinComb of heap forests."""
-    table = theta_inverse_table(sigma.n, bound)
-    return table.inverse_column(sigma.inverse())
+    _check_bound(sigma.n, bound)
+    return _simplex_expansion(sigma)
+
+
+def t_sigma_by_matrix(sigma):
+    """T^sigma by back substitution in ThetaMatrix: the independent check
+    of the closed form, at n! cost."""
+    return theta_inverse_table(sigma.n).inverse_column(sigma.inverse())
+
+
+def decorate_by_order(terms, letters, n):
+    """Decorate degree-n ordered forests with letters by order index,
+    then forget the orders."""
+    letters = tuple(letters)
+    if len(letters) != n:
+        raise ValueError("decoration length must match the permutation size")
+    return LinComb((OrderedForest(f.parent, letters).to_plain(), c)
+                   for f, c in terms.items())
 
 
 def t_sigma_decorated(sigma, letters, bound=DEFAULT_BOUND):
     """Decorate T^sigma with letters by order index, then forget orders."""
-    letters = tuple(letters)
-    if len(letters) != sigma.n:
-        raise ValueError("decoration length must match the permutation size")
-    out = []
-    for f, c in t_sigma(sigma, bound).items():
-        out.append((OrderedForest(f.parent, letters).to_plain(), c))
-    return LinComb(out)
+    return decorate_by_order(t_sigma(sigma, bound), letters, sigma.n)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,10 @@ def test_criterion_4_theta_morphism_and_inverse():
                     image[p] = image.get(p, 0) + c
             if {p: c for p, c in image.items() if c} != {tau: 1}:
                 failures.append(f"theta o theta^-1 != id at {tau}")
+            # the closed form against the matrix back substitution
+            if t_sigma(tau.inverse()) != table.inverse_column(tau):
+                failures.append(f"closed-form T^{tau.inverse()} differs "
+                                f"from the matrix column")
     for k in range(1, 4):
         for l in range(1, 5 - k):
             for sigma in all_perms(k):

@@ -175,3 +175,18 @@ class TestExitCodes:
         code, _, err = run(capsys, ["fno", "chi", "abc", "--path", str(p)])
         assert code == 3
         assert "singular input:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["tsigma", "12", "--dec", "abc"],
+        ["theta-inv", "--matrix", "--degree", "-1"],
+        ["enumerate", "-1"],
+        ["enumerate", "2", "--d", "0"],
+        ["hopf-check", "ck", "--degree", "-2"],
+        ["hopf-check", "ck", "--d", "0", "--degree", "2"],
+        ["square-check", "--degree", "-1"],
+    ])
+    def test_bad_value_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")

@@ -6,6 +6,7 @@ linear extensions; they are pinned verbatim so regressions surface as
 explicit diffs.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,13 @@ from foresthopf.errors import BoundExceededError
 from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import (OrderedForest, PlainForest,
                                 enumerate_heap_ordered,
-                                enumerate_plain_forests)
+                                enumerate_plain_forests,
+                                heap_order_lift, heap_order_lifts)
 from foresthopf.hopf import HeapOrdered, CKForests
 from foresthopf.morphisms import (
     theta, theta_dec, pi_ho, pi_sigma, theta_small, ThetaMatrix,
-    theta_inverse_table, t_sigma, t_sigma_decorated,
+    theta_inverse_table, t_sigma, t_sigma_decorated, t_sigma_by_matrix,
+    decorate_by_order,
     t_sigma_product_identity, t_sigma_coproduct_identity,
     twisted_product_identity, theta_morphism_product_check,
     theta_morphism_coproduct_check, square_check, DEFAULT_BOUND,
@@ -109,6 +112,31 @@ class TestTSigma:
         lc = t_sigma(big, bound=7)
         assert lc.coeff(OrderedForest.parse(
             "1:1[2:1[3:1[4:1[5:1[6:1[7:1]]]]]]")) == 1
+
+
+class TestClosedFormAgainstMatrix:
+    """The parent-choice expansion against back substitution in the
+    n! x n! matrix of theta, two independent routes to T^sigma.  The
+    undecorated comparison for every permutation up to degree 6 is part
+    of acceptance criterion 4."""
+
+    def test_decorated_two_letters_to_degree_5(self):
+        for n in range(1, 6):
+            for sigma in all_perms(n):
+                by_matrix = t_sigma_by_matrix(sigma)
+                for letters in itertools.product((1, 2), repeat=n):
+                    expected = decorate_by_order(by_matrix, letters, n)
+                    assert t_sigma_decorated(sigma, letters) == expected, \
+                        (sigma, letters)
+
+    def test_heap_order_lift_is_first_lift(self):
+        for n in range(6):
+            for f in enumerate_plain_forests(n, 2):
+                assert heap_order_lift(f) == heap_order_lifts(f)[0], f
+
+    def test_matrix_route_keeps_bound(self):
+        with pytest.raises(BoundExceededError):
+            t_sigma_by_matrix(Perm.parse("7162534"))
 
 
 class TestWorkedIdentities:
