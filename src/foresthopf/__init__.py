@@ -22,7 +22,7 @@ from .fqsym import (fq_product, fq_coproduct, fq_product_dec,
 from .hopf import (Shuffle, CKForests, Ordered, HeapOrdered, FQSym,
                    FQSymDec, get_structure, hopf_axiom_sweep,
                    sh_product, sh_coproduct, sh_antipode,
-                   ck_product, ck_coproduct, ck_antipode,
+                   ck_product, ck_coproduct,
                    ho_product, ho_coproduct)
 from .morphisms import (theta, theta_dec, pi_ho, pi_sigma, theta_small,
                         ThetaMatrix, theta_inverse_table, t_sigma,
@@ -34,8 +34,8 @@ from .characters import (Character, unit_character, convolve, char_inverse,
 from .fourier import (TrigPath, FourierAtom, AtomMeasure, SectorSplit,
                       sector_of, split_measure, word_measure,
                       skeleton_value, skeleton_tree, phi_measure,
-                      e18_closed_form, chi, chi_measure, rough_path_J,
-                      j_convolution, j_character, sector_sweep,
+                      e18_closed_form, chi, chi_character, chi_measure,
+                      rough_path_J, j_convolution, j_character, sector_sweep,
                       converse_check)
 from .report import RunReport
 

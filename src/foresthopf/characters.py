@@ -13,10 +13,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .coeffs import LinComb, MultiPoly
+from .coeffs import MultiPoly
 from .errors import ParseError, StructureMismatchError
-from .words import Word
-from .forests import PlainForest, PlainTree
+from .words import Word, parse_components
 from .morphisms import (theta_small, _simplex_expansion, t_sigma_by_matrix,
                         decorate_by_order)
 
@@ -155,24 +154,7 @@ class PolyPath:
     @classmethod
     def parse(cls, text):
         """Lines of the form 'i: polynomial in x'."""
-        found = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise ParseError(f"missing ':' in path line {line!r}")
-            head, _, body = line.partition(":")
-            try:
-                idx = int(head)
-            except ValueError:
-                raise ParseError(f"bad component index {head!r}") from None
-            if idx in found:
-                raise ParseError(f"component {idx} given twice")
-            found[idx] = _parse_poly(body)
-        if sorted(found) != list(range(1, len(found) + 1)):
-            raise ParseError("component indices must be 1..d")
-        return cls(found[i] for i in range(1, len(found) + 1))
+        return cls(parse_components(text, _parse_poly))
 
 
 def _retime(poly_ts, hi, lo, vars=("t", "s")):

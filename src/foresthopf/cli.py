@@ -19,9 +19,11 @@ from .forests import OrderedForest, PlainForest, enumerate_heap_ordered
 from .hopf import get_structure, hopf_axiom_sweep, STRUCTURES
 from .morphisms import (theta, theta_inverse_table, t_sigma,
                         t_sigma_decorated, square_check, DEFAULT_BOUND)
-from .characters import PolyPath, iter_int_word, iter_int_tree, chen_check
-from .fourier import (TrigPath, chi, rough_path_J, j_convolution,
-                      sector_sweep)
+from .coeffs import FreqExp
+from .characters import (PolyPath, iter_int_word, iter_int_tree, chen_check,
+                         validate_character)
+from .fourier import (TrigPath, chi, chi_character, rough_path_J,
+                      j_convolution, sector_sweep)
 from .report import RunReport
 
 
@@ -171,23 +173,6 @@ def cmd_fno(args):
 def _fno_verify(args, path):
     report = RunReport("fno verify")
 
-    def char_check():
-        failures = []
-        for n1 in range(1, args.degree):
-            for n2 in range(1, args.degree - n1 + 1):
-                for w1 in all_words(n1, path.d):
-                    for w2 in all_words(n2, path.d):
-                        from .hopf import sh_product
-                        from .coeffs import FreqExp
-                        lhs = chi(path, w1) * chi(path, w2)
-                        rhs = FreqExp.zero()
-                        for w, c in sh_product(w1, w2).items():
-                            rhs = rhs + c * chi(path, w)
-                        if lhs != rhs:
-                            failures.append(f"chi({w1})chi({w2}) != "
-                                            f"chi({w1} sh {w2})")
-        return failures
-
     def j_check():
         failures = []
         for n in range(args.jlen + 1):
@@ -198,7 +183,6 @@ def _fno_verify(args, path):
         return failures
 
     def j_chen():
-        from .coeffs import FreqExp
         failures = []
         for n in range(args.jlen + 1):
             for w in all_words(n, path.d):
@@ -215,7 +199,8 @@ def _fno_verify(args, path):
         return failures
 
     report.run(f"chi multiplicative up to total length {args.degree}",
-               char_check)
+               lambda: validate_character(
+                   chi_character(path, bound=args.bound), args.degree))
     report.run(f"J character route = forest route up to length {args.jlen}",
                j_check)
     report.run(f"J Chen identity in (t,u,s) up to length {args.jlen}", j_chen)

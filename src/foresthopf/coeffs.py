@@ -120,9 +120,6 @@ class GaussianRational:
             k >>= 1
         return out
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -665,17 +662,6 @@ class LinComb:
             total = total + c * f(b)
         return total
 
-    def map_basis(self, g):
-        """Push forward along a basis map g: basis -> basis (merges images)."""
-        return LinComb([(g(b), c) for b, c in self.terms.items()])
-
-    def value_apply(self, f, zero):
-        """Evaluate a linear functional f: basis -> value algebra element."""
-        total = zero
-        for b, c in self.terms.items():
-            total = total + c * f(b)
-        return total
-
     def render(self, fmt=str):
         if not self.terms:
             return "0"
@@ -694,8 +680,3 @@ class LinComb:
 
     def __repr__(self):
         return f"LinComb({self.terms!r})"
-
-
-def lincomb_normalize(pairs):
-    """Combine like terms and drop zeros from (basis, coeff) pairs."""
-    return LinComb(pairs)

@@ -193,6 +193,20 @@ def _take_bracketed(text):
 # Ordered forests
 # ---------------------------------------------------------------------------
 
+def _cycle_start(parent):
+    """The first vertex whose walk down the parent relation never
+    reaches a root (0), or 0 when every walk does."""
+    for i in range(1, len(parent) + 1):
+        seen = set()
+        v = i
+        while v:
+            if v in seen:
+                return i
+            seen.add(v)
+            v = parent[v - 1]
+    return 0
+
+
 class OrderedForest:
     """A rooted forest whose vertex set is {1..n}, the total order.
 
@@ -217,15 +231,9 @@ class OrderedForest:
             if p < 0 or p > n or p == i:
                 raise ValueError(f"bad parent {p} for vertex {i}")
             children[p].append(i)
-        # reject cycles: every vertex must reach 0
-        for i in range(1, n + 1):
-            seen = set()
-            v = i
-            while v:
-                if v in seen:
-                    raise ValueError(f"parent relation has a cycle at {i}")
-                seen.add(v)
-                v = parent[v - 1]
+        cycle_at = _cycle_start(parent)
+        if cycle_at:
+            raise ValueError(f"parent relation has a cycle at {cycle_at}")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "dec", dec)
         object.__setattr__(self, "n", n)
@@ -434,16 +442,8 @@ def plain_cuts(forest):
     The lift only names the vertices; the resulting (Roo, Lea) multiset
     of plain parts does not depend on the choice.
     """
-    lift = heap_order_lift(forest)
-    cuts = []
-    all_vs = set(range(1, lift.n + 1))
-    for vbar in antichains(lift):
-        lea = lea_vertices(lift, vbar)
-        roo = all_vs - lea
-        cuts.append(Cut(vbar,
-                        lift.restrict(roo).to_plain(),
-                        lift.restrict(lea).to_plain()))
-    return cuts
+    return [Cut(cut.vbar, cut.roo.to_plain(), cut.lea.to_plain())
+            for cut in ordered_cuts(heap_order_lift(forest))]
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +579,7 @@ def enumerate_ordered(n, d=1):
     out = []
     for parent in _iproduct(*[[p for p in range(n + 1) if p != i]
                               for i in range(1, n + 1)]):
-        # acyclicity
-        ok = True
-        for i in range(1, n + 1):
-            seen = set()
-            v = i
-            while v and ok:
-                if v in seen:
-                    ok = False
-                seen.add(v)
-                v = parent[v - 1]
-        if not ok:
+        if _cycle_start(parent):
             continue
         for dec in _iproduct(*[range(1, d + 1)] * n):
             out.append(OrderedForest(parent, dec))

@@ -21,12 +21,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .coeffs import GaussianRational, GR_ONE, GR_I, FreqExp, parse_gaussian
+from .coeffs import GaussianRational, GR_ONE, FreqExp, parse_gaussian
 from .errors import ParseError, SingularAtomError, MagnitudeTieError
-from .words import Word
+from .words import parse_components
 from .perms import Perm, all_perms, shuffles
-from .forests import OrderedForest, act, antichains, lea_vertices
+from .forests import act, antichains, lea_vertices
 from .morphisms import t_sigma, DEFAULT_BOUND
+from .hopf import Shuffle, ho_product
+from .characters import Character, convolve, char_inverse
 
 GR_MINUS_I = GaussianRational(0, -1)
 
@@ -62,35 +64,23 @@ class TrigPath:
     @classmethod
     def parse(cls, text):
         """Lines 'i: amp@freq, amp@freq, ...'."""
-        found = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise ParseError(f"missing ':' in path line {line!r}")
-            head, _, body = line.partition(":")
-            try:
-                idx = int(head)
-            except ValueError:
-                raise ParseError(f"bad component index {head!r}") from None
-            if idx in found:
-                raise ParseError(f"component {idx} given twice")
-            entries = []
-            for piece in body.split(","):
-                piece = piece.strip()
-                if "@" not in piece:
-                    raise ParseError(f"expected amp@freq, got {piece!r}")
-                amp_text, _, freq_text = piece.partition("@")
-                try:
-                    freq = Fraction(freq_text.strip())
-                except ValueError:
-                    raise ParseError(f"bad frequency {freq_text!r}") from None
-                entries.append((freq, parse_gaussian(amp_text.strip())))
-            found[idx] = entries
-        if sorted(found) != list(range(1, len(found) + 1)):
-            raise ParseError("component indices must be 1..d")
-        return cls(found[i] for i in range(1, len(found) + 1))
+        return cls(parse_components(text, _parse_frequency_sum))
+
+
+def _parse_frequency_sum(body):
+    """One component: comma-separated amp@freq entries."""
+    entries = []
+    for piece in body.split(","):
+        piece = piece.strip()
+        if "@" not in piece:
+            raise ParseError(f"expected amp@freq, got {piece!r}")
+        amp_text, _, freq_text = piece.partition("@")
+        try:
+            freq = Fraction(freq_text.strip())
+        except ValueError:
+            raise ParseError(f"bad frequency {freq_text!r}") from None
+        entries.append((freq, parse_gaussian(amp_text.strip())))
+    return entries
 
 
 class FourierAtom:
@@ -332,7 +322,7 @@ def chi(path, word, var="t", bound=DEFAULT_BOUND):
 _SBAR_MEMO = {}
 
 
-def sbar_eval(forest, freq, var, bound=DEFAULT_BOUND):
+def sbar_eval(forest, freq, var):
     """phi of the forest antipode, coordinates riding on the vertices:
     S(F) = -F - sum over proper cuts Roo S(Lea)."""
     freq = tuple(freq)
@@ -382,23 +372,23 @@ def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
                         tuple(atom.freq[v - 1] for v in sorted(roo)), hi)
                     lea_val = sbar_eval(
                         f.restrict(lea),
-                        tuple(atom.freq[v - 1] for v in sorted(lea)), lo,
-                        bound)
+                        tuple(atom.freq[v - 1] for v in sorted(lea)), lo)
                     atom_total = atom_total + c * (roo_val * lea_val)
             total = total + atom.amp * atom_total
     return total
 
 
+def chi_character(path, var="t", bound=DEFAULT_BOUND):
+    """chi of the path in one variable, as a character of the shuffle
+    algebra over the path's letters."""
+    return Character(Shuffle(path.d), lambda w: chi(path, w, var, bound),
+                     FreqExp.one(), name="chi")
+
+
 def j_character(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
     """J along the word route: chi^hi convolved with chi^lo o S."""
-    n = len(word)
-    total = FreqExp.zero()
-    for k in range(n + 1):
-        left = chi(path, Word(word.letters[:k]), hi, bound)
-        right = chi(path, Word(word.letters[k:]).reverse(), lo, bound)
-        sign = GR_ONE if (n - k) % 2 == 0 else -GR_ONE
-        total = total + sign * (left * right)
-    return total
+    return convolve(chi_character(path, hi, bound),
+                    char_inverse(chi_character(path, lo, bound)))(word)
 
 
 def rough_path_J(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
@@ -464,7 +454,6 @@ def converse_check(mu1, mu2, var="t", bound=DEFAULT_BOUND):
     chi((mu1 x mu2) o zeta), provided no magnitude of mu1 collides
     with one of mu2.  The left side is also recomputed through the
     order-shift product of the inverse elements as a third route."""
-    from .hopf import ho_product
     direct = chi_measure(mu1, var, bound) * chi_measure(mu2, var, bound)
     nu = mu1.tensor(mu2)
     shuffled = FreqExp.zero()
@@ -515,11 +504,6 @@ def random_atom(rng, n, pool=None):
 def random_measure(rng, n, max_atoms=3, pool=None):
     return AtomMeasure(n, [random_atom(rng, n, pool)
                            for _ in range(rng.randint(1, max_atoms))])
-
-
-def random_shuffle(rng, n):
-    k = rng.randint(0, n)
-    return rng.choice(shuffles(k, n - k))
 
 
 def sector_sweep(cases=100, max_n=4, seed=20260816):

@@ -10,66 +10,39 @@ the rows travel together through both operations.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .coeffs import LinComb
-from .perms import Perm, DecoratedPerm, standardize, shuffles
-
-
-def _interleavings(top1, top2, k, l):
-    for positions in combinations(range(k + l), k):
-        pos = set(positions)
-        out = []
-        a = b = 0
-        for i in range(k + l):
-            if i in pos:
-                out.append(top1[a])
-                a += 1
-            else:
-                out.append(top2[b])
-                b += 1
-        yield positions, tuple(out)
+from .perms import Perm, DecoratedPerm, standardize, interleavings
 
 
 def fq_product(p1, p2):
-    k, l = p1.n, p2.n
+    k = p1.n
     shifted = tuple(v + k for v in p2.word)
     return LinComb([(Perm(word), 1)
-                    for _, word in _interleavings(p1.word, shifted, k, l)])
+                    for word in interleavings(p1.word, shifted)])
 
 
 def fq_coproduct(p):
     word = p.word
-    return LinComb([((Perm(standardize(word[:i])), Perm(standardize(word[i:]))), 1)
+    return LinComb([((standardize(word[:i]), standardize(word[i:])), 1)
                     for i in range(p.n + 1)])
 
 
 def fq_product_dec(p1, p2):
-    k, l = p1.n, p2.n
-    shifted = tuple(v + k for v in p2.perm.word)
-    bot = p1.bottom + p2.bottom
-    out = []
-    for positions, word in _interleavings(p1.perm.word, shifted, k, l):
-        pos = set(positions)
-        botrow = []
-        a = b = 0
-        for i in range(k + l):
-            if i in pos:
-                botrow.append(p1.bottom[a])
-                a += 1
-            else:
-                botrow.append(p2.bottom[b])
-                b += 1
-        out.append((DecoratedPerm(Perm(word), tuple(botrow)), 1))
-    return LinComb(out)
+    """Merge (value, letter) columns, so both rows travel together."""
+    k = p1.n
+    left = tuple(zip(p1.perm.word, p1.bottom))
+    right = tuple((v + k, b) for v, b in zip(p2.perm.word, p2.bottom))
+    return LinComb([(DecoratedPerm(Perm(v for v, _ in merged),
+                                   tuple(b for _, b in merged)), 1)
+                    for merged in interleavings(left, right)])
 
 
 def fq_coproduct_dec(p):
     word = p.perm.word
     out = []
     for i in range(p.n + 1):
-        left = DecoratedPerm(Perm(standardize(word[:i])), p.bottom[:i])
-        right = DecoratedPerm(Perm(standardize(word[i:])), p.bottom[i:])
+        left = DecoratedPerm(standardize(word[:i]), p.bottom[:i])
+        right = DecoratedPerm(standardize(word[i:]), p.bottom[i:])
         out.append(((left, right), 1))
     return LinComb(out)
 
@@ -79,8 +52,8 @@ def unique_factorization(p, k):
     zeta a (k, n-k)-shuffle and p = zeta^{-1} (p1 x p2)."""
     if not 0 <= k <= p.n:
         raise ValueError(f"split point {k} out of range for size {p.n}")
-    p1 = Perm(standardize(p.word[:k]))
-    p2 = Perm(standardize(p.word[k:]))
+    p1 = standardize(p.word[:k])
+    p2 = standardize(p.word[k:])
     zeta = p1.tensor(p2) @ p.inverse()
     if not zeta.is_shuffle(k):
         raise AssertionError(f"factorization of {p} at {k} broke down")

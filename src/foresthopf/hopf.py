@@ -5,24 +5,23 @@ shuffle algebra, plain forests for the Connes-Kreimer algebra, ordered
 and heap-ordered forests, and (decorated) permutations for FQSym.
 Tensors are plain Python pairs (triples for the coassociativity check).
 
-Antipodes: the shuffle algebra has its closed reversal formula and the
-forest algebra the cut recursion; everything else uses the generic
-graded-connected recursion S(x) = -x - sum S(x')x'' over proper cuts.
+Antipodes: the shuffle algebra has its closed reversal formula; every
+other structure, the forest algebra included, uses the generic
+graded-connected recursion S(x) = -x - sum S(x')x'' over the proper
+terms of the memoized coproduct.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .coeffs import LinComb
 from .errors import StructureMismatchError
 from .words import Word, EMPTY_WORD, all_words
-from .perms import Perm, DecoratedPerm, all_perms
+from .perms import Perm, DecoratedPerm, all_perms, interleavings
 from . import fqsym
 from .forests import (
-    PlainForest, OrderedForest, EMPTY_PLAIN, EMPTY_ORDERED,
-    ordered_cuts, plain_cuts,
+    EMPTY_PLAIN, EMPTY_ORDERED, ordered_cuts, plain_cuts,
     enumerate_plain_forests, enumerate_ordered, enumerate_heap_ordered,
 )
 
@@ -33,21 +32,8 @@ from .forests import (
 
 def sh_product(w1, w2):
     """Shuffle product: all interleavings, equal words merged."""
-    k, l = len(w1), len(w2)
-    terms = []
-    for positions in combinations(range(k + l), k):
-        pos = set(positions)
-        out = []
-        a = b = 0
-        for i in range(k + l):
-            if i in pos:
-                out.append(w1[a])
-                a += 1
-            else:
-                out.append(w2[b])
-                b += 1
-        terms.append((Word(out), 1))
-    return LinComb(terms)
+    return LinComb([(Word(letters), 1)
+                    for letters in interleavings(w1.letters, w2.letters)])
 
 
 def sh_coproduct(w):
@@ -70,26 +56,6 @@ def ck_product(f1, f2):
 def ck_coproduct(f):
     """Sum over admissible cuts, Roo tensor Lea."""
     return LinComb([((cut.roo, cut.lea), 1) for cut in plain_cuts(f)])
-
-
-_CK_ANTIPODE_MEMO = {}
-
-
-def ck_antipode(f):
-    """The cut recursion S(F) = -F - sum_proper Roo * S(Lea), memoized."""
-    if f.n == 0:
-        return LinComb.of(f)
-    cached = _CK_ANTIPODE_MEMO.get(f)
-    if cached is not None:
-        return cached
-    total = LinComb.of(f, -1)
-    for cut in plain_cuts(f):
-        if cut.roo.n == 0 or cut.lea.n == 0:
-            continue
-        total = total - ck_antipode(cut.lea).map_basis(
-            lambda lea_part, roo=cut.roo: roo * lea_part)
-    _CK_ANTIPODE_MEMO[f] = total
-    return total
 
 
 def ho_product(f1, f2):
@@ -232,9 +198,6 @@ class CKForests(HopfStructure):
 
     def _coproduct(self, b):
         return ck_coproduct(b)
-
-    def antipode(self, b):
-        return ck_antipode(b)
 
     def basis(self, n):
         return enumerate_plain_forests(n, self.d)

@@ -18,13 +18,14 @@ closed form, by back substitution.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import product as _iproduct
 from math import factorial, prod
 
 from .coeffs import LinComb
 from .errors import BoundExceededError
 from .words import Word
-from .perms import Perm, DecoratedPerm, all_perms, standardize, shuffles
+from .perms import DecoratedPerm, all_perms, standardize, shuffles
 from .forests import (
     OrderedForest, act, linear_extensions, heap_order_lift,
     enumerate_heap_ordered,
@@ -107,9 +108,12 @@ class ThetaMatrix:
 
     def matrix(self):
         """Row sigma, column F: 1 when sigma is an extension of F."""
-        members = {f: set(self._extensions[f]) for f in self.forests}
-        return [[1 if sigma in members[f] else 0 for f in self.forests]
-                for sigma in self.perms]
+        row_of = {sigma.word: i for i, sigma in enumerate(self.perms)}
+        rows = [[0] * len(self.forests) for _ in self.perms]
+        for j, f in enumerate(self.forests):
+            for e in self._extensions[f]:
+                rows[row_of[e.word]][j] = 1
+        return rows
 
     def inverse_column(self, sigma):
         """theta^{-1}(sigma) as a LinComb of heap-ordered forests."""
@@ -133,9 +137,12 @@ class ThetaMatrix:
 
     def inverse_matrix(self):
         """Row F, column sigma: coefficient of F in theta^{-1}(sigma)."""
-        cols = {sigma: self.inverse_column(sigma) for sigma in self.perms}
-        return [[cols[sigma].coeff(f) for sigma in self.perms]
-                for f in self.forests]
+        row_of = {f: i for i, f in enumerate(self.forests)}
+        rows = [[Fraction(0)] * len(self.perms) for _ in self.forests]
+        for j, sigma in enumerate(self.perms):
+            for f, c in self.inverse_column(sigma).items():
+                rows[row_of[f]][j] = c
+        return rows
 
     def to_json(self):
         return json.dumps({
@@ -243,8 +250,8 @@ def t_sigma_coproduct_identity(sigma, bound=DEFAULT_BOUND):
     inv = sigma.inverse()
     rhs = LinComb.zero()
     for k in range(sigma.n + 1):
-        s1 = Perm(standardize(inv.word[:k])).inverse()
-        s2 = Perm(standardize(inv.word[k:])).inverse()
+        s1 = standardize(inv.word[:k]).inverse()
+        s2 = standardize(inv.word[k:]).inverse()
         for f1, c1 in t_sigma(s1, bound).items():
             for f2, c2 in t_sigma(s2, bound).items():
                 rhs = rhs + LinComb.of((f1, f2), c1 * c2)

@@ -9,10 +9,10 @@ as ell(v) = b at the position where v occurs.
 
 from __future__ import annotations
 
-from itertools import permutations as _itertools_permutations
+from itertools import combinations, permutations as _itertools_permutations
 
 from .errors import ParseError
-from .words import Word, parse_letters, render_letters
+from .words import parse_letters, render_letters
 
 
 class Perm:
@@ -109,6 +109,21 @@ def standardize(seq):
     return Perm(ranks[v] for v in seq)
 
 
+def interleavings(a, b):
+    """The order-preserving merges of two sequences, as tuples.
+
+    One merge per choice of the positions taken by a, in the
+    lexicographic order of those positions.
+    """
+    a, b = tuple(a), tuple(b)
+    for positions in combinations(range(len(a) + len(b)), len(a)):
+        merged = list(b)
+        # inserting at increasing positions puts each a-entry in place
+        for p, v in zip(positions, a):
+            merged.insert(p, v)
+        yield tuple(merged)
+
+
 def shuffles(k, l):
     """All (k,l)-shuffles of {1..k+l}, lexicographic.
 
@@ -118,23 +133,8 @@ def shuffles(k, l):
     """
     if k < 0 or l < 0:
         raise ValueError("k and l must be >= 0")
-    n = k + l
-    out = []
-    from itertools import combinations
-    for positions in combinations(range(n), k):
-        word = [0] * n
-        pos_set = set(positions)
-        a = 1
-        b = k + 1
-        for i in range(n):
-            if i in pos_set:
-                word[i] = a
-                a += 1
-            else:
-                word[i] = b
-                b += 1
-        out.append(Perm(word))
-    return out
+    return [Perm(word) for word in interleavings(range(1, k + 1),
+                                                   range(k + 1, k + l + 1))]
 
 
 class DecoratedPerm:
@@ -215,7 +215,3 @@ class DecoratedPerm:
     def __repr__(self):
         return f"DecoratedPerm({self.perm!r}, {self.bottom!r})"
 
-
-def bottom_word(p):
-    """The lower row of a decorated permutation, as a Word."""
-    return Word(p.bottom)

@@ -57,6 +57,32 @@ def render_letters(letters):
     return ",".join(str(v) for v in letters)
 
 
+def parse_components(text, parse_body):
+    """Parse a component file, lines 'i: body' with i = 1..d.
+
+    Blank lines and '#' comments are skipped; each body goes through
+    parse_body. Returns the parsed bodies in index order.
+    """
+    found = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ":" not in line:
+            raise ParseError(f"missing ':' in path line {line!r}")
+        head, _, body = line.partition(":")
+        try:
+            idx = int(head)
+        except ValueError:
+            raise ParseError(f"bad component index {head!r}") from None
+        if idx in found:
+            raise ParseError(f"component {idx} given twice")
+        found[idx] = parse_body(body)
+    if sorted(found) != list(range(1, len(found) + 1)):
+        raise ParseError("component indices must be 1..d")
+    return [found[i] for i in range(1, len(found) + 1)]
+
+
 class Word:
     """A finite sequence of letters in {1..d}; the shuffle-algebra basis."""
 

@@ -152,6 +152,16 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    def test_fno_verify_chi_check_keeps_bound(self, capsys, trig_file):
+        # the J checks stay within the bound; the chi check needs
+        # words of length 3 above it
+        code, out, err = run(capsys, ["fno", "verify", "--path", trig_file,
+                                      "--degree", "4", "--jlen", "2",
+                                      "--bound", "2", "--cases", "2"])
+        assert code == 2
+        assert "exceeds bound 2" in err
+        assert out == ""
+
     def test_missing_path_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["iterint", "a", "--path",
                                     str(tmp_path / "absent.txt")])
