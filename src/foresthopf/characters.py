@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .coeffs import MultiPoly
+from .coeffs import MultiPoly, Accumulator, _poly
 from .errors import ParseError, StructureMismatchError
 from .words import Word, parse_components
 from .morphisms import (theta_small, _simplex_expansion, t_sigma_by_matrix,
@@ -22,7 +22,8 @@ from .morphisms import (theta_small, _simplex_expansion, t_sigma_by_matrix,
 
 class Character:
     """Linear character of a Hopf structure with values in a
-    commutative algebra; fn maps basis elements to values."""
+    commutative algebra of MultiPoly or FreqExp values; fn maps basis
+    elements to values."""
 
     def __init__(self, structure, fn, one, name="chi"):
         self.structure = structure
@@ -38,10 +39,10 @@ class Character:
         return self._cache[b]
 
     def eval_lin(self, lc):
-        total = self.zero
+        total = Accumulator(self.zero)
         for b, c in lc.items():
-            total = total + c * self(b)
-        return total
+            total.add(self(b), c)
+        return total.value()
 
 
 def unit_character(structure, one, name="eta"):
@@ -60,10 +61,10 @@ def convolve(phi, psi, name=None):
     H = phi.structure
 
     def fn(b):
-        total = phi.zero
+        total = Accumulator(phi.zero)
         for (x, y), c in H.coproduct(b).items():
-            total = total + c * (phi(x) * psi(y))
-        return total
+            total.add(phi(x) * psi(y), c)
+        return total.value()
 
     return Character(H, fn, phi.one,
                      name=name or f"{phi.name}*{psi.name}")
@@ -161,13 +162,13 @@ def _retime(poly_ts, hi, lo, vars=("t", "s")):
     """Move a polynomial in (t, s) into the given variables, reading
     t as hi and s as lo."""
     ih, il = vars.index(hi), vars.index(lo)
-    pairs = []
+    out = {}
     for (et, es), c in poly_ts.terms.items():
         exp = [0] * len(vars)
         exp[ih] += et
         exp[il] += es
-        pairs.append((tuple(exp), c))
-    return MultiPoly(vars, pairs)
+        out[tuple(exp)] = c
+    return _poly(vars, out)
 
 
 def iter_int_word(path, word):
@@ -217,10 +218,10 @@ def tree_int_char(path, structure):
 def tree_integral_factorization_check(path, forest):
     """Itree(F) must equal I(theta_small(F))."""
     lhs = iter_int_tree(path, forest)
-    rhs = MultiPoly.zero(("t", "s"))
+    rhs = Accumulator(MultiPoly.zero(("t", "s")))
     for w, c in theta_small(forest).items():
-        rhs = rhs + c * iter_int_word(path, w)
-    if lhs != rhs:
+        rhs.add(iter_int_word(path, w), c)
+    if lhs != rhs.value():
         return f"tree integral does not factor through words on {forest}"
     return None
 
@@ -229,14 +230,14 @@ def chen_check(path, word):
     """I^{(t,s)}(w) = sum_k I^{(t,u)}(w_1) I^{(u,s)}(w_2), trivariate."""
     tus = ("t", "u", "s")
     lhs = _retime(iter_int_word(path, word), "t", "s", tus)
-    rhs = MultiPoly.zero(tus)
+    rhs = Accumulator(MultiPoly.zero(tus))
     for k in range(len(word) + 1):
         left = _retime(iter_int_word(path, Word(word.letters[:k])),
                        "t", "u", tus)
         right = _retime(iter_int_word(path, Word(word.letters[k:])),
                         "u", "s", tus)
-        rhs = rhs + left * right
-    if lhs != rhs:
+        rhs.add(left * right)
+    if lhs != rhs.value():
         return f"Chen identity fails on {word}"
     return None
 

@@ -9,13 +9,35 @@ so every value type here is built on fractions.Fraction:
 * LinComb: rational linear combinations of hashable basis objects.
 
 Nothing here ever touches floating point.
+
+Every GaussianRational, MultiPoly and FreqExp value is clean: each
+rational part, coefficient and frequency is a Fraction, every key has
+the arity of its space (the variable tuple, or (t, u, s)), and no
+stored term is zero.  The public constructors establish this from
+arbitrary input.  Arithmetic on clean values yields clean parts, so
+results are built by the private constructors _gaussian, _poly and
+_freqexp, which check nothing and only drop the terms that cancelled.
+Accumulator sums scalar * value in place, into one dict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import ParseError
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_new = object.__new__
+
+
+def _plus(a, b):
+    """a + b for Fractions, without a Fraction operation when either is
+    zero."""
+    if not a:
+        return b
+    return a + b if b else a
 
 
 def _as_fraction(x):
@@ -50,61 +72,67 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x, 0)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            return _gaussian(_plus(self.re, other.re),
+                             _plus(self.im, other.im))
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussianRational):
+            return _gaussian(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(other - self.re, -self.im)
+        return NotImplemented
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        if isinstance(other, GaussianRational):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            # Most values on the Fourier side are real or imaginary.
+            if not b:
+                return _gaussian(a * c, a * d if d else d)
+            if not a:
+                return _gaussian(-(b * d) if d else d, b * c if c else c)
+            if not d:
+                return _gaussian(a * c, b * c)
+            if not c:
+                return _gaussian(-(b * d), a * d)
+            return _gaussian(a * c - b * d, a * d + b * c)
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / n,
-                                (self.im * o.re - self.re * o.im) / n)
+        if isinstance(other, GaussianRational):
+            n = other.re * other.re + other.im * other.im
+            if not n:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _gaussian((self.re * other.re + self.im * other.im) / n,
+                             (self.im * other.re - self.re * other.im) / n)
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _gaussian(self.re / other, self.im / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(_as_fraction(other), _ZERO) / self
+        return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -121,10 +149,11 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.re == other and not self.im
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -148,6 +177,18 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _gaussian(re, im):
+    """Trusted constructor: re and im are already Fraction."""
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 GR_ZERO = GaussianRational(0, 0)
@@ -226,16 +267,16 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, vars):
-        return cls(vars, {})
+        return _poly(tuple(vars), {})
 
     @classmethod
     def const(cls, vars, c):
         vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): _as_fraction(c)})
+        return _poly(vars, {(0,) * len(vars): _as_fraction(c)})
 
     @classmethod
     def one(cls, vars):
-        return cls.const(vars, 1)
+        return cls.const(vars, _ONE)
 
     @classmethod
     def var(cls, vars, name):
@@ -243,49 +284,67 @@ class MultiPoly:
         i = vars.index(name)
         exp = [0] * len(vars)
         exp[i] = 1
-        return cls(vars, {tuple(exp): Fraction(1)})
+        return _poly(vars, {tuple(exp): _ONE})
 
     # -- ring operations ----------------------------------------------------
 
+    _SCALARS = (int, Fraction)
+
     def _check(self, other):
+        if not isinstance(other, MultiPoly):
+            raise TypeError(f"not a MultiPoly: {other!r}")
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
-    def __add__(self, other):
+    def _with_terms(self, terms):
+        return _poly(self.vars, terms)
+
+    def _as_poly(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.vars, other)
-        if not isinstance(other, MultiPoly):
+            return MultiPoly.const(self.vars, other)
+        return other if isinstance(other, MultiPoly) else None
+
+    def __add__(self, other):
+        other = self._as_poly(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return MultiPoly(self.vars, terms)
+        total = Accumulator(self)
+        total.add(other)
+        return total.value()
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        other = self._as_poly(other)
+        if other is None:
+            return NotImplemented
+        total = Accumulator(self)
+        total.add(other, -1)
+        return total.value()
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return MultiPoly(self.vars, {e: v * c for e, v in self.terms.items()})
+            return _poly(self.vars, {e: v * other
+                                     for e, v in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
         out = {}
+        get = out.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.vars, out)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                prev = get(e)
+                out[e] = c if prev is None else prev + c
+        return _poly(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -298,9 +357,8 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.vars, other)
-        if not isinstance(other, MultiPoly):
+        other = self._as_poly(other)
+        if other is None:
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
@@ -320,20 +378,22 @@ class MultiPoly:
             e = list(exp)
             e[i] += 1
             out[tuple(e)] = c / e[i]
-        return MultiPoly(self.vars, out)
+        return _poly(self.vars, out)
 
     def subst_var(self, src, dst):
         """Substitute variable src by variable dst (dst already declared)."""
         i = self.vars.index(src)
         j = self.vars.index(dst)
         out = {}
+        get = out.get
         for exp, c in self.terms.items():
             e = list(exp)
             e[j] += e[i]
             e[i] = 0
             key = tuple(e)
-            out[key] = out.get(key, Fraction(0)) + c
-        return MultiPoly(self.vars, out)
+            prev = get(key)
+            out[key] = c if prev is None else prev + c
+        return _poly(self.vars, out)
 
     def rename_var(self, src, dst):
         """Rename variable src to dst (dst must be fresh)."""
@@ -342,7 +402,7 @@ class MultiPoly:
         i = self.vars.index(src)
         vars = list(self.vars)
         vars[i] = dst
-        return MultiPoly(tuple(vars), dict(self.terms))
+        return _poly(tuple(vars), dict(self.terms))
 
     def with_vars(self, vars):
         """Embed into the polynomial ring over a larger variable tuple."""
@@ -354,7 +414,7 @@ class MultiPoly:
             for pos, k in zip(idx, exp):
                 e[pos] = k
             out[tuple(e)] = c
-        return MultiPoly(vars, out)
+        return _poly(vars, out)
 
     def eval(self, values):
         """Evaluate at a dict name -> Fraction; returns a Fraction."""
@@ -401,6 +461,30 @@ class MultiPoly:
         return f"MultiPoly({self.vars!r}, {self.terms!r})"
 
 
+_set_vars = MultiPoly.vars.__set__
+_set_poly_terms = MultiPoly.terms.__set__
+
+
+def _drop_zeros(terms):
+    """Delete the zero values of a dict in place; returns the dict.
+
+    Deleting rehashes only the dropped keys, where building a filtered
+    copy would rehash every key (a Fraction triple for FreqExp)."""
+    for key in [key for key, c in terms.items() if not c]:
+        del terms[key]
+    return terms
+
+
+def _poly(vars, terms):
+    """Trusted constructor over a variable tuple: keys have its arity and
+    coefficients are Fraction.  Takes ownership of the terms dict and
+    drops its zero coefficients."""
+    p = _new(MultiPoly)
+    _set_vars(p, vars)
+    _set_poly_terms(p, _drop_zeros(terms))
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Finite exponential sums
 # ---------------------------------------------------------------------------
@@ -443,11 +527,11 @@ class FreqExp:
 
     @classmethod
     def zero(cls):
-        return cls({})
+        return _freqexp({})
 
     @classmethod
     def one(cls):
-        return cls({(Fraction(0), Fraction(0), Fraction(0)): GR_ONE})
+        return _freqexp({FREQ_ZERO: GR_ONE})
 
     @classmethod
     def exponential(cls, var, xi, coeff=GR_ONE):
@@ -456,62 +540,63 @@ class FreqExp:
         freq[FREQ_VARS.index(var)] = _as_fraction(xi)
         return cls({tuple(freq): coeff})
 
+    _SCALARS = (int, Fraction, GaussianRational)
+
+    def _check(self, other):
+        if not isinstance(other, FreqExp):
+            raise TypeError(f"not a FreqExp: {other!r}")
+
+    def _with_terms(self, terms):
+        return _freqexp(terms)
+
     @staticmethod
     def _coerce(x):
         if isinstance(x, FreqExp):
             return x
-        if isinstance(x, (int, Fraction, GaussianRational)):
-            z = (Fraction(0), Fraction(0), Fraction(0))
-            return FreqExp({z: x})
+        if isinstance(x, FreqExp._SCALARS):
+            return FreqExp({FREQ_ZERO: x})
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for f, c in o.terms.items():
-            prev = terms.get(f)
-            c = c if prev is None else prev + c
-            if c:
-                terms[f] = c
-            elif f in terms:
-                del terms[f]
-        out = FreqExp.__new__(FreqExp)
-        object.__setattr__(out, "terms", terms)
-        return out
+        total = Accumulator(self)
+        total.add(o)
+        return total.value()
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        total = Accumulator(self)
+        total.add(o, -1)
+        return total.value()
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        out = FreqExp.__new__(FreqExp)
-        object.__setattr__(out, "terms", {f: -c for f, c in self.terms.items()})
-        return out
+        return _freqexp({f: -c for f, c in self.terms.items()})
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, FreqExp._SCALARS):
+            return _freqexp({f: c * other for f, c in self.terms.items()})
+        if not isinstance(other, FreqExp):
             return NotImplemented
         out = {}
+        get = out.get
+        right = other.terms.items()
         for f1, c1 in self.terms.items():
-            for f2, c2 in o.terms.items():
-                f = (f1[0] + f2[0], f1[1] + f2[1], f1[2] + f2[2])
+            for f2, c2 in right:
+                f = (_plus(f1[0], f2[0]), _plus(f1[1], f2[1]),
+                     _plus(f1[2], f2[2]))
                 c = c1 * c2
-                prev = out.get(f)
-                c = c if prev is None else prev + c
-                if c:
-                    out[f] = c
-                elif f in out:
-                    del out[f]
-        result = FreqExp.__new__(FreqExp)
-        object.__setattr__(result, "terms", out)
-        return result
+                prev = get(f)
+                out[f] = c if prev is None else prev + c
+        return _freqexp(out)
 
     __rmul__ = __mul__
 
@@ -544,6 +629,60 @@ class FreqExp:
 
     def __repr__(self):
         return f"FreqExp({self.terms!r})"
+
+
+FREQ_ZERO = (_ZERO, _ZERO, _ZERO)
+_set_freq_terms = FreqExp.terms.__set__
+
+
+def _freqexp(terms):
+    """Trusted constructor: keys are Fraction triples and coefficients
+    GaussianRational.  Takes ownership of the terms dict and drops its
+    zero coefficients."""
+    v = _new(FreqExp)
+    _set_freq_terms(v, _drop_zeros(terms))
+    return v
+
+
+class Accumulator:
+    """A running sum of scalar * value over MultiPoly or FreqExp values.
+
+    The sum starts at ``start``, which also fixes its space (the type,
+    and the variable tuple of a MultiPoly).  Each add folds the terms
+    of one value into one dict in place; value() builds the sum once.
+    """
+
+    __slots__ = ("_start", "_terms")
+
+    def __init__(self, start):
+        self._start = start
+        self._terms = dict(start.terms)
+
+    def add(self, value, scalar=None):
+        """Add scalar * value; no scalar means 1.  A MultiPoly sum takes
+        rational scalars, a FreqExp sum Gaussian rational ones too."""
+        start = self._start
+        start._check(value)
+        terms = self._terms
+        get = terms.get
+        if scalar is None or scalar == 1:
+            for key, c in value.terms.items():
+                prev = get(key)
+                terms[key] = c if prev is None else prev + c
+        elif not isinstance(scalar, start._SCALARS):
+            raise TypeError(f"bad scalar {scalar!r} for {start!r}")
+        elif scalar == -1:
+            for key, c in value.terms.items():
+                prev = get(key)
+                terms[key] = -c if prev is None else prev - c
+        elif scalar:
+            for key, c in value.terms.items():
+                c = c * scalar
+                prev = get(key)
+                terms[key] = c if prev is None else prev + c
+
+    def value(self):
+        return self._start._with_terms(dict(self._terms))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .coeffs import GaussianRational, GR_ONE, FreqExp, parse_gaussian
+from .coeffs import (GaussianRational, GR_ONE, FreqExp, FREQ_VARS, FREQ_ZERO,
+                     Accumulator, parse_gaussian, _as_fraction, _gaussian,
+                     _freqexp, _plus, _ZERO, _ONE)
 from .errors import ParseError, SingularAtomError, MagnitudeTieError
 from .words import parse_components
 from .perms import Perm, all_perms, shuffles
@@ -138,6 +140,15 @@ class AtomMeasure:
                     del terms[atom.freq]
         self.terms = terms
 
+    @classmethod
+    def _from_terms(cls, n, terms):
+        """Trusted constructor: keys are length-n tuples of Fraction,
+        amplitudes nonzero GaussianRational."""
+        m = cls.__new__(cls)
+        m.n = n
+        m.terms = terms
+        return m
+
     @property
     def atoms(self):
         return tuple(FourierAtom(f, a)
@@ -168,12 +179,16 @@ class AtomMeasure:
 
 
 def word_measure(path, word):
-    """Product measure of the path components along a word."""
-    atoms = [FourierAtom((), GR_ONE)]
+    """Product measure of the path components along a word.
+
+    The frequencies of one component are distinct, so no two atoms
+    share a frequency vector."""
+    terms = {(): GR_ONE}
     for letter in word.letters:
-        atoms = [a.tensor(FourierAtom((f,), amp))
-                 for a in atoms for f, amp in path.component(letter)]
-    return AtomMeasure(len(word), atoms)
+        component = [(f, a) for f, a in path.component(letter) if a]
+        terms = {freq + (f,): amp * a
+                 for freq, amp in terms.items() for f, a in component}
+    return AtomMeasure._from_terms(len(word), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +202,11 @@ def sector_of(freq):
     stably by position, which cannot change any downstream value);
     distinct frequencies of equal magnitude raise MagnitudeTieError.
     """
-    order = sorted(range(1, len(freq) + 1),
-                   key=lambda p: (abs(freq[p - 1]), p))
+    mags = [abs(f) for f in freq]
+    order = sorted(range(1, len(freq) + 1), key=lambda p: (mags[p - 1], p))
     for a, b in zip(order, order[1:]):
         fa, fb = freq[a - 1], freq[b - 1]
-        if abs(fa) == abs(fb) and fa != fb:
+        if mags[a - 1] == mags[b - 1] and fa != fb:
             raise MagnitudeTieError(
                 f"frequencies {fa} and {fb} share a magnitude")
     return Perm(tuple(order))
@@ -215,48 +230,71 @@ class SectorSplit:
 
 
 def split_measure(mu):
+    """Each atom's coordinates, sorted by its sector, in one pass.
+
+    Sorting is a bijection for a fixed sector, so distinct atoms stay
+    distinct and no amplitudes merge."""
     pieces = {}
-    for atom in mu.atoms:
-        sigma = sector_of(atom.freq)
-        piece = AtomMeasure(mu.n, [atom.compose(sigma)])
-        if sigma in pieces:
-            pieces[sigma] = pieces[sigma] + piece
-        else:
-            pieces[sigma] = piece
-    return SectorSplit(mu.n, pieces)
+    for freq, amp in mu.terms.items():
+        sigma = sector_of(freq)
+        terms = pieces.get(sigma)
+        if terms is None:
+            terms = pieces[sigma] = {}
+        terms[tuple([freq[p - 1] for p in sigma.word])] = amp
+    return SectorSplit(mu.n, {sigma: AtomMeasure._from_terms(mu.n, terms)
+                              for sigma, terms in pieces.items()})
 
 
 # ---------------------------------------------------------------------------
 # Skeleton integrals
 # ---------------------------------------------------------------------------
 
-def _skeleton_coeff(forest, freq):
-    """Product over vertices of 1/(i Xi_v); raises on a vanishing sum."""
-    coeff = GR_ONE
+def _xi_product(forest, freq):
+    """The product of the Xi_v over the vertices, and the sum of all
+    frequencies; raises on a vanishing Xi_v."""
+    children = forest.children
+    product = None
 
     def sub(v):
-        nonlocal coeff
+        nonlocal product
         total = freq[v - 1]
-        for child in forest.children[v]:
+        for child in children[v]:
             total += sub(child)
-        if total == 0:
+        if not total:
             raise SingularAtomError(
                 f"frequency sum vanishes at vertex {v} of {forest}")
-        coeff = coeff * GaussianRational(0, Fraction(-1) / total)
+        product = total if product is None else product * total
         return total
 
+    total = _ZERO
     for root in forest.roots:
-        sub(root)
-    return coeff
+        total = _plus(total, sub(root))
+    return (_ONE if product is None else product), total
+
+
+def _skeleton_term(n, q, xi, var):
+    """(-i)^n q exp(i xi var): the skeleton value of a degree-n forest
+    whose vertex factors 1/(i Xi_v) multiply to (-i)^n q."""
+    r = n % 4
+    if r == 0:
+        coeff = _gaussian(q, _ZERO)
+    elif r == 1:
+        coeff = _gaussian(_ZERO, -q)
+    elif r == 2:
+        coeff = _gaussian(-q, _ZERO)
+    else:
+        coeff = _gaussian(_ZERO, q)
+    k = FREQ_VARS.index(var)
+    return _freqexp({FREQ_ZERO[:k] + (xi,) + FREQ_ZERO[k + 1:]: coeff})
 
 
 def skeleton_value(forest, freq, var="t"):
     """exp(i sum(freq) var) times the product of vertex factors."""
-    freq = tuple(freq)
+    freq = tuple(map(_as_fraction, freq))
     if len(freq) != forest.n:
         raise ValueError("frequency vector must match the forest size")
-    coeff = _skeleton_coeff(forest, freq)
-    return FreqExp.exponential(var, sum(freq, Fraction(0)), coeff)
+    product, xi = _xi_product(forest, freq)
+    return _skeleton_term(forest.n, 1 / product, xi, var)
 
 
 def skeleton_tree(forest, atom, var="t"):
@@ -265,10 +303,10 @@ def skeleton_tree(forest, atom, var="t"):
 
 
 def phi_measure(forest, measure, var="t"):
-    total = FreqExp.zero()
-    for atom in measure.atoms:
-        total = total + skeleton_tree(forest, atom, var)
-    return total
+    total = Accumulator(FreqExp.zero())
+    for freq, amp in measure.terms.items():
+        total.add(skeleton_value(forest, freq, var), amp)
+    return total.value()
 
 
 def e18_closed_form(forest, atom, var="t"):
@@ -289,11 +327,24 @@ def e18_closed_form(forest, atom, var="t"):
 
 
 def phi_lin(lc, measure, var="t"):
-    """Evaluate a LinComb of heap forests against a measure."""
-    total = FreqExp.zero()
-    for f, c in lc.items():
-        total = total + c * phi_measure(f, measure, var)
-    return total
+    """Evaluate a LinComb of heap forests against a measure.
+
+    Against one atom every forest of the combination has the same
+    degree n and the same phase, so its value is (-i)^n exp(i Xi var)
+    times the rational sum of c / prod Xi_v over the forests."""
+    forests = list(lc.items())
+    total = Accumulator(FreqExp.zero())
+    if not forests:
+        return total.value()
+    for freq, amp in measure.terms.items():
+        q = _ZERO
+        for f, c in forests:
+            if f.n != len(freq):
+                raise ValueError("frequency vector must match the forest size")
+            product, xi = _xi_product(f, freq)
+            q += c / product
+        total.add(_skeleton_term(len(freq), q, xi, var), amp)
+    return total.value()
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +353,14 @@ def phi_lin(lc, measure, var="t"):
 
 def chi_measure(nu, var="t", bound=DEFAULT_BOUND):
     """chi against an explicit measure: sector split through T^sigma."""
+    total = Accumulator(FreqExp.zero())
     if nu.n == 0:
-        total = FreqExp.zero()
-        for atom in nu.atoms:
-            total = total + atom.amp * FreqExp.one()
-        return total
-    total = FreqExp.zero()
-    split = split_measure(nu)
-    for sigma, piece in split.pieces.items():
-        total = total + phi_lin(t_sigma(sigma, bound), piece, var)
-    return total
+        for amp in nu.terms.values():
+            total.add(FreqExp.one(), amp)
+        return total.value()
+    for sigma, piece in split_measure(nu).pieces.items():
+        total.add(phi_lin(t_sigma(sigma, bound), piece, var))
+    return total.value()
 
 
 def chi(path, word, var="t", bound=DEFAULT_BOUND):
@@ -319,7 +368,24 @@ def chi(path, word, var="t", bound=DEFAULT_BOUND):
     return chi_measure(word_measure(path, word), var, bound)
 
 
+def _cuts(forest):
+    """Every cut of a forest, as (Roo, positions of Roo, Lea, positions
+    of Lea), positions 0-based; the two trivial cuts included."""
+    vertices = frozenset(range(1, forest.n + 1))
+    cuts = []
+    for vbar in antichains(forest):
+        lea = lea_vertices(forest, vbar)
+        roo = vertices - lea
+        cuts.append((forest.restrict(roo), [v - 1 for v in sorted(roo)],
+                     forest.restrict(lea), [v - 1 for v in sorted(lea)]))
+    return cuts
+
+
+# Memo of sbar_eval, emptied when it holds _SBAR_MEMO_CAP entries, which
+# at about 1.3 kB an entry keeps it near 20 MB.  J of every word up to
+# length 5 over two frequencies per letter stores 2,245 entries.
 _SBAR_MEMO = {}
+_SBAR_MEMO_CAP = 1 << 14
 
 
 def sbar_eval(forest, freq, var):
@@ -332,50 +398,35 @@ def sbar_eval(forest, freq, var):
     cached = _SBAR_MEMO.get(key)
     if cached is not None:
         return cached
-    total = -skeleton_value(forest, freq, var)
-    vertices = frozenset(range(1, forest.n + 1))
-    for vbar in antichains(forest):
-        if not vbar:
-            continue
-        lea = lea_vertices(forest, vbar)
-        roo = vertices - lea
-        if not roo:
-            continue
-        roo_sorted = sorted(roo)
-        lea_sorted = sorted(lea)
-        roo_val = skeleton_value(forest.restrict(roo),
-                                 tuple(freq[v - 1] for v in roo_sorted), var)
-        lea_val = sbar_eval(forest.restrict(lea),
-                            tuple(freq[v - 1] for v in lea_sorted), var)
-        total = total - roo_val * lea_val
-    _SBAR_MEMO[key] = total
-    return total
+    total = Accumulator(skeleton_value(forest, freq, var))
+    for roo, roo_at, lea, lea_at in _cuts(forest):
+        if roo.n and lea.n:
+            roo_val = skeleton_value(roo, [freq[i] for i in roo_at], var)
+            lea_val = sbar_eval(lea, [freq[i] for i in lea_at], var)
+            total.add(roo_val * lea_val)
+    value = -total.value()
+    if len(_SBAR_MEMO) >= _SBAR_MEMO_CAP:
+        _SBAR_MEMO.clear()
+    _SBAR_MEMO[key] = value
+    return value
 
 
 def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
     """J along the forest route: per sector, phi^hi on Roo and the
-    antipode evaluation phi^lo on Lea, summed over cuts of T^sigma."""
+    antipode evaluation phi^lo on Lea, summed over cuts of T^sigma.
+    The cuts of a sector are found once and serve all of its atoms."""
     if len(word) == 0:
         return FreqExp.one()
-    nu = word_measure(path, word)
-    total = FreqExp.zero()
-    for sigma, piece in split_measure(nu).pieces.items():
-        for atom in piece.atoms:
-            vertices = frozenset(range(1, atom.n + 1))
-            atom_total = FreqExp.zero()
-            for f, c in t_sigma(sigma, bound).items():
-                for vbar in antichains(f):
-                    lea = lea_vertices(f, vbar)
-                    roo = vertices - lea
-                    roo_val = skeleton_value(
-                        f.restrict(roo),
-                        tuple(atom.freq[v - 1] for v in sorted(roo)), hi)
-                    lea_val = sbar_eval(
-                        f.restrict(lea),
-                        tuple(atom.freq[v - 1] for v in sorted(lea)), lo)
-                    atom_total = atom_total + c * (roo_val * lea_val)
-            total = total + atom.amp * atom_total
-    return total
+    total = Accumulator(FreqExp.zero())
+    for sigma, piece in split_measure(word_measure(path, word)).pieces.items():
+        cuts = [(c, *cut) for f, c in t_sigma(sigma, bound).items()
+                for cut in _cuts(f)]
+        for freq, amp in piece.terms.items():
+            for c, roo, roo_at, lea, lea_at in cuts:
+                roo_val = skeleton_value(roo, [freq[i] for i in roo_at], hi)
+                lea_val = sbar_eval(lea, [freq[i] for i in lea_at], lo)
+                total.add(roo_val * lea_val, amp * c)
+    return total.value()
 
 
 def chi_character(path, var="t", bound=DEFAULT_BOUND):
@@ -456,21 +507,21 @@ def converse_check(mu1, mu2, var="t", bound=DEFAULT_BOUND):
     order-shift product of the inverse elements as a third route."""
     direct = chi_measure(mu1, var, bound) * chi_measure(mu2, var, bound)
     nu = mu1.tensor(mu2)
-    shuffled = FreqExp.zero()
+    shuffled = Accumulator(FreqExp.zero())
     for zeta in shuffles(mu1.n, mu2.n):
-        shuffled = shuffled + chi_measure(nu.compose(zeta), var, bound)
-    if direct != shuffled:
+        shuffled.add(chi_measure(nu.compose(zeta), var, bound))
+    if direct != shuffled.value():
         return "chi extension fails on the shuffled tensor measure"
-    product = FreqExp.zero()
+    product = Accumulator(FreqExp.zero())
     split1 = split_measure(mu1)
     split2 = split_measure(mu2)
     for s1, p1 in split1.pieces.items():
         for s2, p2 in split2.pieces.items():
             for f1, c1 in t_sigma(s1, bound).items():
                 for f2, c2 in t_sigma(s2, bound).items():
-                    product = product + (c1 * c2) * phi_measure(
-                        ho_product(f1, f2), p1.tensor(p2), var)
-    if direct != product:
+                    product.add(phi_measure(ho_product(f1, f2),
+                                            p1.tensor(p2), var), c1 * c2)
+    if direct != product.value():
         return "product reading disagrees with the sector expansion"
     return None
 

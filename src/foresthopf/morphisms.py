@@ -145,13 +145,32 @@ class ThetaMatrix:
         return rows
 
     def to_json(self):
-        return json.dumps({
+        """The same text as json.dumps(..., indent=2) of n, perms,
+        forests, matrix and inverse (cells as strings).  The two n! x n!
+        tables are written here: under indent, json falls back to its
+        pure-Python encoder."""
+        head = json.dumps({
             "n": self.n,
             "perms": [str(p) for p in self.perms],
             "forests": [str(f) for f in self.forests],
-            "matrix": self.matrix(),
-            "inverse": [[str(c) for c in row] for row in self.inverse_matrix()],
         }, indent=2)
+        matrix = [map(str, row) for row in self.matrix()]
+        inverse = [[f'"{c}"' if c else '"0"' for c in row]
+                   for row in self.inverse_matrix()]
+        return (f'{head[:-2]},\n  "matrix": {_json_rows(matrix)},'
+                f'\n  "inverse": {_json_rows(inverse)}\n}}')
+
+
+def _json_rows(rows):
+    """A list of rows of JSON cell texts, laid out as json.dumps with
+    indent=2 lays out a list that is a value of a top-level object."""
+    if not rows:
+        return "[]"
+    lines = []
+    for row in rows:
+        cells = ",\n      ".join(row)
+        lines.append(f"    [\n      {cells}\n    ]" if cells else "    []")
+    return "[\n" + ",\n".join(lines) + "\n  ]"
 
 
 _MATRIX_CACHE = {}

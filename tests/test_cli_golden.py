@@ -1,0 +1,75 @@
+"""Byte-for-byte CLI outputs against files in tests/golden/.
+
+Each case runs one command on the README's trig or gamma path, in text
+and with --json.  Wall times are the only part of an output that may
+change between runs, so every ``"seconds": <number>`` is written as
+``"seconds": 0`` before the comparison.
+
+To rewrite the golden files from the current code (only when an output
+is meant to change, and said so in CHANGES.md):
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from foresthopf.cli import main
+
+
+GOLDEN = Path(__file__).parent / "golden"
+TRIG_PATH = "1: 1@1\n2: 1@2\n"
+GAMMA_PATH = "1: 1\n2: 2x\n"
+
+# name -> (path file text, arguments before --path)
+CASES = {
+    "fno_chi_ab": (TRIG_PATH, ["fno", "chi", "ab"]),
+    "fno_j_aba": (TRIG_PATH, ["fno", "j", "aba"]),
+    "fno_verify_d3_j2": (TRIG_PATH, ["fno", "verify", "--degree", "3",
+                                     "--jlen", "2"]),
+    "iterint_ab": (GAMMA_PATH, ["iterint", "ab"]),
+    "iterint_tree_1_2": (GAMMA_PATH, ["iterint", "1[2]", "--tree"]),
+    "chen_check_d3": (GAMMA_PATH, ["chen-check", "--degree", "3"]),
+}
+SECONDS = re.compile(r'"seconds": [0-9][0-9.eE+-]*')
+
+
+def cli_output(tmp_dir, name, json_flag):
+    """Exit code and standard output of one case, times zeroed."""
+    path_text, argv = CASES[name]
+    path_file = Path(tmp_dir) / "path.txt"
+    path_file.write_text(path_text)
+    argv = argv + ["--path", str(path_file)] + (["--json"] if json_flag
+                                                else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, SECONDS.sub('"seconds": 0', out.getvalue())
+
+
+def golden_file(name, json_flag):
+    return GOLDEN / f"{name}.{'json' if json_flag else 'txt'}"
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(tmp_path, name, json_flag):
+    code, out = cli_output(tmp_path, name, json_flag)
+    assert code == 0
+    assert out == golden_file(name, json_flag).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            for flag in (False, True):
+                exit_code, text = cli_output(tmp, case, flag)
+                if exit_code != 0:
+                    raise SystemExit(f"{case}: exit code {exit_code}")
+                golden_file(case, flag).write_text(text)

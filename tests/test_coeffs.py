@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foresthopf.coeffs import (GaussianRational, GR_ZERO, GR_ONE, GR_I,
-                               parse_gaussian, MultiPoly, FreqExp, LinComb)
+                               parse_gaussian, MultiPoly, FreqExp, LinComb,
+                               Accumulator)
 from foresthopf.errors import ParseError
 
 
@@ -122,6 +123,135 @@ class TestFreqExp:
         assert str(w) == "(-1)·exp(i(2·s))+(1)·exp(i(1·t))"
         assert str(FreqExp.zero()) == "0"
         assert str(FreqExp.one()) == "(1)"
+
+
+def assert_clean(value):
+    """The invariant every value of coeffs keeps: Fraction parts, keys of
+    the right arity, no stored zero term."""
+    if isinstance(value, GaussianRational):
+        assert type(value.re) is Fraction and type(value.im) is Fraction
+        return
+    arity = len(value.vars) if isinstance(value, MultiPoly) else 3
+    for key, c in value.terms.items():
+        assert len(key) == arity
+        assert c
+        if isinstance(value, MultiPoly):
+            assert type(c) is Fraction
+        else:
+            assert all(type(x) is Fraction for x in key)
+            assert_clean(c)
+
+
+def assert_same_as_public(value):
+    """Equal, and hash-equal, to the value the public constructor builds
+    from the same parts."""
+    if isinstance(value, GaussianRational):
+        public = GaussianRational(value.re, value.im)
+    elif isinstance(value, MultiPoly):
+        public = MultiPoly(value.vars, dict(value.terms))
+    else:
+        public = FreqExp(dict(value.terms))
+    assert value == public
+    assert hash(value) == hash(public)
+
+
+XS = ("x", "s")
+small_ints = st.integers(min_value=-3, max_value=3)
+polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                        rationals, max_size=4).map(
+                            lambda terms: MultiPoly(XS, terms))
+freqs = st.tuples(small_ints, small_ints, small_ints)
+freq_exps = st.dictionaries(freqs, gaussians, max_size=3).map(FreqExp)
+
+
+class TestCleanValues:
+    def test_gaussian_cancellation(self):
+        a = GaussianRational(Fraction(1, 2), Fraction(-3))
+        assert a - a == GR_ZERO
+        assert_clean(a - a)
+        assert not (a - a)
+
+    @given(gaussians, gaussians, small_ints)
+    def test_gaussian_parts_stay_fraction(self, a, b, k):
+        results = [a + b, a - b, a * b, -a, a + k, k + a, a - k, k - a,
+                   a * k, k * a, a ** 3]
+        if b:
+            results += [a / b, k / b, b ** -2]
+        if k:
+            results.append(a / k)
+        for r in results:
+            assert_clean(r)
+            assert_same_as_public(r)
+
+    def test_gaussian_product_with_zero_parts(self):
+        parts = [Fraction(0), Fraction(1, 2), Fraction(-3)]
+        for a in parts:
+            for b in parts:
+                for c in parts:
+                    for d in parts:
+                        got = GaussianRational(a, b) * GaussianRational(c, d)
+                        assert (got.re, got.im) == (a * c - b * d,
+                                                    a * d + b * c)
+                        assert_clean(got)
+
+    def test_poly_minus_itself(self):
+        x, s = MultiPoly.var(XS, "x"), MultiPoly.var(XS, "s")
+        p = x * x - 3 * x * s + Fraction(1, 2)
+        assert (p - p).terms == {}
+        assert p - p == MultiPoly.zero(XS)
+
+    def test_subst_var_collapses(self):
+        x, s = MultiPoly.var(XS, "x"), MultiPoly.var(XS, "s")
+        assert (x - s).subst_var("x", "s").terms == {}
+        q = (x * s + 2 * x * x - 2 * s * s).subst_var("x", "s")
+        assert q.terms == {(0, 2): Fraction(1)}
+        assert_clean(q)
+
+    @given(polys, polys, small_ints)
+    def test_poly_results_clean(self, p, q, k):
+        h = (p * q).antiderivative("x")
+        results = [p + q, p - q, p * q, -p, p * k, k * p, p + k, k - p,
+                   h, h - h.subst_var("x", "s"), p.with_vars(("x", "u", "s")),
+                   p.rename_var("x", "t"), p ** 2]
+        for r in results:
+            assert_clean(r)
+            assert_same_as_public(r)
+
+    def test_freq_accumulation_cancels(self):
+        e1 = FreqExp.exponential("t", 1, GR_I)
+        e2 = FreqExp.exponential("s", Fraction(1, 2))
+        total = Accumulator(FreqExp.zero())
+        total.add(e1 + e2, 2)
+        total.add(e1, GaussianRational(-2))
+        total.add(e2 * 2, -1)
+        assert total.value().terms == {}
+        total.add(e1)
+        assert total.value() == e1
+        assert_clean(total.value())
+
+    @given(freq_exps, freq_exps, gaussians)
+    def test_freq_results_clean(self, a, b, c):
+        total = Accumulator(a)
+        total.add(b, c)
+        total.add(a * b)
+        results = [a + b, a - b, a * b, -a, a * c, c * a, a * 2,
+                   total.value()]
+        for r in results:
+            assert_clean(r)
+            assert_same_as_public(r)
+        assert total.value() == a + c * b + a * b
+
+    def test_accumulator_keeps_its_space(self):
+        total = Accumulator(MultiPoly.zero(XS))
+        with pytest.raises(ValueError):
+            total.add(MultiPoly.zero(("t", "s")))
+        with pytest.raises(TypeError):
+            total.add(FreqExp.one())
+        with pytest.raises(TypeError):
+            total.add(MultiPoly.one(XS), GR_I)
+        value = total.value()
+        total.add(MultiPoly.one(XS))
+        assert value == MultiPoly.zero(XS)
 
 
 class TestLinComb:

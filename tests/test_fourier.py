@@ -6,6 +6,7 @@ relation chi(ab) + chi(ba) = chi(a) chi(b).
 """
 
 from fractions import Fraction
+from itertools import combinations
 import random
 
 import pytest
@@ -15,14 +16,16 @@ from foresthopf.errors import (ParseError, MagnitudeTieError,
                                SingularAtomError)
 from foresthopf.words import Word, all_words
 from foresthopf.perms import Perm, all_perms, shuffles
-from foresthopf.forests import OrderedForest, linear_extensions, act
+from foresthopf import fourier
+from foresthopf.forests import (OrderedForest, linear_extensions, act,
+                                enumerate_heap_ordered)
 from foresthopf.hopf import sh_product
 from foresthopf.fourier import (
     TrigPath, FourierAtom, AtomMeasure, word_measure, sector_of,
     split_measure, skeleton_value, e18_closed_form, phi_measure,
     chi_measure, chi, j_convolution, j_character, rough_path_J,
     phi_multiplicativity_check, e28_check, e22_check, musigma_check,
-    converse_check, random_measure, sector_sweep, GR_MINUS_I,
+    converse_check, random_atom, random_measure, sector_sweep, GR_MINUS_I,
 )
 
 
@@ -156,6 +159,48 @@ class TestSkeleton:
                 == scale * e18_closed_form(f, atom)
 
 
+def _nonresonant_atom(rng, n):
+    """A random atom with distinct magnitudes and no vanishing sum of
+    frequencies over any nonempty set of coordinates."""
+    while True:
+        atom = random_atom(rng, n)
+        if all(sum(c) for k in range(1, n + 1)
+               for c in combinations(atom.freq, k)):
+            return atom
+
+
+class TestSkeletonRoutes:
+    """The vertex recursion against the closed form over the partial
+    order (strictly_above), which differs from it by (-i)^n."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_heap_ordered_forest(self, n):
+        rng = random.Random(1000 + n)
+        scale = GR_MINUS_I ** n
+        for f in enumerate_heap_ordered(n, 1):
+            for _ in range(2):
+                atom = _nonresonant_atom(rng, n)
+                assert skeleton_value(f, atom.freq) * atom.amp \
+                    == scale * e18_closed_form(f, atom), (f, atom)
+
+    def test_integer_frequencies(self):
+        got = skeleton_value(OrderedForest.parse("1|2"), (1, 2))
+        assert got == freq_term("t", 3, Fraction(-1, 2))
+        for key, c in got.terms.items():
+            assert all(type(x) is Fraction for x in key)
+            assert type(c.re) is Fraction and type(c.im) is Fraction
+
+    def test_both_routes_refuse_a_resonant_atom(self):
+        # Xi at the root is 1 + 2 - 3 = 0
+        atom = FourierAtom((Fraction(1), Fraction(2), Fraction(-3)))
+        for text in ["1[2[3]]", "1[2,3]"]:
+            f = OrderedForest.parse(text)
+            with pytest.raises(SingularAtomError):
+                skeleton_value(f, atom.freq)
+            with pytest.raises(SingularAtomError):
+                e18_closed_form(f, atom)
+
+
 class TestChi:
     def test_frozen_values(self, path):
         assert str(chi(path, Word.parse("a"))) == "(-i)·exp(i(1·t))"
@@ -222,6 +267,30 @@ class TestJ:
         p = TrigPath.parse("1: 1@1\n2: 1@2\n3: 1@-3")
         with pytest.raises(SingularAtomError):
             chi(p, Word((1, 2, 3)))
+
+    def test_bounded_sbar_memo(self, monkeypatch):
+        p = TrigPath.parse("1: 1@1, 1/2@-7/11\n2: 1@2, -i@5")
+        words = [w for n in range(1, 4) for w in all_words(n, 2)]
+        fourier._SBAR_MEMO.clear()
+        expected = [j_convolution(p, w) for w in words]
+
+        class Recorder(dict):
+            peak = 0
+            clears = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                Recorder.peak = max(Recorder.peak, len(self))
+
+            def clear(self):
+                Recorder.clears += 1
+                super().clear()
+
+        monkeypatch.setattr(fourier, "_SBAR_MEMO", Recorder())
+        monkeypatch.setattr(fourier, "_SBAR_MEMO_CAP", 5)
+        assert [j_convolution(p, w) for w in words] == expected
+        assert Recorder.peak == 5
+        assert Recorder.clears > 0
 
 
 class TestIdentities:

@@ -81,6 +81,19 @@ class TestThetaMatrix:
         assert data["matrix"] == [[1, 1], [1, 0]]
         assert data["inverse"] == [["0", "1"], ["1", "-1"]]
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_json_text_matches_json_dumps(self, n):
+        import json
+        tm = theta_inverse_table(n)
+        expected = json.dumps({
+            "n": tm.n,
+            "perms": [str(p) for p in tm.perms],
+            "forests": [str(f) for f in tm.forests],
+            "matrix": tm.matrix(),
+            "inverse": [[str(c) for c in row] for row in tm.inverse_matrix()],
+        }, indent=2)
+        assert tm.to_json() == expected
+
     def test_cache_returns_same_object(self):
         assert theta_inverse_table(3) is theta_inverse_table(3)
 
