@@ -33,7 +33,7 @@ from .characters import (Character, unit_character, convolve, char_inverse,
                          chen_check, fubini_tsigma, fubini_matches_t_sigma)
 from .fourier import (TrigPath, FourierAtom, AtomMeasure, SectorSplit,
                       sector_of, split_measure, word_measure,
-                      skeleton_value, skeleton_tree, phi_measure,
+                      skeleton_value, phi_measure,
                       e18_closed_form, chi, chi_character, chi_measure,
                       rough_path_J, j_convolution, j_character, sector_sweep,
                       converse_check)

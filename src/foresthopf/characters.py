@@ -117,8 +117,7 @@ def _parse_poly(text):
     chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
     if not chunks:
         raise ParseError(f"empty polynomial in {text!r}")
-    poly = MultiPoly.zero(("x",))
-    x = MultiPoly.var(("x",), "x")
+    terms = []
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coeff") is None and m.group("var") is None):
@@ -128,11 +127,9 @@ def _parse_poly(text):
             c = Fraction((coeff or "") + "1")
         else:
             c = Fraction(coeff)
-        term = MultiPoly.const(("x",), c)
-        if m.group("var"):
-            term = term * x ** int(m.group("exp") or 1)
-        poly = poly + term
-    return poly
+        exp = int(m.group("exp") or 1) if m.group("var") else 0
+        terms.append(((exp,), c))
+    return MultiPoly(("x",), terms)
 
 
 class PolyPath:

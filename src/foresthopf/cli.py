@@ -19,7 +19,7 @@ from .forests import OrderedForest, PlainForest, enumerate_heap_ordered
 from .hopf import get_structure, hopf_axiom_sweep, STRUCTURES
 from .morphisms import (theta, theta_inverse_table, t_sigma,
                         t_sigma_decorated, square_check, DEFAULT_BOUND)
-from .coeffs import FreqExp
+from .coeffs import FreqExp, Accumulator
 from .characters import (PolyPath, iter_int_word, iter_int_tree, chen_check,
                          validate_character)
 from .fourier import (TrigPath, chi, chi_character, rough_path_J,
@@ -187,14 +187,13 @@ def _fno_verify(args, path):
         for n in range(args.jlen + 1):
             for w in all_words(n, path.d):
                 lhs = j_convolution(path, w, "t", "s", args.bound)
-                rhs = FreqExp.zero()
+                rhs = Accumulator(FreqExp.zero())
                 for k in range(n + 1):
-                    rhs = rhs + (
-                        j_convolution(path, Word(w.letters[:k]), "t", "u",
-                                      args.bound)
-                        * j_convolution(path, Word(w.letters[k:]), "u", "s",
-                                        args.bound))
-                if lhs != rhs:
+                    rhs.add(j_convolution(path, Word(w.letters[:k]), "t", "u",
+                                          args.bound)
+                            * j_convolution(path, Word(w.letters[k:]), "u",
+                                            "s", args.bound))
+                if lhs != rhs.value():
                     failures.append(f"J Chen fails on {w}")
         return failures
 
@@ -309,7 +308,8 @@ def build_parser():
 # (argument, its name on the command line, least value it may take):
 # degrees and lengths count from 0, alphabets need at least one letter
 _LOWER_LIMITS = (("degree", "--degree", 0), ("n", "n", 0),
-                 ("jlen", "--jlen", 0), ("d", "--d", 1))
+                 ("jlen", "--jlen", 0), ("cases", "--cases", 0),
+                 ("d", "--d", 1))
 
 
 def _check_limits(args):

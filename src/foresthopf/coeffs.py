@@ -10,14 +10,21 @@ so every value type here is built on fractions.Fraction:
 
 Nothing here ever touches floating point.
 
-Every GaussianRational, MultiPoly and FreqExp value is clean: each
-rational part, coefficient and frequency is a Fraction, every key has
-the arity of its space (the variable tuple, or (t, u, s)), and no
-stored term is zero.  The public constructors establish this from
-arbitrary input.  Arithmetic on clean values yields clean parts, so
-results are built by the private constructors _gaussian, _poly and
-_freqexp, which check nothing and only drop the terms that cancelled.
-Accumulator sums scalar * value in place, into one dict.
+MultiPoly, FreqExp and LinComb are sparse sums: a terms dict from keys
+to coefficients with no stored zero.  They share one base, SparseSum
+(as does fourier.AtomMeasure), which defines +, -, negation, equality,
+hashing and truth once, on Accumulator: the one in-place sum of
+scalar * value into one dict.
+
+Every value is clean: each rational part, coefficient and frequency is
+a Fraction, every key of a MultiPoly or FreqExp has the arity of its
+space (the variable tuple, or (t, u, s)), a LinComb's keys are any
+hashable basis objects, and no stored term is zero.  Each type has one
+public constructor, which establishes this from arbitrary input and
+sums repeated keys.  Arithmetic on clean values yields clean parts, so
+results are built by the private constructors _gaussian, _poly,
+_freqexp and _lincomb, which check nothing and only drop the terms
+that cancelled.
 """
 
 from __future__ import annotations
@@ -231,10 +238,142 @@ def parse_gaussian(text):
 
 
 # ---------------------------------------------------------------------------
+# Sparse sums
+# ---------------------------------------------------------------------------
+
+class SparseSum:
+    """A finite sum: ``terms`` maps keys to nonzero coefficients.
+
+    Immutable.  Addition, subtraction, negation, equality, hashing and
+    truth are defined here once, on Accumulator.  A subclass supplies
+    _coerce (an operand of its own type, or a scalar turned into one,
+    else None), _check (raise unless the argument is a summand of the
+    same space), _SCALARS (the scalars an Accumulator may scale a
+    summand by) and _with_terms (its trusted constructor, in the space
+    of self).
+    """
+
+    __slots__ = ("terms",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        total = Accumulator(self)
+        total.add(other)
+        return total.value()
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        total = Accumulator(self)
+        total.add(other, -1)
+        return total.value()
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._with_terms({k: -c for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+_set_terms = SparseSum.terms.__set__
+
+
+def _pairs(terms):
+    """The (key, coefficient) pairs of a dict or of an iterable of pairs."""
+    if not terms:
+        return ()
+    return terms.items() if isinstance(terms, dict) else terms
+
+
+def _merged(pairs):
+    """A terms dict from (key, coefficient) pairs: repeated keys summed,
+    zero sums dropped."""
+    terms = {}
+    get = terms.get
+    for key, c in pairs:
+        prev = get(key)
+        terms[key] = c if prev is None else prev + c
+    return _drop_zeros(terms)
+
+
+def _drop_zeros(terms):
+    """Delete the zero values of a dict in place; returns the dict.
+
+    Deleting rehashes only the dropped keys, where building a filtered
+    copy would rehash every key (a Fraction triple for FreqExp)."""
+    for key in [key for key, c in terms.items() if not c]:
+        del terms[key]
+    return terms
+
+
+class Accumulator:
+    """A running sum of scalar * value over one space of sparse sums.
+
+    The sum starts at ``start``, which also fixes its space (the type,
+    and what its _check compares: the variable tuple of a MultiPoly).
+    Each add folds the terms of one value into one dict in place;
+    value() builds the sum once.
+    """
+
+    __slots__ = ("_start", "_terms")
+
+    def __init__(self, start):
+        self._start = start
+        self._terms = dict(start.terms)
+
+    def add(self, value, scalar=None):
+        """Add scalar * value; no scalar means 1.  The scalar must be of
+        the start's _SCALARS: rational for MultiPoly and LinComb, Gaussian
+        rational too for FreqExp."""
+        start = self._start
+        start._check(value)
+        terms = self._terms
+        get = terms.get
+        if scalar is None or scalar == 1:
+            for key, c in value.terms.items():
+                prev = get(key)
+                terms[key] = c if prev is None else prev + c
+        elif not isinstance(scalar, start._SCALARS):
+            raise TypeError(f"bad scalar {scalar!r} for {start!r}")
+        elif scalar == -1:
+            for key, c in value.terms.items():
+                prev = get(key)
+                terms[key] = -c if prev is None else prev - c
+        elif scalar:
+            for key, c in value.terms.items():
+                c = c * scalar
+                prev = get(key)
+                terms[key] = c if prev is None else prev + c
+
+    def value(self):
+        return self._start._with_terms(dict(self._terms))
+
+
+# ---------------------------------------------------------------------------
 # Sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-class MultiPoly:
+class MultiPoly(SparseSum):
     """Sparse polynomial with Fraction coefficients over a fixed variable tuple.
 
     Terms map exponent tuples to nonzero coefficients.  The variable tuple
@@ -242,26 +381,20 @@ class MultiPoly:
     is an error (use with_vars to embed).
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars",)
 
     def __init__(self, vars, terms=None):
-        object.__setattr__(self, "vars", tuple(vars))
-        clean = {}
-        if terms:
-            for exp, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = _as_fraction(c)
-                if not c:
-                    continue
+        vars = tuple(vars)
+        pairs = []
+        for exp, c in _pairs(terms):
+            c = _as_fraction(c)
+            if c:
                 exp = tuple(exp)
-                if len(exp) != len(self.vars):
+                if len(exp) != len(vars):
                     raise ValueError("exponent arity does not match variables")
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-                if not clean[exp]:
-                    del clean[exp]
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+                pairs.append((exp, c))
+        _set_vars(self, vars)
+        _set_terms(self, _merged(pairs))
 
     # -- constructors -------------------------------------------------------
 
@@ -299,34 +432,10 @@ class MultiPoly:
     def _with_terms(self, terms):
         return _poly(self.vars, terms)
 
-    def _as_poly(self, other):
+    def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             return MultiPoly.const(self.vars, other)
         return other if isinstance(other, MultiPoly) else None
-
-    def __add__(self, other):
-        other = self._as_poly(other)
-        if other is None:
-            return NotImplemented
-        total = Accumulator(self)
-        total.add(other)
-        return total.value()
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._as_poly(other)
-        if other is None:
-            return NotImplemented
-        total = Accumulator(self)
-        total.add(other, -1)
-        return total.value()
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return _poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -357,16 +466,13 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        other = self._as_poly(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # -- calculus and substitution ------------------------------------------
 
@@ -462,17 +568,6 @@ class MultiPoly:
 
 
 _set_vars = MultiPoly.vars.__set__
-_set_poly_terms = MultiPoly.terms.__set__
-
-
-def _drop_zeros(terms):
-    """Delete the zero values of a dict in place; returns the dict.
-
-    Deleting rehashes only the dropped keys, where building a filtered
-    copy would rehash every key (a Fraction triple for FreqExp)."""
-    for key in [key for key, c in terms.items() if not c]:
-        del terms[key]
-    return terms
 
 
 def _poly(vars, terms):
@@ -481,7 +576,7 @@ def _poly(vars, terms):
     drops its zero coefficients."""
     p = _new(MultiPoly)
     _set_vars(p, vars)
-    _set_poly_terms(p, _drop_zeros(terms))
+    _set_terms(p, _drop_zeros(terms))
     return p
 
 
@@ -492,7 +587,7 @@ def _poly(vars, terms):
 FREQ_VARS = ("t", "u", "s")
 
 
-class FreqExp:
+class FreqExp(SparseSum):
     """Finite sum of c * exp(i*(xi_t*t + xi_u*u + xi_s*s)).
 
     Keys are triples of rational frequencies over the fixed variables
@@ -501,29 +596,19 @@ class FreqExp:
     algebra with unit exp(0) = 1.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for freq, c in (terms.items() if isinstance(terms, dict) else terms):
-                if not isinstance(c, GaussianRational):
-                    c = GaussianRational(c, 0)
-                if not c:
-                    continue
+        pairs = []
+        for freq, c in _pairs(terms):
+            if not isinstance(c, GaussianRational):
+                c = GaussianRational(c, 0)
+            if c:
                 freq = tuple(_as_fraction(x) for x in freq)
                 if len(freq) != 3:
                     raise ValueError("frequency vector must cover (t, u, s)")
-                prev = clean.get(freq)
-                c = c if prev is None else prev + c
-                if c:
-                    clean[freq] = c
-                elif freq in clean:
-                    del clean[freq]
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreqExp is immutable")
+                pairs.append((freq, c))
+        _set_terms(self, _merged(pairs))
 
     @classmethod
     def zero(cls):
@@ -557,30 +642,6 @@ class FreqExp:
             return FreqExp({FREQ_ZERO: x})
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        total = Accumulator(self)
-        total.add(o)
-        return total.value()
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        total = Accumulator(self)
-        total.add(o, -1)
-        return total.value()
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return _freqexp({f: -c for f, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, FreqExp._SCALARS):
             return _freqexp({f: c * other for f, c in self.terms.items()})
@@ -599,18 +660,6 @@ class FreqExp:
         return _freqexp(out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __str__(self):
         if not self.terms:
@@ -632,7 +681,6 @@ class FreqExp:
 
 
 FREQ_ZERO = (_ZERO, _ZERO, _ZERO)
-_set_freq_terms = FreqExp.terms.__set__
 
 
 def _freqexp(terms):
@@ -640,49 +688,8 @@ def _freqexp(terms):
     GaussianRational.  Takes ownership of the terms dict and drops its
     zero coefficients."""
     v = _new(FreqExp)
-    _set_freq_terms(v, _drop_zeros(terms))
+    _set_terms(v, _drop_zeros(terms))
     return v
-
-
-class Accumulator:
-    """A running sum of scalar * value over MultiPoly or FreqExp values.
-
-    The sum starts at ``start``, which also fixes its space (the type,
-    and the variable tuple of a MultiPoly).  Each add folds the terms
-    of one value into one dict in place; value() builds the sum once.
-    """
-
-    __slots__ = ("_start", "_terms")
-
-    def __init__(self, start):
-        self._start = start
-        self._terms = dict(start.terms)
-
-    def add(self, value, scalar=None):
-        """Add scalar * value; no scalar means 1.  A MultiPoly sum takes
-        rational scalars, a FreqExp sum Gaussian rational ones too."""
-        start = self._start
-        start._check(value)
-        terms = self._terms
-        get = terms.get
-        if scalar is None or scalar == 1:
-            for key, c in value.terms.items():
-                prev = get(key)
-                terms[key] = c if prev is None else prev + c
-        elif not isinstance(scalar, start._SCALARS):
-            raise TypeError(f"bad scalar {scalar!r} for {start!r}")
-        elif scalar == -1:
-            for key, c in value.terms.items():
-                prev = get(key)
-                terms[key] = -c if prev is None else prev - c
-        elif scalar:
-            for key, c in value.terms.items():
-                c = c * scalar
-                prev = get(key)
-                terms[key] = c if prev is None else prev + c
-
-    def value(self):
-        return self._start._with_terms(dict(self._terms))
 
 
 # ---------------------------------------------------------------------------
@@ -699,85 +706,47 @@ def _basis_key(b):
     return str(b)
 
 
-class LinComb:
+class LinComb(SparseSum):
     """Finite linear combination of hashable basis objects over Fraction.
 
     The zero combination has no terms.  Basis objects are expected to be
     canonical: equality of combinations is coefficient-wise equality of
-    the underlying maps.
+    the underlying maps.  The constructor takes a dict or an iterable of
+    (basis, coefficient) pairs and sums repeated basis objects.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for b, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = _as_fraction(c)
-                if not c:
-                    continue
-                prev = clean.get(b)
-                c = c if prev is None else prev + c
-                if c:
-                    clean[b] = c
-                elif b in clean:
-                    del clean[b]
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinComb is immutable")
+        _set_terms(self, _merged((b, _as_fraction(c))
+                                 for b, c in _pairs(terms)))
 
     @classmethod
     def zero(cls):
-        return cls({})
+        return _lincomb({})
 
     @classmethod
     def of(cls, basis, coeff=1):
-        return cls({basis: coeff})
+        return _lincomb({basis: _as_fraction(coeff)})
 
-    def __add__(self, other):
+    _SCALARS = (int, Fraction)
+
+    def _check(self, other):
         if not isinstance(other, LinComb):
-            return NotImplemented
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            prev = terms.get(b)
-            c = c if prev is None else prev + c
-            if c:
-                terms[b] = c
-            elif b in terms:
-                del terms[b]
-        out = LinComb.__new__(LinComb)
-        object.__setattr__(out, "terms", terms)
-        return out
+            raise TypeError(f"not a LinComb: {other!r}")
 
-    def __sub__(self, other):
-        return self + (-other)
+    def _with_terms(self, terms):
+        return _lincomb(terms)
 
-    def __neg__(self):
-        out = LinComb.__new__(LinComb)
-        object.__setattr__(out, "terms", {b: -c for b, c in self.terms.items()})
-        return out
+    @staticmethod
+    def _coerce(x):
+        return x if isinstance(x, LinComb) else None
 
     def __mul__(self, scalar):
         c = _as_fraction(scalar)
-        if not c:
-            return LinComb.zero()
-        out = LinComb.__new__(LinComb)
-        object.__setattr__(out, "terms", {b: v * c for b, v in self.terms.items()})
-        return out
+        return _lincomb({b: v * c for b, v in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __len__(self):
         return len(self.terms)
@@ -793,13 +762,6 @@ class LinComb:
 
     def support(self):
         return set(self.terms)
-
-    def apply(self, f):
-        """Linear extension of a basis map f: basis -> LinComb."""
-        total = LinComb.zero()
-        for b, c in self.terms.items():
-            total = total + c * f(b)
-        return total
 
     def render(self, fmt=str):
         if not self.terms:
@@ -819,3 +781,11 @@ class LinComb:
 
     def __repr__(self):
         return f"LinComb({self.terms!r})"
+
+
+def _lincomb(terms):
+    """Trusted constructor: coefficients are Fraction.  Takes ownership
+    of the terms dict and drops its zero coefficients."""
+    v = _new(LinComb)
+    _set_terms(v, _drop_zeros(terms))
+    return v

@@ -380,9 +380,12 @@ def act(sigma, forest):
 
 @dataclass(frozen=True)
 class Cut:
-    vbar: frozenset
+    """Roo and Lea of one cut, with the 0-based positions in the cut
+    forest of the vertices each part keeps, in increasing order."""
     roo: object
+    roo_at: tuple
     lea: object
+    lea_at: tuple
 
 
 def antichains(forest):
@@ -426,13 +429,16 @@ def lea_vertices(forest, vbar):
 
 
 def ordered_cuts(forest):
-    """Admissible cuts of an OrderedForest, parts standardized."""
+    """Admissible cuts of an OrderedForest, parts standardized; the
+    two trivial cuts included."""
     cuts = []
     all_vs = set(range(1, forest.n + 1))
     for vbar in antichains(forest):
         lea = lea_vertices(forest, vbar)
-        roo = all_vs - lea
-        cuts.append(Cut(vbar, forest.restrict(roo), forest.restrict(lea)))
+        roo = sorted(all_vs - lea)
+        lea = sorted(lea)
+        cuts.append(Cut(forest.restrict(roo), tuple([v - 1 for v in roo]),
+                        forest.restrict(lea), tuple([v - 1 for v in lea])))
     return cuts
 
 
@@ -440,9 +446,11 @@ def plain_cuts(forest):
     """Admissible cuts of a PlainForest, via one heap lift.
 
     The lift only names the vertices; the resulting (Roo, Lea) multiset
-    of plain parts does not depend on the choice.
+    of plain parts does not depend on the choice.  Positions are those
+    of the lift's vertices.
     """
-    return [Cut(cut.vbar, cut.roo.to_plain(), cut.lea.to_plain())
+    return [Cut(cut.roo.to_plain(), cut.roo_at, cut.lea.to_plain(),
+                cut.lea_at)
             for cut in ordered_cuts(heap_order_lift(forest))]
 
 

@@ -22,12 +22,13 @@ import random
 from fractions import Fraction
 
 from .coeffs import (GaussianRational, GR_ONE, FreqExp, FREQ_VARS, FREQ_ZERO,
-                     Accumulator, parse_gaussian, _as_fraction, _gaussian,
-                     _freqexp, _plus, _ZERO, _ONE)
+                     SparseSum, Accumulator, parse_gaussian, _as_fraction,
+                     _gaussian, _freqexp, _drop_zeros, _merged, _new,
+                     _set_terms, _plus, _ZERO, _ONE)
 from .errors import ParseError, SingularAtomError, MagnitudeTieError
 from .words import parse_components
 from .perms import Perm, all_perms, shuffles
-from .forests import act, antichains, lea_vertices
+from .forests import act, ordered_cuts
 from .morphisms import t_sigma, DEFAULT_BOUND
 from .hopf import Shuffle, ho_product
 from .characters import Character, convolve, char_inverse
@@ -122,32 +123,47 @@ class FourierAtom:
         return f"FourierAtom({self.freq}, {self.amp})"
 
 
-class AtomMeasure:
-    """Finite sum of atoms of one arity, merged by frequency vector."""
+class AtomMeasure(SparseSum):
+    """Finite sum of atoms of one arity, merged by frequency vector.
+
+    A sparse sum: terms map length-n frequency vectors to nonzero
+    GaussianRational amplitudes, and the arity n is part of the value."""
+
+    __slots__ = ("n",)
 
     def __init__(self, n, atoms=()):
-        self.n = n
-        terms = {}
+        pairs = []
         for atom in atoms:
             if atom.n != n:
                 raise ValueError("mixed arities inside one measure")
-            if atom.amp:
-                cur = terms.get(atom.freq)
-                new = atom.amp if cur is None else cur + atom.amp
-                if new:
-                    terms[atom.freq] = new
-                elif cur is not None:
-                    del terms[atom.freq]
-        self.terms = terms
+            pairs.append((atom.freq, atom.amp))
+        _set_n(self, n)
+        _set_terms(self, _merged(pairs))
 
     @classmethod
     def _from_terms(cls, n, terms):
-        """Trusted constructor: keys are length-n tuples of Fraction,
-        amplitudes nonzero GaussianRational."""
-        m = cls.__new__(cls)
-        m.n = n
-        m.terms = terms
+        """Trusted constructor: keys are length-n tuples of Fraction and
+        amplitudes GaussianRational.  Takes ownership of the terms dict
+        and drops its zero amplitudes."""
+        m = _new(cls)
+        _set_n(m, n)
+        _set_terms(m, _drop_zeros(terms))
         return m
+
+    _SCALARS = (int, Fraction, GaussianRational)
+
+    def _check(self, other):
+        if not isinstance(other, AtomMeasure):
+            raise TypeError(f"not an AtomMeasure: {other!r}")
+        if self.n != other.n:
+            raise ValueError("mixed arities inside one measure")
+
+    def _with_terms(self, terms):
+        return AtomMeasure._from_terms(self.n, terms)
+
+    @staticmethod
+    def _coerce(x):
+        return x if isinstance(x, AtomMeasure) else None
 
     @property
     def atoms(self):
@@ -155,17 +171,18 @@ class AtomMeasure:
                      for f, a in sorted(self.terms.items()))
 
     def compose(self, eps):
-        return AtomMeasure(self.n, (a.compose(eps) for a in self.atoms))
+        """FourierAtom.compose on every atom: a bijection of keys."""
+        return AtomMeasure._from_terms(
+            self.n, {tuple([freq[p - 1] for p in eps.word]): amp
+                     for freq, amp in self.terms.items()})
 
     def tensor(self, other):
-        return AtomMeasure(self.n + other.n,
-                           (a.tensor(b) for a in self.atoms
-                            for b in other.atoms))
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed arities inside one measure")
-        return AtomMeasure(self.n, self.atoms + other.atoms)
+        """FourierAtom.tensor on every pair of atoms: distinct keys."""
+        right = other.terms.items()
+        return AtomMeasure._from_terms(
+            self.n + other.n, {f1 + f2: a1 * a2
+                               for f1, a1 in self.terms.items()
+                               for f2, a2 in right})
 
     def __eq__(self, other):
         return (isinstance(other, AtomMeasure) and self.n == other.n
@@ -176,6 +193,9 @@ class AtomMeasure:
 
     def __repr__(self):
         return f"AtomMeasure({self.n}, {self.atoms})"
+
+
+_set_n = AtomMeasure.n.__set__
 
 
 def word_measure(path, word):
@@ -223,10 +243,10 @@ class SectorSplit:
         return self.pieces.get(sigma, AtomMeasure(self.n))
 
     def reassemble(self):
-        total = AtomMeasure(self.n)
+        total = Accumulator(AtomMeasure(self.n))
         for sigma, piece in self.pieces.items():
-            total = total + piece.compose(sigma.inverse())
-        return total
+            total.add(piece.compose(sigma.inverse()))
+        return total.value()
 
 
 def split_measure(mu):
@@ -297,11 +317,6 @@ def skeleton_value(forest, freq, var="t"):
     return _skeleton_term(forest.n, 1 / product, xi, var)
 
 
-def skeleton_tree(forest, atom, var="t"):
-    """phi of one forest against one atom."""
-    return atom.amp * skeleton_value(forest, atom.freq, var)
-
-
 def phi_measure(forest, measure, var="t"):
     total = Accumulator(FreqExp.zero())
     for freq, amp in measure.terms.items():
@@ -368,19 +383,6 @@ def chi(path, word, var="t", bound=DEFAULT_BOUND):
     return chi_measure(word_measure(path, word), var, bound)
 
 
-def _cuts(forest):
-    """Every cut of a forest, as (Roo, positions of Roo, Lea, positions
-    of Lea), positions 0-based; the two trivial cuts included."""
-    vertices = frozenset(range(1, forest.n + 1))
-    cuts = []
-    for vbar in antichains(forest):
-        lea = lea_vertices(forest, vbar)
-        roo = vertices - lea
-        cuts.append((forest.restrict(roo), [v - 1 for v in sorted(roo)],
-                     forest.restrict(lea), [v - 1 for v in sorted(lea)]))
-    return cuts
-
-
 # Memo of sbar_eval, emptied when it holds _SBAR_MEMO_CAP entries, which
 # at about 1.3 kB an entry keeps it near 20 MB.  J of every word up to
 # length 5 over two frequencies per letter stores 2,245 entries.
@@ -399,10 +401,11 @@ def sbar_eval(forest, freq, var):
     if cached is not None:
         return cached
     total = Accumulator(skeleton_value(forest, freq, var))
-    for roo, roo_at, lea, lea_at in _cuts(forest):
-        if roo.n and lea.n:
-            roo_val = skeleton_value(roo, [freq[i] for i in roo_at], var)
-            lea_val = sbar_eval(lea, [freq[i] for i in lea_at], var)
+    for cut in ordered_cuts(forest):
+        if cut.roo.n and cut.lea.n:
+            roo_val = skeleton_value(cut.roo, [freq[i] for i in cut.roo_at],
+                                     var)
+            lea_val = sbar_eval(cut.lea, [freq[i] for i in cut.lea_at], var)
             total.add(roo_val * lea_val)
     value = -total.value()
     if len(_SBAR_MEMO) >= _SBAR_MEMO_CAP:
@@ -419,12 +422,14 @@ def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
         return FreqExp.one()
     total = Accumulator(FreqExp.zero())
     for sigma, piece in split_measure(word_measure(path, word)).pieces.items():
-        cuts = [(c, *cut) for f, c in t_sigma(sigma, bound).items()
-                for cut in _cuts(f)]
+        cuts = [(c, cut) for f, c in t_sigma(sigma, bound).items()
+                for cut in ordered_cuts(f)]
         for freq, amp in piece.terms.items():
-            for c, roo, roo_at, lea, lea_at in cuts:
-                roo_val = skeleton_value(roo, [freq[i] for i in roo_at], hi)
-                lea_val = sbar_eval(lea, [freq[i] for i in lea_at], lo)
+            for c, cut in cuts:
+                roo_val = skeleton_value(cut.roo,
+                                         [freq[i] for i in cut.roo_at], hi)
+                lea_val = sbar_eval(cut.lea, [freq[i] for i in cut.lea_at],
+                                    lo)
                 total.add(roo_val * lea_val, amp * c)
     return total.value()
 
@@ -491,11 +496,11 @@ def musigma_check(mu1, mu2):
     for s1 in all_perms(n1):
         for s2 in all_perms(n2):
             lhs = split1.piece(s1).tensor(split2.piece(s2))
-            rhs = AtomMeasure(n1 + n2)
+            rhs = Accumulator(AtomMeasure(n1 + n2))
             st = s1.tensor(s2)
             for eps in shuffles(n1, n2):
-                rhs = rhs + split12.piece(st @ eps).compose(eps.inverse())
-            if lhs != rhs:
+                rhs.add(split12.piece(st @ eps).compose(eps.inverse()))
+            if lhs != rhs.value():
                 return f"tensor sector identity fails at {s1}, {s2}"
     return None
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import LinComb
+from .coeffs import LinComb, Accumulator
 from .errors import StructureMismatchError
 from .words import Word, EMPTY_WORD, all_words
 from .perms import Perm, DecoratedPerm, all_perms, interleavings
@@ -113,14 +113,14 @@ class HopfStructure:
         cached = self._antipode_memo.get(b)
         if cached is not None:
             return cached
-        total = LinComb.of(b, -1)
+        total = Accumulator(LinComb.of(b, -1))
         for (x1, x2), c in self.coproduct(b).items():
             if self.degree(x1) == 0 or self.degree(x2) == 0:
                 continue
-            total = total - c * self.product_lin(self.antipode(x1),
-                                                 LinComb.of(x2))
-        self._antipode_memo[b] = total
-        return total
+            total.add(self.product_lin(self.antipode(x1), LinComb.of(x2)),
+                      -c)
+        value = self._antipode_memo[b] = total.value()
+        return value
 
     # -- linear extensions of the basis maps ---------------------------------
 
@@ -138,12 +138,6 @@ class HopfStructure:
             for pair, c in self.coproduct(x).items():
                 out.append((pair, cx * c))
         return LinComb(out)
-
-    def antipode_lin(self, a):
-        total = LinComb.zero()
-        for x, cx in a.items():
-            total = total + cx * self.antipode(x)
-        return total
 
     def tensor_mul(self, t1, t2):
         """Componentwise product on LinComb over basis pairs."""
@@ -318,24 +312,22 @@ def check_delta_mult(H, b1, b2):
 def check_antipode(H, b):
     """m(S x id)Delta = unit counit = m(id x S)Delta."""
     target = LinComb.of(H.unit(), H.counit(b))
-    left = LinComb.zero()
-    right = LinComb.zero()
+    left = Accumulator(LinComb.zero())
+    right = Accumulator(LinComb.zero())
     for (x, y), c in H.coproduct(b).items():
-        left = left + c * H.product_lin(H.antipode(x), LinComb.of(y))
-        right = right + c * H.product_lin(LinComb.of(x), H.antipode(y))
-    if left != target:
+        left.add(H.product_lin(H.antipode(x), LinComb.of(y)), c)
+        right.add(H.product_lin(LinComb.of(x), H.antipode(y)), c)
+    if left.value() != target:
         return f"antipode axiom (S x id) fails on {b}"
-    if right != target:
+    if right.value() != target:
         return f"antipode axiom (id x S) fails on {b}"
     return None
 
 
 def check_counit(H, b):
-    lhs = LinComb.zero()
-    rhs = LinComb.zero()
-    for (x, y), c in H.coproduct(b).items():
-        lhs = lhs + LinComb.of(y, c * H.counit(x))
-        rhs = rhs + LinComb.of(x, c * H.counit(y))
+    delta = H.coproduct(b).items()
+    lhs = LinComb([(y, c * H.counit(x)) for (x, y), c in delta])
+    rhs = LinComb([(x, c * H.counit(y)) for (x, y), c in delta])
     if lhs != LinComb.of(b) or rhs != LinComb.of(b):
         return f"counit axiom fails on {b}"
     return None

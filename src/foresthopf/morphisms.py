@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from math import factorial, prod
 
-from .coeffs import LinComb
+from .coeffs import LinComb, Accumulator
 from .errors import BoundExceededError
 from .words import Word
 from .perms import DecoratedPerm, all_perms, standardize, shuffles
@@ -246,16 +246,15 @@ def t_sigma_decorated(sigma, letters, bound=DEFAULT_BOUND):
 
 def t_sigma_product_identity(sigma, tau, bound=DEFAULT_BOUND):
     """T^sigma T^tau = sum over (k,l)-shuffles zeta of T^{zeta^{-1}(sigma x tau)}."""
-    k, l = sigma.n, tau.n
-    lhs = LinComb.zero()
-    for f1, c1 in t_sigma(sigma, bound).items():
-        for f2, c2 in t_sigma(tau, bound).items():
-            lhs = lhs + LinComb.of(ho_product(f1, f2), c1 * c2)
-    rhs = LinComb.zero()
+    right = t_sigma(tau, bound).items()
+    lhs = LinComb([(ho_product(f1, f2), c1 * c2)
+                   for f1, c1 in t_sigma(sigma, bound).items()
+                   for f2, c2 in right])
+    rhs = Accumulator(LinComb.zero())
     st = sigma.tensor(tau)
-    for zeta in shuffles(k, l):
-        rhs = rhs + t_sigma(zeta.inverse() @ st, bound)
-    if lhs != rhs:
+    for zeta in shuffles(sigma.n, tau.n):
+        rhs.add(t_sigma(zeta.inverse() @ st, bound))
+    if lhs != rhs.value():
         return f"product identity fails for {sigma}, {tau}"
     return None
 
@@ -263,18 +262,18 @@ def t_sigma_product_identity(sigma, tau, bound=DEFAULT_BOUND):
 def t_sigma_coproduct_identity(sigma, bound=DEFAULT_BOUND):
     """Delta T^sigma = sum_k T^{sigma_1} x T^{sigma_2} along the
     factorizations of sigma^{-1}."""
-    lhs = LinComb.zero()
+    lhs = Accumulator(LinComb.zero())
     for f, c in t_sigma(sigma, bound).items():
-        lhs = lhs + c * ho_coproduct(f)
+        lhs.add(ho_coproduct(f), c)
     inv = sigma.inverse()
-    rhs = LinComb.zero()
+    rhs = []
     for k in range(sigma.n + 1):
         s1 = standardize(inv.word[:k]).inverse()
         s2 = standardize(inv.word[k:]).inverse()
-        for f1, c1 in t_sigma(s1, bound).items():
-            for f2, c2 in t_sigma(s2, bound).items():
-                rhs = rhs + LinComb.of((f1, f2), c1 * c2)
-    if lhs != rhs:
+        right = t_sigma(s2, bound).items()
+        rhs += [((f1, f2), c1 * c2) for f1, c1 in t_sigma(s1, bound).items()
+                for f2, c2 in right]
+    if lhs.value() != LinComb(rhs):
         return f"coproduct identity fails for {sigma}"
     return None
 
@@ -285,15 +284,15 @@ def twisted_product_identity(sigma, tau, eps, bound=DEFAULT_BOUND):
     if eps.n != k + l or not eps.is_shuffle(k):
         raise ValueError(f"{eps} is not a ({k},{l})-shuffle")
     eps_inv = eps.inverse()
-    lhs = LinComb.zero()
-    for f1, c1 in t_sigma(sigma, bound).items():
-        for f2, c2 in t_sigma(tau, bound).items():
-            lhs = lhs + LinComb.of(act(eps_inv, ho_product(f1, f2)), c1 * c2)
-    rhs = LinComb.zero()
+    right = t_sigma(tau, bound).items()
+    lhs = LinComb([(act(eps_inv, ho_product(f1, f2)), c1 * c2)
+                   for f1, c1 in t_sigma(sigma, bound).items()
+                   for f2, c2 in right])
+    rhs = Accumulator(LinComb.zero())
     st = sigma.tensor(tau)
     for zeta in shuffles(k, l):
-        rhs = rhs + t_sigma(zeta.inverse() @ st @ eps, bound)
-    if lhs != rhs:
+        rhs.add(t_sigma(zeta.inverse() @ st @ eps, bound))
+    if lhs != rhs.value():
         return f"twisted product identity fails for {sigma}, {tau}, {eps}"
     return None
 
@@ -302,11 +301,12 @@ def theta_morphism_product_check(f1, f2):
     """theta(F G) = theta(F) theta(G) in FQSym."""
     from .fqsym import fq_product
     lhs = theta(ho_product(f1, f2))
-    rhs = LinComb.zero()
+    rhs = Accumulator(LinComb.zero())
+    right = theta(f2).items()
     for p1, c1 in theta(f1).items():
-        for p2, c2 in theta(f2).items():
-            rhs = rhs + (c1 * c2) * fq_product(p1, p2)
-    if lhs != rhs:
+        for p2, c2 in right:
+            rhs.add(fq_product(p1, p2), c1 * c2)
+    if lhs != rhs.value():
         return f"theta not multiplicative on {f1}, {f2}"
     return None
 
@@ -314,24 +314,22 @@ def theta_morphism_product_check(f1, f2):
 def theta_morphism_coproduct_check(f):
     """(theta x theta) Delta = Delta theta."""
     from .fqsym import fq_coproduct
-    lhs = LinComb.zero()
+    lhs = []
     for (roo, lea), c in ho_coproduct(f).items():
-        for p1, c1 in theta(roo).items():
-            for p2, c2 in theta(lea).items():
-                lhs = lhs + LinComb.of((p1, p2), c * c1 * c2)
-    rhs = LinComb.zero()
+        right = theta(lea).items()
+        lhs += [((p1, p2), c * c1 * c2) for p1, c1 in theta(roo).items()
+                for p2, c2 in right]
+    rhs = Accumulator(LinComb.zero())
     for sigma, c in theta(f).items():
-        rhs = rhs + c * fq_coproduct(sigma)
-    if lhs != rhs:
+        rhs.add(fq_coproduct(sigma), c)
+    if LinComb(lhs) != rhs.value():
         return f"theta not comultiplicative on {f}"
     return None
 
 
 def square_check(forest):
     """pi_Sigma theta_dec = theta_small pi_ho on a heap-ordered forest."""
-    lhs = LinComb.zero()
-    for dp, c in theta_dec(forest).items():
-        lhs = lhs + LinComb.of(pi_sigma(dp), c)
+    lhs = LinComb([(pi_sigma(dp), c) for dp, c in theta_dec(forest).items()])
     rhs = theta_small(pi_ho(forest))
     if lhs != rhs:
         return f"square fails on {forest}"

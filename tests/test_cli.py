@@ -7,6 +7,8 @@ from foresthopf.cli import main
 
 POLY_PATH = "1: 1\n2: 2x\n"
 TRIG_PATH = "1: 1@1\n2: 1@2\n"
+# stands for the trig_file fixture's path in parametrized argv lists
+TRIG_FILE = object()
 
 
 @pytest.fixture()
@@ -194,8 +196,11 @@ class TestExitCodes:
         ["hopf-check", "ck", "--degree", "-2"],
         ["hopf-check", "ck", "--d", "0", "--degree", "2"],
         ["square-check", "--degree", "-1"],
+        ["fno", "verify", "--path", TRIG_FILE, "--degree", "1", "--jlen", "0",
+         "--cases", "-3"],
     ])
-    def test_bad_value_exits_2(self, capsys, argv):
+    def test_bad_value_exits_2(self, capsys, trig_file, argv):
+        argv = [trig_file if a is TRIG_FILE else a for a in argv]
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""

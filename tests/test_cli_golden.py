@@ -1,7 +1,9 @@
 """Byte-for-byte CLI outputs against files in tests/golden/.
 
-Each case runs one command on the README's trig or gamma path, in text
-and with --json.  Wall times are the only part of an output that may
+Each case runs one command, in text and with --json.  The Fourier and
+iterated-integral cases read the README's trig or gamma path; the Hopf
+cases, which print linear combinations of forests and permutations,
+read no path file.  Wall times are the only part of an output that may
 change between runs, so every ``"seconds": <number>`` is written as
 ``"seconds": 0`` before the comparison.
 
@@ -26,8 +28,15 @@ GOLDEN = Path(__file__).parent / "golden"
 TRIG_PATH = "1: 1@1\n2: 1@2\n"
 GAMMA_PATH = "1: 1\n2: 2x\n"
 
-# name -> (path file text, arguments before --path)
+# name -> (path file text or None, arguments before --path)
 CASES = {
+    "theta_1_1_2_1": (None, ["theta", "1:1|2:1"]),
+    "theta_inv_2413": (None, ["theta-inv", "2413"]),
+    "tsigma_2413_dec_abab": (None, ["tsigma", "2413", "--dec", "abab"]),
+    "theta_inv_matrix_d3": (None, ["theta-inv", "--matrix", "--degree", "3"]),
+    "square_check_d3": (None, ["square-check", "--degree", "3", "--d", "2"]),
+    "hopf_check_heap_d3": (None, ["hopf-check", "heap", "--degree", "3",
+                                  "--d", "2"]),
     "fno_chi_ab": (TRIG_PATH, ["fno", "chi", "ab"]),
     "fno_j_aba": (TRIG_PATH, ["fno", "j", "aba"]),
     "fno_verify_d3_j2": (TRIG_PATH, ["fno", "verify", "--degree", "3",
@@ -42,10 +51,11 @@ SECONDS = re.compile(r'"seconds": [0-9][0-9.eE+-]*')
 def cli_output(tmp_dir, name, json_flag):
     """Exit code and standard output of one case, times zeroed."""
     path_text, argv = CASES[name]
-    path_file = Path(tmp_dir) / "path.txt"
-    path_file.write_text(path_text)
-    argv = argv + ["--path", str(path_file)] + (["--json"] if json_flag
-                                                else [])
+    if path_text is not None:
+        path_file = Path(tmp_dir) / "path.txt"
+        path_file.write_text(path_text)
+        argv = argv + ["--path", str(path_file)]
+    argv = argv + (["--json"] if json_flag else [])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)

@@ -131,6 +131,9 @@ def assert_clean(value):
     if isinstance(value, GaussianRational):
         assert type(value.re) is Fraction and type(value.im) is Fraction
         return
+    if isinstance(value, LinComb):
+        assert all(c and type(c) is Fraction for c in value.terms.values())
+        return
     arity = len(value.vars) if isinstance(value, MultiPoly) else 3
     for key, c in value.terms.items():
         assert len(key) == arity
@@ -149,6 +152,8 @@ def assert_same_as_public(value):
         public = GaussianRational(value.re, value.im)
     elif isinstance(value, MultiPoly):
         public = MultiPoly(value.vars, dict(value.terms))
+    elif isinstance(value, LinComb):
+        public = LinComb(dict(value.terms))
     else:
         public = FreqExp(dict(value.terms))
     assert value == public
@@ -162,6 +167,8 @@ polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                             lambda terms: MultiPoly(XS, terms))
 freqs = st.tuples(small_ints, small_ints, small_ints)
 freq_exps = st.dictionaries(freqs, gaussians, max_size=3).map(FreqExp)
+lincombs = st.lists(st.tuples(st.sampled_from("abcd"), small_ints),
+                    max_size=6).map(LinComb)
 
 
 class TestCleanValues:
@@ -241,6 +248,24 @@ class TestCleanValues:
             assert_same_as_public(r)
         assert total.value() == a + c * b + a * b
 
+    def test_lincomb_minus_itself(self):
+        a = LinComb([("a", 1), ("b", Fraction(-1, 2)), ("c", 3)])
+        assert (a - a).terms == {}
+        assert not (a - a)
+        assert a - a == LinComb.zero()
+
+    @given(lincombs, lincombs, small_ints)
+    def test_lincomb_results_clean(self, a, b, k):
+        total = Accumulator(a)
+        total.add(b, k)
+        total.add(a, -1)
+        results = [a + b, a - b, -a, a * k, k * a, a * Fraction(k, 3),
+                   LinComb.of("a", k), LinComb.zero(), total.value()]
+        for r in results:
+            assert_clean(r)
+            assert_same_as_public(r)
+        assert total.value() == k * b
+
     def test_accumulator_keeps_its_space(self):
         total = Accumulator(MultiPoly.zero(XS))
         with pytest.raises(ValueError):
@@ -252,6 +277,8 @@ class TestCleanValues:
         value = total.value()
         total.add(MultiPoly.one(XS))
         assert value == MultiPoly.zero(XS)
+        with pytest.raises(TypeError):
+            Accumulator(LinComb.zero()).add(MultiPoly.one(XS))
 
 
 class TestLinComb:
@@ -265,11 +292,6 @@ class TestLinComb:
         b = a - LinComb.of("y")
         assert b.coeff("y") == 1
         assert (0 * a) == LinComb.zero()
-
-    def test_apply(self):
-        a = LinComb.of("x", 2)
-        doubled = a.apply(lambda b: LinComb.of(b + b, 1))
-        assert doubled == LinComb.of("xx", 2)
 
     def test_render(self):
         from foresthopf.perms import Perm

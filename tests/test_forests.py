@@ -132,6 +132,15 @@ class TestCuts:
             ("1:1[2:1]", "1:1"),
         }
 
+    def test_cut_positions_name_the_parts(self):
+        f = OrderedForest.parse("2:1|1:2[3:1,4:2[5:1]]")
+        cuts = ordered_cuts(f)
+        assert len(cuts) == len(antichains(f))
+        for c in cuts:
+            assert sorted(c.roo_at + c.lea_at) == list(range(f.n))
+            assert f.restrict([i + 1 for i in c.roo_at]) == c.roo
+            assert f.restrict([i + 1 for i in c.lea_at]) == c.lea
+
     def test_plain_cuts_multiplicity(self):
         f = PlainForest.parse("1[2,2]")
         terms = [(str(c.roo), str(c.lea)) for c in plain_cuts(f)]
