@@ -22,8 +22,7 @@ from .fqsym import (fq_product, fq_coproduct, fq_product_dec,
 from .hopf import (Shuffle, CKForests, Ordered, HeapOrdered, FQSym,
                    FQSymDec, get_structure, hopf_axiom_sweep,
                    sh_product, sh_coproduct, sh_antipode,
-                   ck_product, ck_coproduct,
-                   ho_product, ho_coproduct)
+                   ck_coproduct, ho_coproduct)
 from .morphisms import (theta, theta_dec, pi_ho, pi_sigma, theta_small,
                         ThetaMatrix, theta_inverse_table, t_sigma,
                         t_sigma_by_matrix, t_sigma_decorated, square_check)
@@ -33,10 +32,9 @@ from .characters import (Character, unit_character, convolve, char_inverse,
                          chen_check, fubini_tsigma, fubini_matches_t_sigma)
 from .fourier import (TrigPath, FourierAtom, AtomMeasure, SectorSplit,
                       sector_of, split_measure, word_measure,
-                      skeleton_value, phi_measure,
-                      e18_closed_form, chi, chi_character, chi_measure,
-                      rough_path_J, j_convolution, j_character, sector_sweep,
-                      converse_check)
+                      skeleton_value, e18_closed_form, chi, chi_character,
+                      chi_measure, rough_path_J, j_convolution, j_character,
+                      sector_sweep, converse_check)
 from .report import RunReport
 
 __version__ = "0.1.0"

@@ -126,7 +126,10 @@ def _parse_poly(text):
         if coeff in (None, "+", "-"):
             c = Fraction((coeff or "") + "1")
         else:
-            c = Fraction(coeff)
+            try:
+                c = Fraction(coeff)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {chunk!r}") from None
         exp = int(m.group("exp") or 1) if m.group("var") else 0
         terms.append(((exp,), c))
     return MultiPoly(("x",), terms)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks pass, 1 an identity check failed,
-2 usage, parse or value error (including degree bounds), 3 singular
+2 usage, parse, file or value error (including degree bounds), 3 singular
 input.
 """
 
@@ -328,8 +328,7 @@ def main(argv=None):
                 and args.word is None:
             raise ParseError(f"fno {args.mode} needs a word")
         return args.fn(args)
-    except (ParseError, BoundExceededError, FileNotFoundError,
-            ValueError) as exc:
+    except (ParseError, BoundExceededError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SingularAtomError, MagnitudeTieError) as exc:

@@ -99,11 +99,6 @@ class PlainForest:
     def __mul__(self, other):
         return PlainForest(self.trees + other.trees)
 
-    def max_dec(self):
-        def walk(t):
-            return max([t.dec] + [walk(c) for c in t.children])
-        return max((walk(t) for t in self.trees), default=0)
-
     def __eq__(self, other):
         return isinstance(other, PlainForest) and self.key == other.key
 
@@ -334,9 +329,6 @@ class OrderedForest:
             return PlainTree(self.dec[v - 1],
                              [build(c) for c in self.children[v]])
         return PlainForest([build(r) for r in self.roots])
-
-    def max_dec(self):
-        return max(self.dec, default=0)
 
     # -- identity -----------------------------------------------------------
 

@@ -22,15 +22,15 @@ import random
 from fractions import Fraction
 
 from .coeffs import (GaussianRational, GR_ONE, FreqExp, FREQ_VARS, FREQ_ZERO,
-                     SparseSum, Accumulator, parse_gaussian, _as_fraction,
-                     _gaussian, _freqexp, _drop_zeros, _merged, _new,
-                     _set_terms, _plus, _ZERO, _ONE)
+                     LinComb, SparseSum, Accumulator, parse_gaussian,
+                     _as_fraction, _gaussian, _freqexp, _drop_zeros, _merged,
+                     _new, _set_terms, _plus, _ZERO, _ONE)
 from .errors import ParseError, SingularAtomError, MagnitudeTieError
 from .words import parse_components
 from .perms import Perm, all_perms, shuffles
 from .forests import act, ordered_cuts
 from .morphisms import t_sigma, DEFAULT_BOUND
-from .hopf import Shuffle, ho_product
+from .hopf import Shuffle, HeapOrdered
 from .characters import Character, convolve, char_inverse
 
 GR_MINUS_I = GaussianRational(0, -1)
@@ -80,7 +80,7 @@ def _parse_frequency_sum(body):
         amp_text, _, freq_text = piece.partition("@")
         try:
             freq = Fraction(freq_text.strip())
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad frequency {freq_text!r}") from None
         entries.append((freq, parse_gaussian(amp_text.strip())))
     return entries
@@ -103,14 +103,6 @@ class FourierAtom:
     @property
     def n(self):
         return len(self.freq)
-
-    def compose(self, eps):
-        """Coordinates xi o eps: position j reads xi_{eps(j)}."""
-        return FourierAtom(tuple(self.freq[eps(j) - 1]
-                                 for j in range(1, self.n + 1)), self.amp)
-
-    def tensor(self, other):
-        return FourierAtom(self.freq + other.freq, self.amp * other.amp)
 
     def __eq__(self, other):
         return (isinstance(other, FourierAtom) and self.freq == other.freq
@@ -171,13 +163,15 @@ class AtomMeasure(SparseSum):
                      for f, a in sorted(self.terms.items()))
 
     def compose(self, eps):
-        """FourierAtom.compose on every atom: a bijection of keys."""
+        """Coordinates xi o eps on every atom: position j reads
+        xi_{eps(j)}.  A bijection of keys, so nothing merges."""
         return AtomMeasure._from_terms(
             self.n, {tuple([freq[p - 1] for p in eps.word]): amp
                      for freq, amp in self.terms.items()})
 
     def tensor(self, other):
-        """FourierAtom.tensor on every pair of atoms: distinct keys."""
+        """The product measure: frequency vectors concatenated and
+        amplitudes multiplied, over every pair of atoms (distinct keys)."""
         right = other.terms.items()
         return AtomMeasure._from_terms(
             self.n + other.n, {f1 + f2: a1 * a2
@@ -317,13 +311,6 @@ def skeleton_value(forest, freq, var="t"):
     return _skeleton_term(forest.n, 1 / product, xi, var)
 
 
-def phi_measure(forest, measure, var="t"):
-    total = Accumulator(FreqExp.zero())
-    for freq, amp in measure.terms.items():
-        total.add(skeleton_value(forest, freq, var), amp)
-    return total.value()
-
-
 def e18_closed_form(forest, atom, var="t"):
     """Closed form: amp exp(i sum var) / prod Xi_v, computed from the
     partial order alone. Differs from the skeleton recursion by a
@@ -459,8 +446,9 @@ def rough_path_J(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
 
 def phi_multiplicativity_check(f1, mu1, f2, mu2, var="t"):
     """phi_{mu1}(F1) phi_{mu2}(F2) = phi_{mu1 x mu2}(F1 F2)."""
-    lhs = phi_measure(f1, mu1, var) * phi_measure(f2, mu2, var)
-    rhs = phi_measure(f1 * f2, mu1.tensor(mu2), var)
+    lhs = (phi_lin(LinComb.of(f1), mu1, var)
+           * phi_lin(LinComb.of(f2), mu2, var))
+    rhs = phi_lin(LinComb.of(f1 * f2), mu1.tensor(mu2), var)
     if lhs != rhs:
         return f"phi not multiplicative on {f1}, {f2}"
     return None
@@ -468,9 +456,9 @@ def phi_multiplicativity_check(f1, mu1, f2, mu2, var="t"):
 
 def e28_check(forest, measure, sigma, var="t"):
     """phi_mu(F) = phi_{mu o sigma}(sigma^{-1}.F) for sigma in S_F."""
-    lhs = phi_measure(forest, measure, var)
-    rhs = phi_measure(act(sigma.inverse(), forest),
-                      measure.compose(sigma), var)
+    lhs = phi_lin(LinComb.of(forest), measure, var)
+    rhs = phi_lin(LinComb.of(act(sigma.inverse(), forest)),
+                  measure.compose(sigma), var)
     if lhs != rhs:
         return f"relabeling invariance fails on {forest} with {sigma}"
     return None
@@ -517,15 +505,14 @@ def converse_check(mu1, mu2, var="t", bound=DEFAULT_BOUND):
         shuffled.add(chi_measure(nu.compose(zeta), var, bound))
     if direct != shuffled.value():
         return "chi extension fails on the shuffled tensor measure"
+    H = HeapOrdered()
     product = Accumulator(FreqExp.zero())
-    split1 = split_measure(mu1)
-    split2 = split_measure(mu2)
-    for s1, p1 in split1.pieces.items():
-        for s2, p2 in split2.pieces.items():
-            for f1, c1 in t_sigma(s1, bound).items():
-                for f2, c2 in t_sigma(s2, bound).items():
-                    product.add(phi_measure(ho_product(f1, f2),
-                                            p1.tensor(p2), var), c1 * c2)
+    pieces2 = split_measure(mu2).pieces.items()
+    for s1, p1 in split_measure(mu1).pieces.items():
+        for s2, p2 in pieces2:
+            product.add(phi_lin(H.product_lin(t_sigma(s1, bound),
+                                              t_sigma(s2, bound)),
+                                p1.tensor(p2), var))
     if direct != product.value():
         return "product reading disagrees with the sector expansion"
     return None

@@ -4,6 +4,9 @@ Every structure acts on LinComb over its own basis type: words for the
 shuffle algebra, plain forests for the Connes-Kreimer algebra, ordered
 and heap-ordered forests, and (decorated) permutations for FQSym.
 Tensors are plain Python pairs (triples for the coassociativity check).
+The linear extensions product_lin, coproduct_lin and tensor_mul, with
+the module-level tensor, are the one bilinear layer: every identity
+multiplies, co-multiplies and tensors linear combinations through them.
 
 Antipodes: the shuffle algebra has its closed reversal formula; every
 other structure, the forest algebra included, uses the generic
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import LinComb, Accumulator
+from .coeffs import LinComb, Accumulator, _lincomb
 from .errors import StructureMismatchError
 from .words import Word, EMPTY_WORD, all_words
 from .perms import Perm, DecoratedPerm, all_perms, interleavings
@@ -48,24 +51,23 @@ def sh_antipode(w):
     return LinComb.of(w.reverse(), (-1) ** len(w))
 
 
-def ck_product(f1, f2):
-    """Disjoint union of plain forests (canonical, commutative)."""
-    return f1 * f2
-
-
 def ck_coproduct(f):
     """Sum over admissible cuts, Roo tensor Lea."""
     return LinComb([((cut.roo, cut.lea), 1) for cut in plain_cuts(f)])
 
 
-def ho_product(f1, f2):
-    """Order-shifting concatenation of ordered forests."""
-    return f1 * f2
-
-
 def ho_coproduct(f):
     """Cuts with both parts carrying the standardized induced order."""
     return LinComb([((cut.roo, cut.lea), 1) for cut in ordered_cuts(f)])
+
+
+def tensor(a, b):
+    """a (x) b: the LinComb over basis pairs (x, y) with coefficient
+    cx * cy.  Distinct pairs are distinct keys and the products of
+    nonzero coefficients are nonzero, so nothing merges or cancels."""
+    right = b.items()
+    return _lincomb({(x, y): cx * cy for x, cx in a.items()
+                     for y, cy in right})
 
 
 # ---------------------------------------------------------------------------
@@ -125,29 +127,28 @@ class HopfStructure:
     # -- linear extensions of the basis maps ---------------------------------
 
     def product_lin(self, a, b):
-        out = []
+        total = Accumulator(LinComb.zero())
+        right = b.items()
         for x, cx in a.items():
-            for y, cy in b.items():
-                for z, cz in self.product(x, y).items():
-                    out.append((z, cx * cy * cz))
-        return LinComb(out)
+            for y, cy in right:
+                total.add(self.product(x, y), cx * cy)
+        return total.value()
 
     def coproduct_lin(self, a):
-        out = []
+        total = Accumulator(LinComb.zero())
         for x, cx in a.items():
-            for pair, c in self.coproduct(x).items():
-                out.append((pair, cx * c))
-        return LinComb(out)
+            total.add(self.coproduct(x), cx)
+        return total.value()
 
     def tensor_mul(self, t1, t2):
         """Componentwise product on LinComb over basis pairs."""
-        out = []
+        total = Accumulator(LinComb.zero())
+        right = t2.items()
         for (a, b), c1 in t1.items():
-            for (x, y), c2 in t2.items():
-                for p, cp in self.product(a, x).items():
-                    for q, cq in self.product(b, y).items():
-                        out.append(((p, q), c1 * c2 * cp * cq))
-        return LinComb(out)
+            for (x, y), c2 in right:
+                total.add(tensor(self.product(a, x), self.product(b, y)),
+                          c1 * c2)
+        return total.value()
 
     def same_structure(self, other):
         return type(self) is type(other) and self.d == other.d
@@ -188,7 +189,8 @@ class CKForests(HopfStructure):
         return b.n
 
     def product(self, b1, b2):
-        return LinComb.of(ck_product(b1, b2))
+        """Disjoint union of plain forests (canonical, commutative)."""
+        return LinComb.of(b1 * b2)
 
     def _coproduct(self, b):
         return ck_coproduct(b)
@@ -207,7 +209,8 @@ class Ordered(HopfStructure):
         return b.n
 
     def product(self, b1, b2):
-        return LinComb.of(ho_product(b1, b2))
+        """Order-shifting concatenation of ordered forests."""
+        return LinComb.of(b1 * b2)
 
     def _coproduct(self, b):
         return ho_coproduct(b)

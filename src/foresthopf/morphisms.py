@@ -30,7 +30,7 @@ from .forests import (
     OrderedForest, act, linear_extensions, heap_order_lift,
     enumerate_heap_ordered,
 )
-from .hopf import ho_product, ho_coproduct
+from .hopf import HeapOrdered, FQSym, ho_coproduct, tensor
 
 DEFAULT_BOUND = 6
 
@@ -246,10 +246,8 @@ def t_sigma_decorated(sigma, letters, bound=DEFAULT_BOUND):
 
 def t_sigma_product_identity(sigma, tau, bound=DEFAULT_BOUND):
     """T^sigma T^tau = sum over (k,l)-shuffles zeta of T^{zeta^{-1}(sigma x tau)}."""
-    right = t_sigma(tau, bound).items()
-    lhs = LinComb([(ho_product(f1, f2), c1 * c2)
-                   for f1, c1 in t_sigma(sigma, bound).items()
-                   for f2, c2 in right])
+    lhs = HeapOrdered().product_lin(t_sigma(sigma, bound),
+                                    t_sigma(tau, bound))
     rhs = Accumulator(LinComb.zero())
     st = sigma.tensor(tau)
     for zeta in shuffles(sigma.n, tau.n):
@@ -262,18 +260,14 @@ def t_sigma_product_identity(sigma, tau, bound=DEFAULT_BOUND):
 def t_sigma_coproduct_identity(sigma, bound=DEFAULT_BOUND):
     """Delta T^sigma = sum_k T^{sigma_1} x T^{sigma_2} along the
     factorizations of sigma^{-1}."""
-    lhs = Accumulator(LinComb.zero())
-    for f, c in t_sigma(sigma, bound).items():
-        lhs.add(ho_coproduct(f), c)
+    lhs = HeapOrdered().coproduct_lin(t_sigma(sigma, bound))
     inv = sigma.inverse()
-    rhs = []
+    rhs = Accumulator(LinComb.zero())
     for k in range(sigma.n + 1):
         s1 = standardize(inv.word[:k]).inverse()
         s2 = standardize(inv.word[k:]).inverse()
-        right = t_sigma(s2, bound).items()
-        rhs += [((f1, f2), c1 * c2) for f1, c1 in t_sigma(s1, bound).items()
-                for f2, c2 in right]
-    if lhs.value() != LinComb(rhs):
+        rhs.add(tensor(t_sigma(s1, bound), t_sigma(s2, bound)))
+    if lhs != rhs.value():
         return f"coproduct identity fails for {sigma}"
     return None
 
@@ -284,10 +278,9 @@ def twisted_product_identity(sigma, tau, eps, bound=DEFAULT_BOUND):
     if eps.n != k + l or not eps.is_shuffle(k):
         raise ValueError(f"{eps} is not a ({k},{l})-shuffle")
     eps_inv = eps.inverse()
-    right = t_sigma(tau, bound).items()
-    lhs = LinComb([(act(eps_inv, ho_product(f1, f2)), c1 * c2)
-                   for f1, c1 in t_sigma(sigma, bound).items()
-                   for f2, c2 in right])
+    product = HeapOrdered().product_lin(t_sigma(sigma, bound),
+                                        t_sigma(tau, bound))
+    lhs = LinComb((act(eps_inv, f), c) for f, c in product.items())
     rhs = Accumulator(LinComb.zero())
     st = sigma.tensor(tau)
     for zeta in shuffles(k, l):
@@ -299,30 +292,20 @@ def twisted_product_identity(sigma, tau, eps, bound=DEFAULT_BOUND):
 
 def theta_morphism_product_check(f1, f2):
     """theta(F G) = theta(F) theta(G) in FQSym."""
-    from .fqsym import fq_product
-    lhs = theta(ho_product(f1, f2))
-    rhs = Accumulator(LinComb.zero())
-    right = theta(f2).items()
-    for p1, c1 in theta(f1).items():
-        for p2, c2 in right:
-            rhs.add(fq_product(p1, p2), c1 * c2)
-    if lhs != rhs.value():
+    lhs = theta(f1 * f2)
+    rhs = FQSym().product_lin(theta(f1), theta(f2))
+    if lhs != rhs:
         return f"theta not multiplicative on {f1}, {f2}"
     return None
 
 
 def theta_morphism_coproduct_check(f):
     """(theta x theta) Delta = Delta theta."""
-    from .fqsym import fq_coproduct
-    lhs = []
+    lhs = Accumulator(LinComb.zero())
     for (roo, lea), c in ho_coproduct(f).items():
-        right = theta(lea).items()
-        lhs += [((p1, p2), c * c1 * c2) for p1, c1 in theta(roo).items()
-                for p2, c2 in right]
-    rhs = Accumulator(LinComb.zero())
-    for sigma, c in theta(f).items():
-        rhs.add(fq_coproduct(sigma), c)
-    if LinComb(lhs) != rhs.value():
+        lhs.add(tensor(theta(roo), theta(lea)), c)
+    rhs = FQSym().coproduct_lin(theta(f))
+    if lhs.value() != rhs:
         return f"theta not comultiplicative on {f}"
     return None
 

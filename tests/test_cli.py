@@ -205,3 +205,21 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    # text None passes a directory as the path file
+    @pytest.mark.parametrize("text, argv", [
+        ("1: 1@1/0\n", ["fno", "chi", "a"]),
+        ("1: 1/0*x\n", ["iterint", "a"]),
+        (None, ["iterint", "ab"]),
+        (None, ["fno", "chi", "ab"]),
+    ], ids=["freq-over-zero", "coeff-over-zero", "iterint-dir", "fno-dir"])
+    def test_bad_path_file_exits_2(self, capsys, tmp_path, text, argv):
+        p = tmp_path
+        if text is not None:
+            p = tmp_path / "path.txt"
+            p.write_text(text)
+        code, out, err = run(capsys, argv + ["--path", str(p)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from foresthopf.coeffs import LinComb
 from foresthopf.errors import StructureMismatchError
@@ -9,8 +10,9 @@ from foresthopf.hopf import (
     ck_coproduct, ho_coproduct,
     HopfStructure, Shuffle, CKForests, Ordered, HeapOrdered,
     FQSym, FQSymDec, get_structure, hopf_axiom_sweep,
-    check_antipode,
+    check_antipode, tensor,
 )
+from test_coeffs import assert_clean
 
 
 class TestShuffle:
@@ -101,6 +103,65 @@ class TestOrdered:
                 for fg, _ in H.product_lin(
                         LinComb.of(f), LinComb.of(g)).items():
                     assert fg.is_heap_ordered()
+
+
+# indices into the basis elements of degree 0 to 3 (ten of them in
+# both HeapOrdered and FQSym), with small coefficients that often cancel
+lin_terms = st.lists(st.tuples(st.integers(0, 9), st.integers(-2, 2)),
+                     max_size=5)
+pair_terms = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                                st.integers(-2, 2)), max_size=3)
+
+
+class TestBilinearLayer:
+    """product_lin, coproduct_lin, tensor and tensor_mul against explicit
+    loops into the public LinComb constructor."""
+
+    @pytest.mark.parametrize("structure", [HeapOrdered, FQSym])
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(a_terms=lin_terms, b_terms=lin_terms, t1_terms=pair_terms,
+           t2_terms=pair_terms)
+    # (1 + x)(x - 1) = x - 1 + xx - x: the two x terms cancel
+    @example(a_terms=[(0, 1), (1, 1)], b_terms=[(1, 1), (0, -1)],
+             t1_terms=[], t2_terms=[])
+    # inputs that cancel to zero
+    @example(a_terms=[(2, 1), (2, -1)], b_terms=[(3, 2)],
+             t1_terms=[(1, 1, 1), (1, 1, -1)], t2_terms=[(0, 2, 1)])
+    def test_maps_match_double_loops(self, structure, a_terms, b_terms,
+                                     t1_terms, t2_terms):
+        H = structure()
+        pool = [x for n in range(4) for x in H.basis(n)]
+        a = LinComb((pool[i], c) for i, c in a_terms)
+        b = LinComb((pool[i], c) for i, c in b_terms)
+        t1 = LinComb(((pool[i], pool[j]), c) for i, j, c in t1_terms)
+        t2 = LinComb(((pool[i], pool[j]), c) for i, j, c in t2_terms)
+        expected = {
+            "product_lin": LinComb(
+                (z, cx * cy * cz) for x, cx in a.items()
+                for y, cy in b.items()
+                for z, cz in H.product(x, y).items()),
+            "coproduct_lin": LinComb(
+                (pair, cx * c) for x, cx in a.items()
+                for pair, c in H.coproduct(x).items()),
+            "tensor": LinComb(
+                ((x, y), cx * cy) for x, cx in a.items()
+                for y, cy in b.items()),
+            "tensor_mul": LinComb(
+                ((p, q), c1 * c2 * cp * cq) for (u, v), c1 in t1.items()
+                for (x, y), c2 in t2.items()
+                for p, cp in H.product(u, x).items()
+                for q, cq in H.product(v, y).items()),
+        }
+        got = {
+            "product_lin": H.product_lin(a, b),
+            "coproduct_lin": H.coproduct_lin(a),
+            "tensor": tensor(a, b),
+            "tensor_mul": H.tensor_mul(t1, t2),
+        }
+        for name, value in got.items():
+            assert value == expected[name], name
+            assert_clean(value)
 
 
 class TestAxiomSweeps:

@@ -18,7 +18,7 @@ from foresthopf.forests import (OrderedForest, PlainForest,
                                 enumerate_heap_ordered,
                                 enumerate_plain_forests,
                                 heap_order_lift, heap_order_lifts)
-from foresthopf.hopf import HeapOrdered, CKForests
+from foresthopf.hopf import HeapOrdered, CKForests, tensor
 from foresthopf.morphisms import (
     theta, theta_dec, pi_ho, pi_sigma, theta_small, ThetaMatrix,
     theta_inverse_table, t_sigma, t_sigma_decorated, t_sigma_by_matrix,
@@ -168,16 +168,11 @@ class TestWorkedIdentities:
         H = HeapOrdered()
         lhs = H.coproduct_lin(t_sigma(Perm.parse("321")))
         unit = LinComb.of(H.unit(), 1)
-
-        def tens(a, b):
-            return LinComb(((x, y), cx * cy)
-                           for x, cx in a.items() for y, cy in b.items())
-
         t1 = t_sigma(Perm.parse("1"))
         t21 = t_sigma(Perm.parse("21"))
         t321 = t_sigma(Perm.parse("321"))
-        rhs = (tens(unit, t321) + tens(t1, t21) + tens(t21, t1)
-               + tens(t321, unit))
+        rhs = (tensor(unit, t321) + tensor(t1, t21) + tensor(t21, t1)
+               + tensor(t321, unit))
         assert lhs == rhs
 
     def test_decorated_product_display(self):
@@ -200,18 +195,13 @@ class TestWorkedIdentities:
         lhs = H.coproduct_lin(t_sigma_decorated(Perm.parse("321"),
                                                 (1, 2, 3)))
         unit = LinComb.of(H.unit(), 1)
-
-        def tens(a, b):
-            return LinComb(((x, y), cx * cy)
-                           for x, cx in a.items() for y, cy in b.items())
-
-        rhs = (tens(unit, t_sigma_decorated(Perm.parse("321"), (1, 2, 3)))
-               + tens(t_sigma_decorated(Perm.parse("1"), (3,)),
-                      t_sigma_decorated(Perm.parse("21"), (1, 2)))
-               + tens(t_sigma_decorated(Perm.parse("21"), (2, 3)),
-                      t_sigma_decorated(Perm.parse("1"), (1,)))
-               + tens(t_sigma_decorated(Perm.parse("321"), (1, 2, 3)),
-                      unit))
+        rhs = (tensor(unit, t_sigma_decorated(Perm.parse("321"), (1, 2, 3)))
+               + tensor(t_sigma_decorated(Perm.parse("1"), (3,)),
+                        t_sigma_decorated(Perm.parse("21"), (1, 2)))
+               + tensor(t_sigma_decorated(Perm.parse("21"), (2, 3)),
+                        t_sigma_decorated(Perm.parse("1"), (1,)))
+               + tensor(t_sigma_decorated(Perm.parse("321"), (1, 2, 3)),
+                        unit))
         assert lhs == rhs
 
 
