@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .coeffs import MultiPoly, Accumulator, _poly
 from .errors import ParseError, StructureMismatchError
-from .words import Word, parse_components
+from .words import Word, Path
 from .morphisms import (theta_small, _simplex_expansion, t_sigma_by_matrix,
                         decorate_by_order)
 
@@ -112,50 +112,34 @@ _TERM_RE = re.compile(
     r"(?P<var>x(?:\^(?P<exp>\d+))?)?$")
 
 
-def _parse_poly(text):
-    """One polynomial in x with rational coefficients, e.g. 1 - 2*x + x^2."""
-    chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
-    if not chunks:
-        raise ParseError(f"empty polynomial in {text!r}")
-    terms = []
-    for chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coeff") is None and m.group("var") is None):
-            raise ParseError(f"bad polynomial term {chunk!r}")
-        coeff = m.group("coeff")
-        if coeff in (None, "+", "-"):
-            c = Fraction((coeff or "") + "1")
-        else:
-            try:
-                c = Fraction(coeff)
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {chunk!r}") from None
-        exp = int(m.group("exp") or 1) if m.group("var") else 0
-        terms.append(((exp,), c))
-    return MultiPoly(("x",), terms)
+class PolyPath(Path):
+    """Derivative components of a polynomial path, one per letter;
+    component lines read 'i: polynomial in x'."""
 
-
-class PolyPath:
-    """Derivative components of a polynomial path, one per letter."""
-
-    def __init__(self, components):
-        self.components = tuple(components)
-        if not self.components:
-            raise ParseError("a path needs at least one component")
-
-    @property
-    def d(self):
-        return len(self.components)
-
-    def derivative(self, letter):
-        if not 1 <= letter <= self.d:
-            raise ParseError(f"letter {letter} outside 1..{self.d}")
-        return self.components[letter - 1]
-
-    @classmethod
-    def parse(cls, text):
-        """Lines of the form 'i: polynomial in x'."""
-        return cls(parse_components(text, _parse_poly))
+    @staticmethod
+    def _parse_body(text):
+        """One polynomial in x with rational coefficients, e.g.
+        1 - 2*x + x^2."""
+        chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
+        if not chunks:
+            raise ParseError(f"empty polynomial in {text!r}")
+        terms = []
+        for chunk in chunks:
+            m = _TERM_RE.match(chunk)
+            if not m or (m.group("coeff") is None and m.group("var") is None):
+                raise ParseError(f"bad polynomial term {chunk!r}")
+            coeff = m.group("coeff")
+            if coeff in (None, "+", "-"):
+                c = Fraction((coeff or "") + "1")
+            else:
+                try:
+                    c = Fraction(coeff)
+                except ZeroDivisionError:
+                    raise ParseError(
+                        f"zero denominator in {chunk!r}") from None
+            exp = int(m.group("exp") or 1) if m.group("var") else 0
+            terms.append(((exp,), c))
+        return MultiPoly(("x",), terms)
 
 
 def _retime(poly_ts, hi, lo, vars=("t", "s")):
@@ -178,7 +162,7 @@ def iter_int_word(path, word):
     derivative of the next component outward and integrates from s."""
     inner = MultiPoly.one(("x", "s"))
     for letter in reversed(word.letters):
-        gamma = path.derivative(letter).with_vars(("x", "s"))
+        gamma = path.component(letter).with_vars(("x", "s"))
         h = (gamma * inner).antiderivative("x")
         inner = h - h.subst_var("x", "s")
     return inner.rename_var("x", "t")
@@ -190,7 +174,7 @@ def iter_int_tree(path, forest):
 
     def tree_factor(tree):
         # value as a polynomial in (x, s): integral up to parent time x
-        gamma = path.derivative(tree.dec).with_vars(("x", "s"))
+        gamma = path.component(tree.dec).with_vars(("x", "s"))
         inner = MultiPoly.one(("x", "s"))
         for child in tree.children:
             inner = inner * tree_factor(child)

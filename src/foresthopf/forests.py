@@ -312,18 +312,6 @@ class OrderedForest:
         dec = [self.dec[v - 1] for v in vs]
         return OrderedForest(parent, dec)
 
-    def relabel(self, sigma):
-        """Vertex ordered i becomes ordered sigma(i); structure rides along."""
-        if len(sigma) != self.n:
-            raise ValueError("size mismatch in relabeling")
-        parent = [0] * self.n
-        dec = [0] * self.n
-        for i in range(1, self.n + 1):
-            p = self.parent[i - 1]
-            parent[sigma(i) - 1] = sigma(p) if p else 0
-            dec[sigma(i) - 1] = self.dec[i - 1]
-        return OrderedForest(parent, dec)
-
     def to_plain(self):
         def build(v):
             return PlainTree(self.dec[v - 1],
@@ -362,8 +350,18 @@ EMPTY_ORDERED = OrderedForest((), ())
 
 
 def act(sigma, forest):
-    """The symmetric-group action: order i becomes sigma(i)."""
-    return forest.relabel(sigma)
+    """The symmetric-group action: order i becomes sigma(i), the
+    structure riding along."""
+    n = forest.n
+    if len(sigma) != n:
+        raise ValueError("size mismatch in relabeling")
+    parent = [0] * n
+    dec = [0] * n
+    for i in range(1, n + 1):
+        p = forest.parent[i - 1]
+        parent[sigma(i) - 1] = sigma(p) if p else 0
+        dec[sigma(i) - 1] = forest.dec[i - 1]
+    return OrderedForest(parent, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -383,32 +381,19 @@ class Cut:
 def antichains(forest):
     """All totally disconnected vertex subsets of an OrderedForest.
 
-    Includes the empty set (Lea empty) and the set of all roots (Roo
-    empty); every subset appears exactly once.
+    Below each root the antichain holds either the root itself or an
+    antichain of the trees on its children, so every subset appears
+    exactly once.  Includes the empty set (Lea empty) and the set of all
+    roots (Roo empty).
     """
-    verts = list(range(1, forest.n + 1))
-    above = {v: forest.strictly_above(v) for v in verts}
-    out = []
+    def below(vertices):
+        out = [frozenset()]
+        for v in vertices:
+            choices = [frozenset((v,))] + below(forest.children[v])
+            out = [a | b for a in out for b in choices]
+        return out
 
-    def compatible(v, chosen):
-        for w in chosen:
-            if v in above[w] or w in above[v]:
-                return False
-        return True
-
-    def extend(idx, chosen):
-        if idx == len(verts):
-            out.append(frozenset(chosen))
-            return
-        v = verts[idx]
-        extend(idx + 1, chosen)
-        if compatible(v, chosen):
-            chosen.append(v)
-            extend(idx + 1, chosen)
-            chosen.pop()
-
-    extend(0, [])
-    return out
+    return below(forest.roots)
 
 
 def lea_vertices(forest, vbar):
@@ -493,64 +478,39 @@ def extension_count(forest):
     return total
 
 
-def _preorder(forest):
-    """(parent index or 0, decoration) of each vertex of a PlainForest,
-    the vertices numbered by preorder over the canonical tree tuple."""
-    nodes = []
+def heap_order_lift(forest):
+    """One heap order on a PlainForest: its vertices in preorder over
+    the canonical tree tuple.
+
+    A parent precedes its children in preorder, so the numbering is a
+    heap order; it costs O(n), against n!/prod |subtree| for all lifts.
+    """
+    parent = []
+    dec = []
 
     def walk(tree, par):
-        idx = len(nodes) + 1
-        nodes.append((par, tree.dec))
+        parent.append(par)
+        dec.append(tree.dec)
+        idx = len(parent)
         for child in tree.children:
             walk(child, idx)
 
     for tree in forest.trees:
         walk(tree, 0)
-    return nodes
-
-
-def heap_order_lift(forest):
-    """One heap order on a PlainForest: its vertices in preorder.
-
-    A parent precedes its children in preorder, so the numbering is a
-    heap order; it costs O(n), against n!/prod |subtree| for all lifts.
-    """
-    nodes = _preorder(forest)
-    return OrderedForest([p for p, _ in nodes], [d for _, d in nodes])
+    return OrderedForest(parent, dec)
 
 
 def heap_order_lifts(forest):
     """All heap orders on a PlainForest's concrete vertices.
 
-    Returned as a list of OrderedForest, one per order assignment; when
-    the forest has coinciding subtrees, distinct assignments can yield
-    equal ordered objects, and both are listed.  The first one listed is
+    Returned as a list of OrderedForest, one per linear extension e of
+    the preorder lift, which orders vertex e(k) as k; when the forest
+    has coinciding subtrees, distinct assignments can yield equal
+    ordered objects, and both are listed.  The first one listed is
     heap_order_lift(forest).
     """
-    nodes = _preorder(forest)
-    n = len(nodes)
-    lifts = []
-    order = [0] * (n + 1)      # node -> assigned order index; order[0] = 0
-
-    def assign(step_no):
-        if step_no > n:
-            parent = [0] * n
-            dec = [0] * n
-            for node in range(1, n + 1):
-                par, decv = nodes[node - 1]
-                parent[order[node] - 1] = order[par] if par else 0
-                dec[order[node] - 1] = decv
-            lifts.append(OrderedForest(parent, dec))
-            return
-        for node in range(1, n + 1):
-            par = nodes[node - 1][0]
-            if order[node] == 0 and (par == 0 or order[par] != 0):
-                order[node] = step_no
-                assign(step_no + 1)
-                order[node] = 0
-
-    assign(1)
-    return lifts
+    lift = heap_order_lift(forest)
+    return [act(e.inverse(), lift) for e in linear_extensions(lift)]
 
 
 # ---------------------------------------------------------------------------

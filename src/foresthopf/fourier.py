@@ -26,7 +26,7 @@ from .coeffs import (GaussianRational, GR_ONE, FreqExp, FREQ_VARS, FREQ_ZERO,
                      _as_fraction, _gaussian, _freqexp, _drop_zeros, _merged,
                      _new, _set_terms, _plus, _ZERO, _ONE)
 from .errors import ParseError, SingularAtomError, MagnitudeTieError
-from .words import parse_components
+from .words import Path
 from .perms import Perm, all_perms, shuffles
 from .forests import act, ordered_cuts
 from .morphisms import t_sigma, DEFAULT_BOUND
@@ -40,8 +40,9 @@ GR_MINUS_I = GaussianRational(0, -1)
 # Trigonometric paths and atom measures
 # ---------------------------------------------------------------------------
 
-class TrigPath:
-    """Derivative components as finite frequency/amplitude sums."""
+class TrigPath(Path):
+    """Derivative components as finite frequency/amplitude sums;
+    component lines read 'i: amp@freq, amp@freq, ...'."""
 
     def __init__(self, components):
         comps = []
@@ -51,39 +52,23 @@ class TrigPath:
             if len({f for f, _ in entries}) != len(entries):
                 raise ParseError("repeated frequency inside one component")
             comps.append(entries)
-        self.components = tuple(comps)
-        if not self.components:
-            raise ParseError("a path needs at least one component")
+        super().__init__(comps)
 
-    @property
-    def d(self):
-        return len(self.components)
-
-    def component(self, letter):
-        if not 1 <= letter <= self.d:
-            raise ParseError(f"letter {letter} outside 1..{self.d}")
-        return self.components[letter - 1]
-
-    @classmethod
-    def parse(cls, text):
-        """Lines 'i: amp@freq, amp@freq, ...'."""
-        return cls(parse_components(text, _parse_frequency_sum))
-
-
-def _parse_frequency_sum(body):
-    """One component: comma-separated amp@freq entries."""
-    entries = []
-    for piece in body.split(","):
-        piece = piece.strip()
-        if "@" not in piece:
-            raise ParseError(f"expected amp@freq, got {piece!r}")
-        amp_text, _, freq_text = piece.partition("@")
-        try:
-            freq = Fraction(freq_text.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad frequency {freq_text!r}") from None
-        entries.append((freq, parse_gaussian(amp_text.strip())))
-    return entries
+    @staticmethod
+    def _parse_body(body):
+        """One component: comma-separated amp@freq entries."""
+        entries = []
+        for piece in body.split(","):
+            piece = piece.strip()
+            if "@" not in piece:
+                raise ParseError(f"expected amp@freq, got {piece!r}")
+            amp_text, _, freq_text = piece.partition("@")
+            try:
+                freq = Fraction(freq_text.strip())
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad frequency {freq_text!r}") from None
+            entries.append((freq, parse_gaussian(amp_text.strip())))
+        return entries
 
 
 class FourierAtom:
@@ -493,16 +478,16 @@ def musigma_check(mu1, mu2):
     return None
 
 
-def converse_check(mu1, mu2, var="t", bound=DEFAULT_BOUND):
+def converse_check(mu1, mu2, var="t"):
     """chi(mu1) chi(mu2) = sum over shuffles zeta of
     chi((mu1 x mu2) o zeta), provided no magnitude of mu1 collides
     with one of mu2.  The left side is also recomputed through the
     order-shift product of the inverse elements as a third route."""
-    direct = chi_measure(mu1, var, bound) * chi_measure(mu2, var, bound)
+    direct = chi_measure(mu1, var) * chi_measure(mu2, var)
     nu = mu1.tensor(mu2)
     shuffled = Accumulator(FreqExp.zero())
     for zeta in shuffles(mu1.n, mu2.n):
-        shuffled.add(chi_measure(nu.compose(zeta), var, bound))
+        shuffled.add(chi_measure(nu.compose(zeta), var))
     if direct != shuffled.value():
         return "chi extension fails on the shuffled tensor measure"
     H = HeapOrdered()
@@ -510,8 +495,7 @@ def converse_check(mu1, mu2, var="t", bound=DEFAULT_BOUND):
     pieces2 = split_measure(mu2).pieces.items()
     for s1, p1 in split_measure(mu1).pieces.items():
         for s2, p2 in pieces2:
-            product.add(phi_lin(H.product_lin(t_sigma(s1, bound),
-                                              t_sigma(s2, bound)),
+            product.add(phi_lin(H.product_lin(t_sigma(s1), t_sigma(s2)),
                                 p1.tensor(p2), var))
     if direct != product.value():
         return "product reading disagrees with the sector expansion"

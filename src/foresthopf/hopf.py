@@ -290,15 +290,14 @@ def get_structure(name, d=1):
 
 def check_coassoc(H, b):
     """(Delta x id) Delta = (id x Delta) Delta on a basis element."""
-    delta = H.coproduct(b)
-    left = []
-    right = []
-    for (x, y), c in delta.items():
-        for (u, v), c2 in H.coproduct(x).items():
-            left.append(((u, v, y), c * c2))
-        for (u, v), c2 in H.coproduct(y).items():
-            right.append(((x, u, v), c * c2))
-    if LinComb(left) != LinComb(right):
+    left = Accumulator(LinComb.zero())
+    right = Accumulator(LinComb.zero())
+    for (x, y), c in H.coproduct(b).items():
+        left.add(_lincomb({(u, v, y): c2
+                           for (u, v), c2 in H.coproduct(x).items()}), c)
+        right.add(_lincomb({(x, u, v): c2
+                            for (u, v), c2 in H.coproduct(y).items()}), c)
+    if left.value() != right.value():
         return f"coassociativity fails on {b}"
     return None
 

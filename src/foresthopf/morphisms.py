@@ -244,47 +244,45 @@ def t_sigma_decorated(sigma, letters, bound=DEFAULT_BOUND):
 # Identities around theta (each returns None or a counterexample string)
 # ---------------------------------------------------------------------------
 
-def t_sigma_product_identity(sigma, tau, bound=DEFAULT_BOUND):
+def t_sigma_product_identity(sigma, tau):
     """T^sigma T^tau = sum over (k,l)-shuffles zeta of T^{zeta^{-1}(sigma x tau)}."""
-    lhs = HeapOrdered().product_lin(t_sigma(sigma, bound),
-                                    t_sigma(tau, bound))
+    lhs = HeapOrdered().product_lin(t_sigma(sigma), t_sigma(tau))
     rhs = Accumulator(LinComb.zero())
     st = sigma.tensor(tau)
     for zeta in shuffles(sigma.n, tau.n):
-        rhs.add(t_sigma(zeta.inverse() @ st, bound))
+        rhs.add(t_sigma(zeta.inverse() @ st))
     if lhs != rhs.value():
         return f"product identity fails for {sigma}, {tau}"
     return None
 
 
-def t_sigma_coproduct_identity(sigma, bound=DEFAULT_BOUND):
+def t_sigma_coproduct_identity(sigma):
     """Delta T^sigma = sum_k T^{sigma_1} x T^{sigma_2} along the
     factorizations of sigma^{-1}."""
-    lhs = HeapOrdered().coproduct_lin(t_sigma(sigma, bound))
+    lhs = HeapOrdered().coproduct_lin(t_sigma(sigma))
     inv = sigma.inverse()
     rhs = Accumulator(LinComb.zero())
     for k in range(sigma.n + 1):
         s1 = standardize(inv.word[:k]).inverse()
         s2 = standardize(inv.word[k:]).inverse()
-        rhs.add(tensor(t_sigma(s1, bound), t_sigma(s2, bound)))
+        rhs.add(tensor(t_sigma(s1), t_sigma(s2)))
     if lhs != rhs.value():
         return f"coproduct identity fails for {sigma}"
     return None
 
 
-def twisted_product_identity(sigma, tau, eps, bound=DEFAULT_BOUND):
+def twisted_product_identity(sigma, tau, eps):
     """eps^{-1}.(T^sigma T^tau) = sum_zeta T^{zeta^{-1}(sigma x tau)eps}."""
     k, l = sigma.n, tau.n
     if eps.n != k + l or not eps.is_shuffle(k):
         raise ValueError(f"{eps} is not a ({k},{l})-shuffle")
     eps_inv = eps.inverse()
-    product = HeapOrdered().product_lin(t_sigma(sigma, bound),
-                                        t_sigma(tau, bound))
+    product = HeapOrdered().product_lin(t_sigma(sigma), t_sigma(tau))
     lhs = LinComb((act(eps_inv, f), c) for f, c in product.items())
     rhs = Accumulator(LinComb.zero())
     st = sigma.tensor(tau)
     for zeta in shuffles(k, l):
-        rhs.add(t_sigma(zeta.inverse() @ st @ eps, bound))
+        rhs.add(t_sigma(zeta.inverse() @ st @ eps))
     if lhs != rhs.value():
         return f"twisted product identity fails for {sigma}, {tau}, {eps}"
     return None

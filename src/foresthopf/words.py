@@ -57,30 +57,51 @@ def render_letters(letters):
     return ",".join(str(v) for v in letters)
 
 
-def parse_components(text, parse_body):
-    """Parse a component file, lines 'i: body' with i = 1..d.
+class Path:
+    """Derivative components of a driving path, one per letter 1..d.
 
-    Blank lines and '#' comments are skipped; each body goes through
-    parse_body. Returns the parsed bodies in index order.
+    A subclass names the parser of one component body as _parse_body.
     """
-    found = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ParseError(f"missing ':' in path line {line!r}")
-        head, _, body = line.partition(":")
-        try:
-            idx = int(head)
-        except ValueError:
-            raise ParseError(f"bad component index {head!r}") from None
-        if idx in found:
-            raise ParseError(f"component {idx} given twice")
-        found[idx] = parse_body(body)
-    if sorted(found) != list(range(1, len(found) + 1)):
-        raise ParseError("component indices must be 1..d")
-    return [found[i] for i in range(1, len(found) + 1)]
+
+    def __init__(self, components):
+        self.components = tuple(components)
+        if not self.components:
+            raise ParseError("a path needs at least one component")
+
+    @property
+    def d(self):
+        return len(self.components)
+
+    def component(self, letter):
+        if not 1 <= letter <= self.d:
+            raise ParseError(f"letter {letter} outside 1..{self.d}")
+        return self.components[letter - 1]
+
+    @classmethod
+    def parse(cls, text):
+        """A component file, lines 'i: body' with i = 1..d.
+
+        Blank lines and '#' comments are skipped; each body goes through
+        _parse_body.
+        """
+        found = {}
+        for raw in text.splitlines():
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if ":" not in line:
+                raise ParseError(f"missing ':' in path line {line!r}")
+            head, _, body = line.partition(":")
+            try:
+                idx = int(head)
+            except ValueError:
+                raise ParseError(f"bad component index {head!r}") from None
+            if idx in found:
+                raise ParseError(f"component {idx} given twice")
+            found[idx] = cls._parse_body(body)
+        if sorted(found) != list(range(1, len(found) + 1)):
+            raise ParseError("component indices must be 1..d")
+        return cls([found[i] for i in range(1, len(found) + 1)])
 
 
 class Word:

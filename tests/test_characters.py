@@ -12,7 +12,7 @@ from foresthopf.errors import ParseError
 from foresthopf.words import Word, all_words
 from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import PlainForest
-from foresthopf.hopf import Shuffle, CKForests, get_structure
+from foresthopf.hopf import Shuffle, CKForests
 from foresthopf.characters import (
     Character, unit_character, convolve, char_inverse, validate_character,
     PolyPath, iter_int_word, iter_int_tree, iter_int_char, tree_int_char,
@@ -32,13 +32,13 @@ def path():
 class TestPolyParsing:
     def test_terms(self):
         p = PolyPath.parse("1: 1/2*x^3 - x + 2")
-        assert str(p.derivative(1)) == "1/2*x^3-x+2"
+        assert str(p.component(1)) == "1/2*x^3-x+2"
 
     def test_compact_forms(self):
         p = PolyPath.parse("1: 2x\n2: x^2\n3: -x")
-        assert str(p.derivative(1)) == "2*x"
-        assert str(p.derivative(2)) == "x^2"
-        assert str(p.derivative(3)) == "-x"
+        assert str(p.component(1)) == "2*x"
+        assert str(p.component(2)) == "x^2"
+        assert str(p.component(3)) == "-x"
 
     def test_comments_and_blanks(self):
         p = PolyPath.parse("# driving path\n\n1: x\n")
@@ -60,7 +60,7 @@ class TestPolyParsing:
 
     def test_letter_out_of_range(self, path):
         with pytest.raises(ParseError):
-            path.derivative(3)
+            path.component(3)
 
 
 class TestWordIntegrals:

@@ -1,3 +1,5 @@
+from collections import Counter
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -6,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from foresthopf.errors import ParseError
 from foresthopf.perms import Perm
 from foresthopf.forests import (
-    PlainTree, PlainForest, OrderedForest, EMPTY_PLAIN, EMPTY_ORDERED,
+    PlainForest, OrderedForest, EMPTY_PLAIN, EMPTY_ORDERED,
     act, antichains, lea_vertices, ordered_cuts, plain_cuts,
-    linear_extensions, extension_count, heap_order_lifts,
+    linear_extensions, extension_count, heap_order_lift, heap_order_lifts,
     enumerate_heap_ordered, enumerate_ordered,
     enumerate_plain_trees, enumerate_plain_forests,
 )
@@ -148,6 +150,19 @@ class TestCuts:
         assert terms.count(("1", "2|2")) == 1
         assert len(terms) == 5
 
+    def test_antichains_are_the_incomparable_subsets(self):
+        # by definition: no vertex of the set lies above another
+        for n in range(6):
+            verts = range(1, n + 1)
+            for f in enumerate_ordered(n):
+                above = {v: f.strictly_above(v) for v in verts}
+                expected = {frozenset(s) for k in range(n + 1)
+                            for s in combinations(verts, k)
+                            if not any(w in above[v] for v in s for w in s)}
+                found = antichains(f)
+                assert len(found) == len(expected), f
+                assert set(found) == expected, f
+
 
 class TestExtensions:
     def test_linear_extensions_example(self):
@@ -212,3 +227,22 @@ class TestLifts:
         assert len(heap_order_lifts(PlainForest.parse("1[2,3]"))) == 2
         assert len(heap_order_lifts(PlainForest.parse("1[2[3]]"))) == 1
         assert len(heap_order_lifts(PlainForest.parse("1|2"))) == 2
+
+    def test_lifts_are_all_heap_order_assignments(self):
+        # by definition: every way to number the concrete vertices
+        # 1..n with each parent before its children, as a multiset
+        for n in range(6):
+            for f in enumerate_plain_forests(n, 2):
+                base = heap_order_lift(f)
+                expected = Counter()
+                for rank in permutations(range(1, n + 1)):
+                    if any(p and rank[p - 1] > rank[v - 1]
+                           for v, p in enumerate(base.parent, start=1)):
+                        continue
+                    parent = [0] * n
+                    dec = [0] * n
+                    for v, p in enumerate(base.parent, start=1):
+                        parent[rank[v - 1] - 1] = rank[p - 1] if p else 0
+                        dec[rank[v - 1] - 1] = base.dec[v - 1]
+                    expected[OrderedForest(parent, dec)] += 1
+                assert Counter(heap_order_lifts(f)) == expected, f

@@ -15,15 +15,15 @@ from foresthopf.coeffs import GaussianRational, GR_ONE, GR_I, FreqExp
 from foresthopf.errors import (ParseError, MagnitudeTieError,
                                SingularAtomError)
 from foresthopf.words import Word, all_words
-from foresthopf.perms import Perm, all_perms, shuffles
+from foresthopf.perms import Perm, all_perms
 from foresthopf import fourier
-from foresthopf.forests import (OrderedForest, linear_extensions, act,
+from foresthopf.forests import (OrderedForest, linear_extensions,
                                 enumerate_heap_ordered)
 from foresthopf.hopf import sh_product
 from foresthopf.fourier import (
     TrigPath, FourierAtom, AtomMeasure, word_measure, sector_of,
     split_measure, skeleton_value, e18_closed_form,
-    chi_measure, chi, j_convolution, j_character, rough_path_J,
+    chi, j_convolution, j_character, rough_path_J,
     phi_multiplicativity_check, e28_check, e22_check, musigma_check,
     converse_check, random_atom, random_measure, sector_sweep, GR_MINUS_I,
 )

@@ -8,7 +8,7 @@ from foresthopf.forests import PlainForest, OrderedForest
 from foresthopf.hopf import (
     sh_product, sh_coproduct, sh_antipode,
     ck_coproduct, ho_coproduct,
-    HopfStructure, Shuffle, CKForests, Ordered, HeapOrdered,
+    HopfStructure, Shuffle, CKForests, HeapOrdered,
     FQSym, FQSymDec, get_structure, hopf_axiom_sweep,
     check_antipode, tensor,
 )

@@ -20,12 +20,12 @@ from foresthopf.forests import (OrderedForest, PlainForest,
                                 heap_order_lift, heap_order_lifts)
 from foresthopf.hopf import HeapOrdered, CKForests, tensor
 from foresthopf.morphisms import (
-    theta, theta_dec, pi_ho, pi_sigma, theta_small, ThetaMatrix,
+    theta, theta_dec, pi_ho, pi_sigma, theta_small,
     theta_inverse_table, t_sigma, t_sigma_decorated, t_sigma_by_matrix,
     decorate_by_order,
     t_sigma_product_identity, t_sigma_coproduct_identity,
     twisted_product_identity, theta_morphism_product_check,
-    theta_morphism_coproduct_check, square_check, DEFAULT_BOUND,
+    theta_morphism_coproduct_check, square_check,
 )
 
 

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foresthopf.words import Word, EMPTY_WORD, all_words, parse_letters
-from foresthopf.perms import (Perm, DecoratedPerm, all_perms, standardize,
-                              shuffles)
+from foresthopf.perms import Perm, DecoratedPerm, standardize, shuffles
 from foresthopf.errors import ParseError
 
 
