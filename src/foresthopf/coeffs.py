@@ -24,7 +24,8 @@ public constructor, which establishes this from arbitrary input and
 sums repeated keys.  Arithmetic on clean values yields clean parts, so
 results are built by the private constructors _gaussian, _poly,
 _freqexp and _lincomb, which check nothing and only drop the terms
-that cancelled.
+that cancelled.  _unit_sum builds the LinComb of a sum of basis
+objects, each with coefficient 1, through _lincomb.
 """
 
 from __future__ import annotations
@@ -789,3 +790,15 @@ def _lincomb(terms):
     v = _new(LinComb)
     _set_terms(v, _drop_zeros(terms))
     return v
+
+
+def _unit_sum(keys):
+    """The LinComb sum of the basis objects in keys, each taken with
+    coefficient 1: a key's coefficient is the number of times it
+    occurs."""
+    counts = {}
+    get = counts.get
+    for key in keys:
+        counts[key] = get(key, 0) + 1
+    return _lincomb({key: _ONE if k == 1 else Fraction(k)
+                     for key, k in counts.items()})

@@ -15,6 +15,15 @@ Text grammar (whitespace-insensitive):
     ordered tree := ORD ':' DEC [ '[' ... ']' ]           e.g. "1:5[3:2,2:7]"
     forest       := tree ('|' tree)*                      empty forest: "e"
 DEC accepts an integer or a letter (a = 1).
+
+OrderedForest has one validating public constructor,
+OrderedForest(parent, dec), used at parse and public boundaries, and
+one trusted constructor, _ordered(parent, dec), which checks nothing:
+parent must already be a tuple of ints in 0..n, acyclic and with no
+self-parent, and dec a tuple of n positive ints.  Products, restrictions,
+relabelings, heap lifts and the enumerations are forests by
+construction, so they are built through _ordered.  OrderedForest,
+PlainTree and PlainForest store their hash once, in a slot.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 
 from .errors import ParseError
-from .perms import Perm
+from .perms import _perm
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +40,7 @@ from .perms import Perm
 # ---------------------------------------------------------------------------
 
 class PlainTree:
-    __slots__ = ("dec", "children", "n", "key")
+    __slots__ = ("dec", "children", "n", "key", "_hash")
 
     def __init__(self, dec, children=()):
         dec = int(dec)
@@ -41,8 +50,9 @@ class PlainTree:
         object.__setattr__(self, "dec", dec)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "n", 1 + sum(c.n for c in children))
-        object.__setattr__(self, "key",
-                           (dec, tuple(c.key for c in children)))
+        key = (dec, tuple(c.key for c in children))
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(("PlainTree", key)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlainTree is immutable")
@@ -51,7 +61,7 @@ class PlainTree:
         return isinstance(other, PlainTree) and self.key == other.key
 
     def __hash__(self):
-        return hash(("PlainTree", self.key))
+        return self._hash
 
     def __str__(self):
         if not self.children:
@@ -72,13 +82,15 @@ class PlainTree:
 class PlainForest:
     """Canonical multiset of decorated rooted trees; the H^d basis."""
 
-    __slots__ = ("trees", "n", "key")
+    __slots__ = ("trees", "n", "key", "_hash")
 
     def __init__(self, trees=()):
         trees = tuple(sorted(trees, key=lambda t: t.key))
+        key = tuple(t.key for t in trees)
         object.__setattr__(self, "trees", trees)
         object.__setattr__(self, "n", sum(t.n for t in trees))
-        object.__setattr__(self, "key", tuple(t.key for t in trees))
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(("PlainForest", key)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlainForest is immutable")
@@ -103,7 +115,7 @@ class PlainForest:
         return isinstance(other, PlainForest) and self.key == other.key
 
     def __hash__(self):
-        return hash(("PlainForest", self.key))
+        return self._hash
 
     def sort_key(self):
         return (self.n, str(self))
@@ -209,7 +221,7 @@ class OrderedForest:
     decoration.  Equality is literal: the order matters.
     """
 
-    __slots__ = ("parent", "dec", "n", "children")
+    __slots__ = ("parent", "dec", "n", "children", "_hash")
 
     def __init__(self, parent, dec=None):
         parent = tuple(int(p) for p in parent)
@@ -221,19 +233,13 @@ class OrderedForest:
             raise ValueError("decoration length mismatch")
         if any(x < 1 for x in dec):
             raise ValueError("decoration out of range")
-        children = [[] for _ in range(n + 1)]
         for i, p in enumerate(parent, start=1):
             if p < 0 or p > n or p == i:
                 raise ValueError(f"bad parent {p} for vertex {i}")
-            children[p].append(i)
         cycle_at = _cycle_start(parent)
         if cycle_at:
             raise ValueError(f"parent relation has a cycle at {cycle_at}")
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "dec", dec)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "children",
-                           tuple(tuple(c) for c in children))
+        _fill(self, parent, dec)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrderedForest is immutable")
@@ -297,8 +303,9 @@ class OrderedForest:
 
     def __mul__(self, other):
         k = self.n
-        parent = self.parent + tuple(p + k if p else 0 for p in other.parent)
-        return OrderedForest(parent, self.dec + other.dec)
+        parent = self.parent + tuple([p + k if p else 0
+                                      for p in other.parent])
+        return _ordered(parent, self.dec + other.dec)
 
     def restrict(self, vertices):
         """Induced ordered forest on a vertex subset, standardized.
@@ -308,9 +315,9 @@ class OrderedForest:
         """
         vs = sorted(vertices)
         rank = {v: i for i, v in enumerate(vs, start=1)}
-        parent = [rank.get(self.parent[v - 1], 0) for v in vs]
-        dec = [self.dec[v - 1] for v in vs]
-        return OrderedForest(parent, dec)
+        parent, dec = self.parent, self.dec
+        return _ordered(tuple([rank.get(parent[v - 1], 0) for v in vs]),
+                        tuple([dec[v - 1] for v in vs]))
 
     def to_plain(self):
         def build(v):
@@ -325,7 +332,7 @@ class OrderedForest:
                 and self.parent == other.parent and self.dec == other.dec)
 
     def __hash__(self):
-        return hash(("OrderedForest", self.parent, self.dec))
+        return self._hash
 
     def sort_key(self):
         return (self.n, str(self))
@@ -346,6 +353,36 @@ class OrderedForest:
         return f"OrderedForest.parse({str(self)!r})"
 
 
+_new = object.__new__
+_set_parent = OrderedForest.parent.__set__
+_set_dec = OrderedForest.dec.__set__
+_set_n = OrderedForest.n.__set__
+_set_children = OrderedForest.children.__set__
+_set_hash = OrderedForest._hash.__set__
+
+
+def _fill(forest, parent, dec):
+    """Set every slot of an OrderedForest from valid parent and dec
+    tuples: the children lists and the hash are derived here."""
+    n = len(parent)
+    children = [[] for _ in range(n + 1)]
+    for i, p in enumerate(parent, start=1):
+        children[p].append(i)
+    _set_parent(forest, parent)
+    _set_dec(forest, dec)
+    _set_n(forest, n)
+    _set_children(forest, tuple(map(tuple, children)))
+    _set_hash(forest, hash(("OrderedForest", parent, dec)))
+
+
+def _ordered(parent, dec):
+    """Trusted constructor: parent and dec are already the tuples of a
+    valid forest (see the module docstring)."""
+    forest = _new(OrderedForest)
+    _fill(forest, parent, dec)
+    return forest
+
+
 EMPTY_ORDERED = OrderedForest((), ())
 
 
@@ -355,13 +392,13 @@ def act(sigma, forest):
     n = forest.n
     if len(sigma) != n:
         raise ValueError("size mismatch in relabeling")
+    word = sigma.word
     parent = [0] * n
     dec = [0] * n
-    for i in range(1, n + 1):
-        p = forest.parent[i - 1]
-        parent[sigma(i) - 1] = sigma(p) if p else 0
-        dec[sigma(i) - 1] = forest.dec[i - 1]
-    return OrderedForest(parent, dec)
+    for i, (p, x) in enumerate(zip(forest.parent, forest.dec)):
+        parent[word[i] - 1] = word[p - 1] if p else 0
+        dec[word[i] - 1] = x
+    return _ordered(tuple(parent), tuple(dec))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +486,7 @@ def linear_extensions(forest):
 
     def step():
         if len(word) == n:
-            out.append(Perm(word))
+            out.append(_perm(tuple(word)))
             return
         for v in range(1, n + 1):
             if placed[v]:
@@ -497,7 +534,7 @@ def heap_order_lift(forest):
 
     for tree in forest.trees:
         walk(tree, 0)
-    return OrderedForest(parent, dec)
+    return _ordered(tuple(parent), tuple(dec))
 
 
 def heap_order_lifts(forest):
@@ -528,7 +565,7 @@ def enumerate_heap_ordered(n, d=1):
     out = []
     for parent in _iproduct(*[range(i) for i in range(1, n + 1)]):
         for dec in _iproduct(*[range(1, d + 1)] * n):
-            out.append(OrderedForest(parent, dec))
+            out.append(_ordered(parent, dec))
     return out
 
 
@@ -542,7 +579,7 @@ def enumerate_ordered(n, d=1):
         if _cycle_start(parent):
             continue
         for dec in _iproduct(*[range(1, d + 1)] * n):
-            out.append(OrderedForest(parent, dec))
+            out.append(_ordered(parent, dec))
     return out
 
 

@@ -10,21 +10,21 @@ the rows travel together through both operations.
 
 from __future__ import annotations
 
-from .coeffs import LinComb
-from .perms import Perm, DecoratedPerm, standardize, interleavings
+from .coeffs import _unit_sum
+from .perms import DecoratedPerm, _perm, standardize, interleavings
 
 
 def fq_product(p1, p2):
     k = p1.n
     shifted = tuple(v + k for v in p2.word)
-    return LinComb([(Perm(word), 1)
-                    for word in interleavings(p1.word, shifted)])
+    return _unit_sum(_perm(word)
+                     for word in interleavings(p1.word, shifted))
 
 
 def fq_coproduct(p):
     word = p.word
-    return LinComb([((standardize(word[:i]), standardize(word[i:])), 1)
-                    for i in range(p.n + 1)])
+    return _unit_sum((standardize(word[:i]), standardize(word[i:]))
+                     for i in range(p.n + 1))
 
 
 def fq_product_dec(p1, p2):
@@ -32,19 +32,16 @@ def fq_product_dec(p1, p2):
     k = p1.n
     left = tuple(zip(p1.perm.word, p1.bottom))
     right = tuple((v + k, b) for v, b in zip(p2.perm.word, p2.bottom))
-    return LinComb([(DecoratedPerm(Perm(v for v, _ in merged),
-                                   tuple(b for _, b in merged)), 1)
-                    for merged in interleavings(left, right)])
+    return _unit_sum(DecoratedPerm(_perm(tuple([v for v, _ in merged])),
+                                   tuple([b for _, b in merged]))
+                     for merged in interleavings(left, right))
 
 
 def fq_coproduct_dec(p):
     word = p.perm.word
-    out = []
-    for i in range(p.n + 1):
-        left = DecoratedPerm(standardize(word[:i]), p.bottom[:i])
-        right = DecoratedPerm(standardize(word[i:]), p.bottom[i:])
-        out.append(((left, right), 1))
-    return LinComb(out)
+    return _unit_sum((DecoratedPerm(standardize(word[:i]), p.bottom[:i]),
+                      DecoratedPerm(standardize(word[i:]), p.bottom[i:]))
+                     for i in range(p.n + 1))
 
 
 def unique_factorization(p, k):

@@ -7,6 +7,10 @@ Tensors are plain Python pairs (triples for the coassociativity check).
 The linear extensions product_lin, coproduct_lin and tensor_mul, with
 the module-level tensor, are the one bilinear layer: every identity
 multiplies, co-multiplies and tensors linear combinations through them.
+Where one side is a single basis element (the antipode recursion and
+check_antipode), the other side's terms are multiplied by it directly.
+Products and coproducts on the basis are sums of basis objects with
+coefficient 1, built by coeffs._unit_sum.
 
 Antipodes: the shuffle algebra has its closed reversal formula; every
 other structure, the forest algebra included, uses the generic
@@ -18,9 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import LinComb, Accumulator, _lincomb
+from .coeffs import LinComb, Accumulator, _lincomb, _unit_sum
 from .errors import StructureMismatchError
-from .words import Word, EMPTY_WORD, all_words
+from .words import _word, EMPTY_WORD, all_words
 from .perms import Perm, DecoratedPerm, all_perms, interleavings
 from . import fqsym
 from .forests import (
@@ -35,15 +39,15 @@ from .forests import (
 
 def sh_product(w1, w2):
     """Shuffle product: all interleavings, equal words merged."""
-    return LinComb([(Word(letters), 1)
-                    for letters in interleavings(w1.letters, w2.letters)])
+    return _unit_sum(_word(letters)
+                     for letters in interleavings(w1.letters, w2.letters))
 
 
 def sh_coproduct(w):
     """Deconcatenation."""
     letters = w.letters
-    return LinComb([((Word(letters[:i]), Word(letters[i:])), 1)
-                    for i in range(len(letters) + 1)])
+    return _unit_sum((_word(letters[:i]), _word(letters[i:]))
+                     for i in range(len(letters) + 1))
 
 
 def sh_antipode(w):
@@ -53,12 +57,12 @@ def sh_antipode(w):
 
 def ck_coproduct(f):
     """Sum over admissible cuts, Roo tensor Lea."""
-    return LinComb([((cut.roo, cut.lea), 1) for cut in plain_cuts(f)])
+    return _unit_sum((cut.roo, cut.lea) for cut in plain_cuts(f))
 
 
 def ho_coproduct(f):
     """Cuts with both parts carrying the standardized induced order."""
-    return LinComb([((cut.roo, cut.lea), 1) for cut in ordered_cuts(f)])
+    return _unit_sum((cut.roo, cut.lea) for cut in ordered_cuts(f))
 
 
 def tensor(a, b):
@@ -119,8 +123,8 @@ class HopfStructure:
         for (x1, x2), c in self.coproduct(b).items():
             if self.degree(x1) == 0 or self.degree(x2) == 0:
                 continue
-            total.add(self.product_lin(self.antipode(x1), LinComb.of(x2)),
-                      -c)
+            for y, cy in self.antipode(x1).items():
+                total.add(self.product(y, x2), -c * cy)
         value = self._antipode_memo[b] = total.value()
         return value
 
@@ -190,7 +194,7 @@ class CKForests(HopfStructure):
 
     def product(self, b1, b2):
         """Disjoint union of plain forests (canonical, commutative)."""
-        return LinComb.of(b1 * b2)
+        return _unit_sum((b1 * b2,))
 
     def _coproduct(self, b):
         return ck_coproduct(b)
@@ -210,7 +214,7 @@ class Ordered(HopfStructure):
 
     def product(self, b1, b2):
         """Order-shifting concatenation of ordered forests."""
-        return LinComb.of(b1 * b2)
+        return _unit_sum((b1 * b2,))
 
     def _coproduct(self, b):
         return ho_coproduct(b)
@@ -317,8 +321,10 @@ def check_antipode(H, b):
     left = Accumulator(LinComb.zero())
     right = Accumulator(LinComb.zero())
     for (x, y), c in H.coproduct(b).items():
-        left.add(H.product_lin(H.antipode(x), LinComb.of(y)), c)
-        right.add(H.product_lin(LinComb.of(x), H.antipode(y)), c)
+        for s, cs in H.antipode(x).items():
+            left.add(H.product(s, y), c * cs)
+        for s, cs in H.antipode(y).items():
+            right.add(H.product(x, s), c * cs)
     if left.value() != target:
         return f"antipode axiom (S x id) fails on {b}"
     if right.value() != target:

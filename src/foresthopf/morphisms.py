@@ -22,28 +22,30 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from math import factorial, prod
 
-from .coeffs import LinComb, Accumulator
+from .coeffs import LinComb, Accumulator, _lincomb, _unit_sum
 from .errors import BoundExceededError
-from .words import Word
+from .words import _word
 from .perms import DecoratedPerm, all_perms, standardize, shuffles
 from .forests import (
-    OrderedForest, act, linear_extensions, heap_order_lift,
+    OrderedForest, _ordered, act, linear_extensions, heap_order_lift,
     enumerate_heap_ordered,
 )
 from .hopf import HeapOrdered, FQSym, ho_coproduct, tensor
 
 DEFAULT_BOUND = 6
 
+_SIGN = {1: Fraction(1), -1: Fraction(-1)}
+
 
 def theta(forest):
     """Sum of the linear extensions of a heap-ordered forest."""
-    return LinComb([(sigma, 1) for sigma in linear_extensions(forest)])
+    return _unit_sum(linear_extensions(forest))
 
 
 def theta_dec(forest):
     """Decorated version: bottom row lists the decorations by value."""
-    return LinComb([(DecoratedPerm.from_ell(sigma, forest.dec), 1)
-                    for sigma in linear_extensions(forest)])
+    return _unit_sum(DecoratedPerm.from_ell(sigma, forest.dec)
+                     for sigma in linear_extensions(forest))
 
 
 def pi_ho(forest):
@@ -53,7 +55,7 @@ def pi_ho(forest):
 
 def pi_sigma(dp):
     """Forget the permutation, keep the decoration word."""
-    return Word(dp.bottom)
+    return _word(dp.bottom)
 
 
 def theta_small(forest):
@@ -63,11 +65,9 @@ def theta_small(forest):
     on the lift chosen.
     """
     lift = heap_order_lift(forest)
-    out = []
-    for sigma in linear_extensions(lift):
-        out.append((Word(tuple(lift.dec[sigma(i) - 1]
-                               for i in range(1, lift.n + 1))), 1))
-    return LinComb(out)
+    dec = lift.dec
+    return _unit_sum(_word(tuple([dec[v - 1] for v in sigma.word]))
+                     for sigma in linear_extensions(lift))
 
 
 class ThetaMatrix:
@@ -173,6 +173,8 @@ def _json_rows(rows):
     return "[\n" + ",\n".join(lines) + "\n  ]"
 
 
+# The last ThetaMatrix built, keyed by its degree: at most one entry,
+# since ThetaMatrix(7) alone peaks at about 265 MB.
 _MATRIX_CACHE = {}
 
 
@@ -184,9 +186,11 @@ def _check_bound(n, bound):
 
 def theta_inverse_table(n, bound=DEFAULT_BOUND):
     _check_bound(n, bound)
-    if n not in _MATRIX_CACHE:
-        _MATRIX_CACHE[n] = ThetaMatrix(n)
-    return _MATRIX_CACHE[n]
+    table = _MATRIX_CACHE.get(n)
+    if table is None:
+        _MATRIX_CACHE.clear()
+        table = _MATRIX_CACHE[n] = ThetaMatrix(n)
+    return table
 
 
 def _simplex_expansion(sigma):
@@ -208,9 +212,10 @@ def _simplex_expansion(sigma):
                     default=None)
         choices.append([(below, 1)] if above is None
                        else [(below, 1), (above, -1)])
-    return LinComb((OrderedForest(tuple(p for p, _ in picked)),
-                    prod(s for _, s in picked))
-                   for picked in _iproduct(*choices))
+    ones = (1,) * sigma.n
+    return _lincomb({_ordered(tuple([p for p, _ in picked]), ones):
+                     _SIGN[prod([s for _, s in picked])]
+                     for picked in _iproduct(*choices)})
 
 
 def t_sigma(sigma, bound=DEFAULT_BOUND):

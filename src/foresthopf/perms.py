@@ -5,6 +5,14 @@ Composition is (alpha @ beta)(i) = alpha(beta(i)).  A decorated permutation
 carries a second row of letters below the word, b_i = ell(sigma(i)), as in
 the two-row notation "213;bac"; the decoration of the VALUE v is recovered
 as ell(v) = b at the position where v occurs.
+
+Perm has one validating public constructor, Perm(word), used at parse
+and public boundaries, and one trusted constructor, _perm(word), which
+checks nothing: its argument must already be a tuple of ints that is a
+permutation of 1..n.  Inverses, compositions, block sums, shuffles,
+standardizations and the enumerations are permutations by
+construction, so they are built through _perm.  Both constructors store
+the hash once, in a slot.
 """
 
 from __future__ import annotations
@@ -16,13 +24,14 @@ from .words import parse_letters, render_letters
 
 
 class Perm:
-    __slots__ = ("word",)
+    __slots__ = ("word", "_hash")
 
     def __init__(self, word):
         word = tuple(int(v) for v in word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation word: {word}")
-        object.__setattr__(self, "word", word)
+        _set_word(self, word)
+        _set_hash(self, hash(("Perm", word)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -58,17 +67,18 @@ class Perm:
         inv = [0] * len(self.word)
         for pos, v in enumerate(self.word, start=1):
             inv[v - 1] = pos
-        return Perm(inv)
+        return _perm(tuple(inv))
 
     def __matmul__(self, other):
         if len(self.word) != len(other.word):
             raise ValueError("size mismatch in composition")
-        return Perm(self.word[v - 1] for v in other.word)
+        word = self.word
+        return _perm(tuple([word[v - 1] for v in other.word]))
 
     def tensor(self, other):
         """Block sum: acts as self on {1..k} and shifted other above."""
         k = len(self.word)
-        return Perm(self.word + tuple(v + k for v in other.word))
+        return _perm(self.word + tuple([v + k for v in other.word]))
 
     def is_shuffle(self, k):
         """True if the inverse is increasing on {1..k} and on {k+1..n}."""
@@ -82,7 +92,7 @@ class Perm:
         return isinstance(other, Perm) and self.word == other.word
 
     def __hash__(self):
-        return hash(("Perm", self.word))
+        return self._hash
 
     def sort_key(self):
         return (len(self.word), self.word)
@@ -98,15 +108,32 @@ class Perm:
         return f"Perm({self.word!r})"
 
 
+_new = object.__new__
+_set_word = Perm.word.__set__
+_set_hash = Perm._hash.__set__
+
+
+def _perm(word):
+    """Trusted constructor: word is a tuple of ints that is already a
+    permutation of 1..n."""
+    p = _new(Perm)
+    _set_word(p, word)
+    _set_hash(p, hash(("Perm", word)))
+    return p
+
+
 def all_perms(n):
     """Sigma_n in lexicographic word order."""
-    return [Perm(w) for w in _itertools_permutations(range(1, n + 1))]
+    return [_perm(w) for w in _itertools_permutations(range(1, n + 1))]
 
 
 def standardize(seq):
     """The unique increasing relabeling of distinct values onto {1..k}."""
     ranks = {v: r for r, v in enumerate(sorted(seq), start=1)}
-    return Perm(ranks[v] for v in seq)
+    word = tuple([ranks[v] for v in seq])
+    if len(ranks) != len(word):
+        raise ValueError(f"not a permutation word: {word}")
+    return _perm(word)
 
 
 def interleavings(a, b):
@@ -133,8 +160,8 @@ def shuffles(k, l):
     """
     if k < 0 or l < 0:
         raise ValueError("k and l must be >= 0")
-    return [Perm(word) for word in interleavings(range(1, k + 1),
-                                                   range(k + 1, k + l + 1))]
+    return [_perm(word) for word in interleavings(range(1, k + 1),
+                                                    range(k + 1, k + l + 1))]
 
 
 class DecoratedPerm:

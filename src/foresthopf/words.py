@@ -4,6 +4,13 @@ A word doubles as the decoration sequence of a trunk tree read root to
 leaf, so the same letter conventions are used for decoration arguments
 throughout the library: single characters ("abc" or "123", with a = 1),
 or a comma-separated list of integers when the alphabet is large.
+
+Word has one validating public constructor, Word(letters), used at
+parse and public boundaries, and one trusted constructor,
+_word(letters), which checks nothing: its argument must already be a
+tuple of positive ints.  Concatenations, reversals, the enumeration and
+the shuffle-algebra operations are built through _word.  Both
+constructors store the hash once, in a slot.
 """
 
 from __future__ import annotations
@@ -107,13 +114,14 @@ class Path:
 class Word:
     """A finite sequence of letters in {1..d}; the shuffle-algebra basis."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_hash")
 
     def __init__(self, letters=()):
         letters = tuple(int(v) for v in letters)
         if any(v < 1 for v in letters):
             raise ValueError("letters must be positive")
-        object.__setattr__(self, "letters", letters)
+        _set_letters(self, letters)
+        _set_hash(self, hash(("Word", letters)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -135,16 +143,16 @@ class Word:
         return self.letters[i]
 
     def __add__(self, other):
-        return Word(self.letters + other.letters)
+        return _word(self.letters + other.letters)
 
     def reverse(self):
-        return Word(self.letters[::-1])
+        return _word(self.letters[::-1])
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self):
-        return hash(("Word", self.letters))
+        return self._hash
 
     def sort_key(self):
         return (len(self.letters), self.letters)
@@ -154,6 +162,19 @@ class Word:
 
     def __repr__(self):
         return f"Word({self.letters!r})"
+
+
+_new = object.__new__
+_set_letters = Word.letters.__set__
+_set_hash = Word._hash.__set__
+
+
+def _word(letters):
+    """Trusted constructor: letters is already a tuple of positive ints."""
+    w = _new(Word)
+    _set_letters(w, letters)
+    _set_hash(w, hash(("Word", letters)))
+    return w
 
 
 EMPTY_WORD = Word(())
@@ -166,4 +187,4 @@ def all_words(n, d):
     words = [()]
     for _ in range(n):
         words = [w + (a,) for w in words for a in range(1, d + 1)]
-    return [Word(w) for w in words]
+    return [_word(w) for w in words]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foresthopf.errors import ParseError
-from foresthopf.perms import Perm
+from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import (
     PlainForest, OrderedForest, EMPTY_PLAIN, EMPTY_ORDERED,
     act, antichains, lea_vertices, ordered_cuts, plain_cuts,
@@ -14,6 +14,7 @@ from foresthopf.forests import (
     enumerate_heap_ordered, enumerate_ordered,
     enumerate_plain_trees, enumerate_plain_forests,
 )
+from foresthopf.morphisms import _simplex_expansion
 
 
 def heap_forests(max_n=4):
@@ -246,3 +247,92 @@ class TestLifts:
                         dec[rank[v - 1] - 1] = base.dec[v - 1]
                     expected[OrderedForest(parent, dec)] += 1
                 assert Counter(heap_order_lifts(f)) == expected, f
+
+
+def assert_as_public(forest):
+    """forest equals, hashes like and has the children of the forest the
+    validating constructor builds from its fields."""
+    public = OrderedForest(forest.parent, forest.dec)
+    assert forest == public, forest
+    assert hash(forest) == hash(public), forest
+    assert forest.n == public.n, forest
+    assert forest.children == public.children, forest
+
+
+# every ordered forest up to degree 4 with two letters
+ORDERED_2 = {n: enumerate_ordered(n, 2) for n in range(5)}
+
+
+class TestTrustedConstructor:
+    """Forests built inside the library without validation are the
+    forests the public constructor builds from the same fields."""
+
+    def test_enumerations(self):
+        for n in range(5):
+            for f in ORDERED_2[n] + enumerate_heap_ordered(n, 2):
+                assert_as_public(f)
+
+    def test_products(self):
+        for k in range(5):
+            for l in range(5 - k):
+                for f in ORDERED_2[k]:
+                    for g in ORDERED_2[l]:
+                        assert_as_public(f * g)
+
+    def test_restrictions_and_cuts(self):
+        for n in range(5):
+            for f in ORDERED_2[n]:
+                for k in range(n + 1):
+                    for vs in combinations(range(1, n + 1), k):
+                        assert_as_public(f.restrict(vs))
+                for cut in ordered_cuts(f):
+                    assert_as_public(cut.roo)
+                    assert_as_public(cut.lea)
+
+    def test_action(self):
+        for n in range(5):
+            sigmas = all_perms(n)
+            for f in ORDERED_2[n]:
+                for sigma in sigmas:
+                    assert_as_public(act(sigma, f))
+
+    def test_heap_order_lifts(self):
+        for n in range(5):
+            for f in enumerate_plain_forests(n, 2):
+                assert_as_public(heap_order_lift(f))
+                for lift in heap_order_lifts(f):
+                    assert_as_public(lift)
+
+    def test_simplex_expansion(self):
+        for n in range(6):
+            for sigma in all_perms(n):
+                for f, _ in _simplex_expansion(sigma).items():
+                    assert_as_public(f)
+
+    def test_plain_hash_follows_the_canonical_form(self):
+        for text, same in [("1[3,2]", "1[2,3]"), ("2|1[2]", "1[2]|2"),
+                           ("1[2[3],2]", "1[2,2[3]]")]:
+            f, g = PlainForest.parse(text), PlainForest.parse(same)
+            assert f == g and hash(f) == hash(g)
+            assert hash(f.trees[-1]) == hash(g.trees[-1])
+        for n in range(5):
+            for f in enumerate_plain_forests(n, 2):
+                g = PlainForest(reversed(f.trees))
+                assert f == g and hash(f) == hash(g)
+                assert hash(f) == hash(heap_order_lift(f).to_plain())
+
+
+class TestPublicConstructorRejects:
+    @pytest.mark.parametrize("parent,dec,message", [
+        ((2, 1), None, "parent relation has a cycle at 1"),
+        ((0, 3, 2), None, "parent relation has a cycle at 2"),
+        ((1,), None, "bad parent 1 for vertex 1"),
+        ((0, 3), None, "bad parent 3 for vertex 2"),
+        ((-1,), None, "bad parent -1 for vertex 1"),
+        ((0,), (0,), "decoration out of range"),
+        ((0,), (1, 2), "decoration length mismatch"),
+    ])
+    def test_bad_fields(self, parent, dec, message):
+        with pytest.raises(ValueError) as exc:
+            OrderedForest(parent, dec)
+        assert str(exc.value) == message

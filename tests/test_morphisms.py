@@ -19,6 +19,7 @@ from foresthopf.forests import (OrderedForest, PlainForest,
                                 enumerate_plain_forests,
                                 heap_order_lift, heap_order_lifts)
 from foresthopf.hopf import HeapOrdered, CKForests, tensor
+from foresthopf import morphisms
 from foresthopf.morphisms import (
     theta, theta_dec, pi_ho, pi_sigma, theta_small,
     theta_inverse_table, t_sigma, t_sigma_decorated, t_sigma_by_matrix,
@@ -96,6 +97,17 @@ class TestThetaMatrix:
 
     def test_cache_returns_same_object(self):
         assert theta_inverse_table(3) is theta_inverse_table(3)
+
+    def test_cache_keeps_only_the_last_table(self):
+        theta_inverse_table(3)
+        table = theta_inverse_table(4)
+        assert morphisms._MATRIX_CACHE == {4: table}
+        for sigma in all_perms(4):
+            assert t_sigma_by_matrix(sigma) == t_sigma(sigma)
+        assert morphisms._MATRIX_CACHE == {4: table}
+        for sigma in all_perms(3):
+            assert t_sigma_by_matrix(sigma) == t_sigma(sigma)
+        assert list(morphisms._MATRIX_CACHE) == [3]
 
 
 class TestTSigma:

@@ -1,8 +1,12 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from foresthopf.words import Word, EMPTY_WORD, all_words, parse_letters
-from foresthopf.perms import Perm, DecoratedPerm, standardize, shuffles
+from foresthopf.perms import (Perm, DecoratedPerm, all_perms, standardize,
+                              shuffles)
+from foresthopf.forests import enumerate_ordered, linear_extensions
 from foresthopf.errors import ParseError
 
 
@@ -96,3 +100,91 @@ class TestDecoratedPerm:
     def test_undecorated(self):
         dp = DecoratedPerm.parse("(12;ab)")
         assert dp.undecorated() == Perm((1, 2))
+
+
+def assert_perm_as_public(p):
+    public = Perm(p.word)
+    assert p == public and hash(p) == hash(public), p
+
+
+def assert_word_as_public(w):
+    public = Word(w.letters)
+    assert w == public and hash(w) == hash(public), w
+
+
+class TestTrustedConstructors:
+    """Permutations and words built inside the library without
+    validation are the values the public constructors build from the
+    same fields."""
+
+    def test_perm_operations(self):
+        layers = {n: all_perms(n) for n in range(6)}
+        for n, layer in layers.items():
+            for p in layer:
+                assert_perm_as_public(p)
+                assert_perm_as_public(p.inverse())
+                if n <= 4:
+                    for q in layer:
+                        assert_perm_as_public(p @ q)
+                for q in layers[max(0, 5 - n)]:
+                    assert_perm_as_public(p.tensor(q))
+
+    def test_standardize(self):
+        values = (2, 5, 7, 11, 13)
+        for k in range(len(values) + 1):
+            for seq in permutations(values, k):
+                assert_perm_as_public(standardize(seq))
+
+    def test_shuffles(self):
+        for k in range(6):
+            for l in range(6 - k):
+                for zeta in shuffles(k, l):
+                    assert_perm_as_public(zeta)
+
+    def test_linear_extensions(self):
+        for n in range(5):
+            for f in enumerate_ordered(n):
+                for sigma in linear_extensions(f):
+                    assert_perm_as_public(sigma)
+
+    def test_word_operations(self):
+        layers = {n: all_words(n, 2) for n in range(5)}
+        for n, layer in layers.items():
+            for w in layer:
+                assert_word_as_public(w)
+                assert_word_as_public(w.reverse())
+                for m in range(5 - n):
+                    for v in layers[m]:
+                        assert_word_as_public(w + v)
+
+
+class TestPublicConstructorsReject:
+    @pytest.mark.parametrize("word,message", [
+        ((1, 1), "not a permutation word: (1, 1)"),
+        ((2, 3), "not a permutation word: (2, 3)"),
+        ((0, 1), "not a permutation word: (0, 1)"),
+    ])
+    def test_perm(self, word, message):
+        with pytest.raises(ValueError) as exc:
+            Perm(word)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("letters", [(0,), (1, 0), (2, -1)])
+    def test_word(self, letters):
+        with pytest.raises(ValueError) as exc:
+            Word(letters)
+        assert str(exc.value) == "letters must be positive"
+
+    @pytest.mark.parametrize("seq,message", [
+        ((3, 3), "not a permutation word: (2, 2)"),
+        ((4, 1, 4), "not a permutation word: (3, 1, 3)"),
+    ])
+    def test_standardize_repeated_values(self, seq, message):
+        with pytest.raises(ValueError) as exc:
+            standardize(seq)
+        assert str(exc.value) == message
+
+    def test_decorated_perm_keeps_letter_check(self):
+        with pytest.raises(ValueError) as exc:
+            DecoratedPerm(Perm((2, 1)), (1, 0))
+        assert str(exc.value) == "letters must be positive"
