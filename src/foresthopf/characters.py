@@ -155,17 +155,33 @@ def _retime(poly_ts, hi, lo, vars=("t", "s")):
     return _poly(vars, out)
 
 
+# Memo of iter_int_word, emptied when it holds _WORD_INTEGRAL_MEMO_CAP
+# entries, which at about 1.2 kB an entry (words up to length 6 over the
+# path (1, 2x)) keeps it near 5 MB.
+_WORD_INTEGRAL_MEMO = {}
+_WORD_INTEGRAL_MEMO_CAP = 1 << 12
+
+
 def iter_int_word(path, word):
     """Iterated integral of the path along a word, in variables (t, s).
 
     Innermost letter is the last one; each step multiplies by the
-    derivative of the next component outward and integrates from s."""
+    derivative of the next component outward and integrates from s.
+    Memoized per (path components, word)."""
+    key = (path.components, word)
+    cached = _WORD_INTEGRAL_MEMO.get(key)
+    if cached is not None:
+        return cached
     inner = MultiPoly.one(("x", "s"))
     for letter in reversed(word.letters):
         gamma = path.component(letter).with_vars(("x", "s"))
         h = (gamma * inner).antiderivative("x")
         inner = h - h.subst_var("x", "s")
-    return inner.rename_var("x", "t")
+    value = inner.rename_var("x", "t")
+    if len(_WORD_INTEGRAL_MEMO) >= _WORD_INTEGRAL_MEMO_CAP:
+        _WORD_INTEGRAL_MEMO.clear()
+    _WORD_INTEGRAL_MEMO[key] = value
+    return value
 
 
 def iter_int_tree(path, forest):

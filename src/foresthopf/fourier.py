@@ -350,60 +350,117 @@ def chi_measure(nu, var="t", bound=DEFAULT_BOUND):
     return total.value()
 
 
+# Memo of chi, emptied when it holds _CHI_MEMO_CAP entries, which at
+# about 3 kB an entry keeps it near 12 MB.  J by characters of every word
+# up to length 5 over two frequencies per letter stores 126 entries.
+_CHI_MEMO = {}
+_CHI_MEMO_CAP = 1 << 12
+
+
 def chi(path, word, var="t", bound=DEFAULT_BOUND):
-    """The degree-n character of the path along a word."""
-    return chi_measure(word_measure(path, word), var, bound)
+    """The degree-n character of the path along a word.
+
+    Memoized per (path components, word, variable).  A word longer than
+    the bound never reads the memo: it goes through the computation,
+    which refuses it as it would without a memo."""
+    key = (path.components, word, var)
+    if len(word) <= bound:
+        cached = _CHI_MEMO.get(key)
+        if cached is not None:
+            return cached
+    value = chi_measure(word_measure(path, word), var, bound)
+    if len(_CHI_MEMO) >= _CHI_MEMO_CAP:
+        _CHI_MEMO.clear()
+    _CHI_MEMO[key] = value
+    return value
 
 
 # Memo of sbar_eval, emptied when it holds _SBAR_MEMO_CAP entries, which
-# at about 1.3 kB an entry keeps it near 20 MB.  J of every word up to
-# length 5 over two frequencies per letter stores 2,245 entries.
+# at about 0.5 kB an entry (one Fraction, the key and its forest) keeps
+# it near 8 MB.  J of every word up to length 5 over two frequencies per
+# letter stores 2,245 entries.
 _SBAR_MEMO = {}
 _SBAR_MEMO_CAP = 1 << 14
 
 
-def sbar_eval(forest, freq, var):
-    """phi of the forest antipode, coordinates riding on the vertices:
-    S(F) = -F - sum over proper cuts Roo S(Lea)."""
-    freq = tuple(freq)
+def sbar_eval(forest, freq):
+    """The rational R with phi^var(S(F)) = (-i)^n R exp(i Xi var), for
+    any variable, the coordinates riding on the vertices.
+
+    From S(F) = -F - sum over proper cuts Roo S(Lea), and since every
+    cut splits the coordinates, R(F) = -(1/prod Xi_F + sum over proper
+    cuts R(Lea)/prod Xi_Roo)."""
     if forest.n == 0:
-        return FreqExp.one()
-    key = (forest, freq, var)
+        return _ONE
+    freq = tuple(freq)
+    key = (forest, freq)
     cached = _SBAR_MEMO.get(key)
     if cached is not None:
         return cached
-    total = Accumulator(skeleton_value(forest, freq, var))
+    product, _ = _xi_product(forest, freq)
+    total = _ONE / product
     for cut in ordered_cuts(forest):
         if cut.roo.n and cut.lea.n:
-            roo_val = skeleton_value(cut.roo, [freq[i] for i in cut.roo_at],
-                                     var)
-            lea_val = sbar_eval(cut.lea, [freq[i] for i in cut.lea_at], var)
-            total.add(roo_val * lea_val)
-    value = -total.value()
+            roo_product, _ = _xi_product(cut.roo,
+                                         [freq[i] for i in cut.roo_at])
+            total += sbar_eval(cut.lea,
+                               [freq[i] for i in cut.lea_at]) / roo_product
+    value = -total
     if len(_SBAR_MEMO) >= _SBAR_MEMO_CAP:
         _SBAR_MEMO.clear()
     _SBAR_MEMO[key] = value
     return value
 
 
+def _sector_cuts(terms):
+    """The cuts of every forest of a LinComb, merged: one
+    ((roo, roo_at, lea, lea_at), coefficient) pair per distinct cut,
+    those whose coefficients cancel left out."""
+    merged = {}
+    get = merged.get
+    for f, c in terms.items():
+        for cut in ordered_cuts(f):
+            key = (cut.roo, cut.roo_at, cut.lea, cut.lea_at)
+            prev = get(key)
+            merged[key] = c if prev is None else prev + c
+    return [(key, c) for key, c in merged.items() if c]
+
+
 def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
     """J along the forest route: per sector, phi^hi on Roo and the
     antipode evaluation phi^lo on Lea, summed over cuts of T^sigma.
-    The cuts of a sector are found once and serve all of its atoms."""
-    if len(word) == 0:
+
+    The cuts of a sector are merged once and serve all of its atoms.
+    Against one atom every cut is (-i)^n times a rational times
+    exp(i(Xi_Roo hi + (Xi - Xi_Roo) lo)), so the rationals are summed
+    per Xi_Roo and each phase gives one term."""
+    n = len(word)
+    if n == 0:
         return FreqExp.one()
-    total = Accumulator(FreqExp.zero())
+    k_hi, k_lo = FREQ_VARS.index(hi), FREQ_VARS.index(lo)
+    turn = GR_MINUS_I ** n
+    out = {}
+    get = out.get
     for sigma, piece in split_measure(word_measure(path, word)).pieces.items():
-        cuts = [(c, cut) for f, c in t_sigma(sigma, bound).items()
-                for cut in ordered_cuts(f)]
+        cuts = _sector_cuts(t_sigma(sigma, bound))
         for freq, amp in piece.terms.items():
-            for c, cut in cuts:
-                roo_val = skeleton_value(cut.roo,
-                                         [freq[i] for i in cut.roo_at], hi)
-                lea_val = sbar_eval(cut.lea, [freq[i] for i in cut.lea_at],
-                                    lo)
-                total.add(roo_val * lea_val, amp * c)
-    return total.value()
+            by_roo = {}
+            for (roo, roo_at, lea, lea_at), c in cuts:
+                product, xi_roo = _xi_product(roo, [freq[i] for i in roo_at])
+                q = c * sbar_eval(lea, [freq[i] for i in lea_at]) / product
+                prev = by_roo.get(xi_roo)
+                by_roo[xi_roo] = q if prev is None else prev + q
+            xi = sum(freq, _ZERO)
+            amp = amp * turn
+            for xi_roo, q in by_roo.items():
+                phase = [_ZERO, _ZERO, _ZERO]
+                phase[k_hi] = xi_roo
+                phase[k_lo] += xi - xi_roo
+                phase = tuple(phase)
+                term = amp * q
+                prev = get(phase)
+                out[phase] = term if prev is None else prev + term
+    return _freqexp(out)
 
 
 def chi_character(path, var="t", bound=DEFAULT_BOUND):

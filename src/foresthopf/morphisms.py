@@ -27,7 +27,7 @@ from .errors import BoundExceededError
 from .words import _word
 from .perms import DecoratedPerm, all_perms, standardize, shuffles
 from .forests import (
-    OrderedForest, _ordered, act, linear_extensions, heap_order_lift,
+    _ordered, act, linear_extensions, heap_order_lift,
     enumerate_heap_ordered,
 )
 from .hopf import HeapOrdered, FQSym, ho_coproduct, tensor
@@ -121,17 +121,17 @@ class ThetaMatrix:
         if cached is not None:
             return cached
         residual = {sigma.word: 1}
-        result = []
+        result = {}
         for word, f, lower in self._descending:
             c = residual.pop(word, 0)
             if not c:
                 continue
-            result.append((f, c))
+            result[f] = _SIGN.get(c) or Fraction(c)
             for other in lower:
                 residual[other] = residual.get(other, 0) - c
         if any(residual.values()):
             raise AssertionError("back substitution left a residual")
-        lc = LinComb(result)
+        lc = _lincomb(result)
         self._inverse_columns[sigma] = lc
         return lc
 
@@ -236,8 +236,17 @@ def decorate_by_order(terms, letters, n):
     letters = tuple(letters)
     if len(letters) != n:
         raise ValueError("decoration length must match the permutation size")
-    return LinComb((OrderedForest(f.parent, letters).to_plain(), c)
-                   for f, c in terms.items())
+    letters = tuple([int(x) for x in letters])
+    if any(x < 1 for x in letters):
+        raise ValueError("decoration out of range")
+    # forgetting the orders can merge forests
+    out = {}
+    get = out.get
+    for f, c in terms.items():
+        plain = _ordered(f.parent, letters).to_plain()
+        prev = get(plain)
+        out[plain] = c if prev is None else prev + c
+    return _lincomb(out)
 
 
 def t_sigma_decorated(sigma, letters, bound=DEFAULT_BOUND):

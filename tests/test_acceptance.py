@@ -214,7 +214,7 @@ def test_criterion_7_fourier_normal_ordering():
     chi_char = Character(Shuffle(2), lambda w: chi(path, w),
                          FreqExp.one(), name="chi")
     failures = validate_character(chi_char, 4)
-    for n in range(1, 4):
+    for n in range(1, 6):
         for letters in itertools.product((1, 2), repeat=n):
             w = Word(letters)
             left = j_character(path, w)
@@ -231,7 +231,7 @@ def test_criterion_7_fourier_normal_ordering():
     for bad in sector_sweep(cases=100, max_n=4, seed=20260816):
         failures.append(bad)
     _verdict(7, "Fourier normal ordering: chi character law, both J "
-             "routes, J Chen, seeded sector sweep",
+             "routes and J Chen to length 5, seeded sector sweep",
              failures, time.monotonic() - start, budget=120.0)
 
 

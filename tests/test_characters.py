@@ -7,6 +7,8 @@ frozen here.
 
 import pytest
 
+from memo_check import check_bounded_memo
+from foresthopf import characters
 from foresthopf.coeffs import MultiPoly, LinComb
 from foresthopf.errors import ParseError
 from foresthopf.words import Word, all_words
@@ -176,6 +178,11 @@ class TestCharacterPlumbing:
         I = iter_int_char(path, Shuffle(2))
         lc = LinComb([(Word((1,)), 2), (Word((2,)), -1)])
         assert I.eval_lin(lc) == 2 * I(Word((1,))) - I(Word((2,)))
+
+    def test_bounded_word_integral_memo(self, monkeypatch, path):
+        words = [w for n in range(0, 4) for w in all_words(n, 2)]
+        check_bounded_memo(monkeypatch, characters, "_WORD_INTEGRAL_MEMO",
+                           lambda w: iter_int_word(path, w), words)
 
     def test_mismatched_convolution(self, path):
         from foresthopf.errors import StructureMismatchError

@@ -11,18 +11,19 @@ import random
 
 import pytest
 
+from memo_check import check_bounded_memo
 from foresthopf.coeffs import GaussianRational, GR_ONE, GR_I, FreqExp
 from foresthopf.errors import (ParseError, MagnitudeTieError,
-                               SingularAtomError)
+                               SingularAtomError, BoundExceededError)
 from foresthopf.words import Word, all_words
 from foresthopf.perms import Perm, all_perms
 from foresthopf import fourier
 from foresthopf.forests import (OrderedForest, linear_extensions,
-                                enumerate_heap_ordered)
+                                enumerate_heap_ordered, ordered_cuts)
 from foresthopf.hopf import sh_product
 from foresthopf.fourier import (
     TrigPath, FourierAtom, AtomMeasure, word_measure, sector_of,
-    split_measure, skeleton_value, e18_closed_form,
+    split_measure, skeleton_value, e18_closed_form, sbar_eval,
     chi, j_convolution, j_character, rough_path_J,
     phi_multiplicativity_check, e28_check, e22_check, musigma_check,
     converse_check, random_atom, random_measure, sector_sweep, GR_MINUS_I,
@@ -202,6 +203,40 @@ class TestSkeletonRoutes:
                 e18_closed_form(f, atom)
 
 
+def _sbar_reference(forest, freq, var):
+    """The antipode evaluation as an exponential sum, by the recursion
+    S(F) = -F - sum over proper cuts Roo S(Lea)."""
+    if forest.n == 0:
+        return FreqExp.one()
+    total = skeleton_value(forest, freq, var)
+    for cut in ordered_cuts(forest):
+        if cut.roo.n and cut.lea.n:
+            total = total + (
+                skeleton_value(cut.roo, [freq[i] for i in cut.roo_at], var)
+                * _sbar_reference(cut.lea, [freq[i] for i in cut.lea_at],
+                                  var))
+    return -total
+
+
+class TestSbarEval:
+    """The rational antipode evaluation against the exponential-sum
+    recursion it replaces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_heap_ordered_forest(self, n):
+        rng = random.Random(2000 + n)
+        for f in enumerate_heap_ordered(n, 1):
+            freq = _nonresonant_atom(rng, n).freq
+            xi = sum(freq)
+            for var in ("t", "s"):
+                assert fourier._skeleton_term(n, sbar_eval(f, freq), xi,
+                                              var) \
+                    == _sbar_reference(f, freq, var), (f, freq)
+
+    def test_empty_forest(self):
+        assert sbar_eval(OrderedForest((), ()), ()) == 1
+
+
 class TestChi:
     def test_frozen_values(self, path):
         assert str(chi(path, Word.parse("a"))) == "(-i)·exp(i(1·t))"
@@ -269,29 +304,52 @@ class TestJ:
         with pytest.raises(SingularAtomError):
             chi(p, Word((1, 2, 3)))
 
+    @pytest.mark.parametrize("hi, lo", [("t", "t"), ("u", "s"), ("s", "t")])
+    def test_routes_agree_in_other_variables(self, hi, lo):
+        p = TrigPath.parse("1: 1@1, 1/2@-7/11\n2: 1@2, -i@5")
+        for n in range(1, 4):
+            for w in all_words(n, 2):
+                assert j_convolution(p, w, hi, lo) \
+                    == j_character(p, w, hi, lo), w
+
+    def test_equal_times_vanish(self, path):
+        # J from a time to itself is the counit
+        for w in all_words(3, 2):
+            assert j_convolution(path, w, "t", "t") == FreqExp.zero()
+
+    def test_resonant_atom_text(self):
+        # Xi at the root is 1 + 2 - 3 = 0; the error repeats exactly,
+        # since no memo keeps a failed evaluation
+        p = TrigPath.parse("1: 1@1\n2: 1@2\n3: 1@-3")
+        text = "frequency sum vanishes at vertex 1 of 1:1[2:1[3:1]]"
+        for _ in range(2):
+            with pytest.raises(SingularAtomError) as info:
+                j_convolution(p, Word((1, 2, 3)))
+            assert str(info.value) == text
+        for _ in range(2):
+            with pytest.raises(SingularAtomError) as info:
+                j_convolution(p, Word((1, 3, 2)))
+            assert str(info.value) \
+                == "frequency sum vanishes at vertex 1 of 1:1[2:1,3:1]"
+
+    def test_chi_bound_after_memo(self, path):
+        w = Word((1, 2, 1))
+        value = chi(path, w, bound=3)
+        assert chi(path, w, bound=3) is value
+        with pytest.raises(BoundExceededError):
+            chi(path, w, bound=2)
+
     def test_bounded_sbar_memo(self, monkeypatch):
         p = TrigPath.parse("1: 1@1, 1/2@-7/11\n2: 1@2, -i@5")
         words = [w for n in range(1, 4) for w in all_words(n, 2)]
-        fourier._SBAR_MEMO.clear()
-        expected = [j_convolution(p, w) for w in words]
+        check_bounded_memo(monkeypatch, fourier, "_SBAR_MEMO",
+                           lambda w: j_convolution(p, w), words)
 
-        class Recorder(dict):
-            peak = 0
-            clears = 0
-
-            def __setitem__(self, key, value):
-                super().__setitem__(key, value)
-                Recorder.peak = max(Recorder.peak, len(self))
-
-            def clear(self):
-                Recorder.clears += 1
-                super().clear()
-
-        monkeypatch.setattr(fourier, "_SBAR_MEMO", Recorder())
-        monkeypatch.setattr(fourier, "_SBAR_MEMO_CAP", 5)
-        assert [j_convolution(p, w) for w in words] == expected
-        assert Recorder.peak == 5
-        assert Recorder.clears > 0
+    def test_bounded_chi_memo(self, monkeypatch):
+        p = TrigPath.parse("1: 1@1, 1/2@-7/11\n2: 1@2, -i@5")
+        words = [w for n in range(1, 4) for w in all_words(n, 2)]
+        check_bounded_memo(monkeypatch, fourier, "_CHI_MEMO",
+                           lambda w: j_character(p, w), words)
 
 
 class TestIdentities:

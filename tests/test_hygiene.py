@@ -1,7 +1,10 @@
-"""Source hygiene: every module uses each name it imports.
+"""Source hygiene: every module uses each name it imports, and every
+library memo is bounded.
 
-Package ``__init__`` modules are skipped, since they import to
-re-export; ``from __future__`` imports are compiler directives.
+Package ``__init__`` modules are skipped by the import check, since they
+import to re-export; ``from __future__`` imports are compiler
+directives.  A memo is a module-level name ending in ``_MEMO``; it is
+bounded when the same module sets ``<NAME>_CAP`` to an integer constant.
 """
 
 import ast
@@ -12,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in (ROOT / "src" / "foresthopf", ROOT / "tests")
                  for p in d.glob("*.py") if p.name != "__init__.py")
+LIBRARY = sorted((ROOT / "src" / "foresthopf").glob("*.py"))
 
 
 def unused_imports(source):
@@ -38,3 +42,59 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _module_values(tree):
+    """The values bound to plain names at module level."""
+    values = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                values[target.id] = node.value
+    return values
+
+
+def _is_int_constant(node):
+    """An expression of integer literals and arithmetic operators only."""
+    if node is None:
+        return False
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant):
+            if type(sub.value) is not int:
+                return False
+        elif not isinstance(sub, (ast.BinOp, ast.UnaryOp, ast.operator,
+                                  ast.unaryop)):
+            return False
+    return True
+
+
+def memos(source):
+    """(memo names, those without an integer <NAME>_CAP) of a module."""
+    values = _module_values(ast.parse(source))
+    names = sorted(name for name in values if name.endswith("_MEMO"))
+    return names, [name for name in names
+                   if not _is_int_constant(values.get(name + "_CAP"))]
+
+
+def test_guard_sees_an_unbounded_memo():
+    source = ("_A_MEMO = {}\n_A_MEMO_CAP = 1 << 4\n_B_MEMO = {}\n"
+              "_C_MEMO = {}\n_C_MEMO_CAP = LIMIT\n_D_MEMO: dict = {}\n"
+              "_D_MEMO_CAP = '9'\n")
+    assert memos(source) == (["_A_MEMO", "_B_MEMO", "_C_MEMO", "_D_MEMO"],
+                             ["_B_MEMO", "_C_MEMO", "_D_MEMO"])
+
+
+def test_guard_sees_the_library_memos():
+    found = {name for path in LIBRARY for name in memos(path.read_text())[0]}
+    assert {"_SBAR_MEMO", "_CHI_MEMO", "_WORD_INTEGRAL_MEMO"} <= found
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_every_memo_is_bounded(path):
+    assert memos(path.read_text())[1] == []

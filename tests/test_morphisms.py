@@ -154,6 +154,27 @@ class TestClosedFormAgainstMatrix:
                     assert t_sigma_decorated(sigma, letters) == expected, \
                         (sigma, letters)
 
+    def test_decorate_by_order_sums_merged_forests(self):
+        # with repeated letters, distinct ordered forests can forget to
+        # one plain forest, and their coefficients add
+        merged = False
+        for sigma in all_perms(4):
+            terms = t_sigma(sigma)
+            for letters in [(1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 1, 3)]:
+                expected = LinComb(
+                    (OrderedForest(f.parent, letters).to_plain(), c)
+                    for f, c in terms.items())
+                assert decorate_by_order(terms, letters, 4) == expected
+                merged |= len(expected) < len(terms)
+        assert merged
+
+    def test_decorate_by_order_refuses_bad_letters(self):
+        terms = t_sigma(Perm.parse("21"))
+        with pytest.raises(ValueError, match="decoration out of range"):
+            decorate_by_order(terms, (0, 1), 2)
+        with pytest.raises(ValueError, match="must match the permutation"):
+            decorate_by_order(terms, (1,), 2)
+
     def test_heap_order_lift_is_first_lift(self):
         for n in range(6):
             for f in enumerate_plain_forests(n, 2):
