@@ -17,15 +17,19 @@ hashing and truth once, on Accumulator: the one in-place sum of
 scalar * value into one dict.
 
 Every value is clean: each rational part, coefficient and frequency is
-a Fraction, every key of a MultiPoly or FreqExp has the arity of its
-space (the variable tuple, or (t, u, s)), a LinComb's keys are any
-hashable basis objects, and no stored term is zero.  Each type has one
+a Fraction (a LinComb coefficient is an int until a division happens,
+that is until a Fraction scalar or summand meets it; equal int and
+Fraction values compare, hash and print the same), every key of a
+MultiPoly or FreqExp has the arity of its space (the variable tuple,
+or (t, u, s)), a LinComb's keys are any hashable basis objects, and no
+stored term is zero.  Each type has one
 public constructor, which establishes this from arbitrary input and
 sums repeated keys.  Arithmetic on clean values yields clean parts, so
 results are built by the private constructors _gaussian, _poly,
 _freqexp and _lincomb, which check nothing and only drop the terms
 that cancelled.  _unit_sum builds the LinComb of a sum of basis
-objects, each with coefficient 1, through _lincomb.
+objects, each with coefficient 1, through _lincomb: its coefficients are
+the ints that count the objects.
 """
 
 from __future__ import annotations
@@ -56,6 +60,12 @@ def _as_fraction(x):
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _as_coeff(x):
+    """A LinComb coefficient: an int stays an int, and anything else is
+    made a Fraction as by _as_fraction."""
+    return int(x) if isinstance(x, int) else _as_fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +718,9 @@ def _basis_key(b):
 
 
 class LinComb(SparseSum):
-    """Finite linear combination of hashable basis objects over Fraction.
+    """Finite linear combination of hashable basis objects over the
+    rationals: a coefficient is an int until a division makes it a
+    Fraction.
 
     The zero combination has no terms.  Basis objects are expected to be
     canonical: equality of combinations is coefficient-wise equality of
@@ -719,7 +731,7 @@ class LinComb(SparseSum):
     __slots__ = ()
 
     def __init__(self, terms=None):
-        _set_terms(self, _merged((b, _as_fraction(c))
+        _set_terms(self, _merged((b, _as_coeff(c))
                                  for b, c in _pairs(terms)))
 
     @classmethod
@@ -728,7 +740,7 @@ class LinComb(SparseSum):
 
     @classmethod
     def of(cls, basis, coeff=1):
-        return _lincomb({basis: _as_fraction(coeff)})
+        return _lincomb({basis: _as_coeff(coeff)})
 
     _SCALARS = (int, Fraction)
 
@@ -744,7 +756,7 @@ class LinComb(SparseSum):
         return x if isinstance(x, LinComb) else None
 
     def __mul__(self, scalar):
-        c = _as_fraction(scalar)
+        c = _as_coeff(scalar)
         return _lincomb({b: v * c for b, v in self.terms.items()})
 
     __rmul__ = __mul__
@@ -759,7 +771,7 @@ class LinComb(SparseSum):
         return sorted(self.terms.items(), key=lambda item: _basis_key(item[0]))
 
     def coeff(self, basis):
-        return self.terms.get(basis, Fraction(0))
+        return self.terms.get(basis, 0)
 
     def support(self):
         return set(self.terms)
@@ -785,8 +797,8 @@ class LinComb(SparseSum):
 
 
 def _lincomb(terms):
-    """Trusted constructor: coefficients are Fraction.  Takes ownership
-    of the terms dict and drops its zero coefficients."""
+    """Trusted constructor: coefficients are int or Fraction.  Takes
+    ownership of the terms dict and drops its zero coefficients."""
     v = _new(LinComb)
     _set_terms(v, _drop_zeros(terms))
     return v
@@ -800,5 +812,4 @@ def _unit_sum(keys):
     get = counts.get
     for key in keys:
         counts[key] = get(key, 0) + 1
-    return _lincomb({key: _ONE if k == 1 else Fraction(k)
-                     for key, k in counts.items()})
+    return _lincomb(counts)

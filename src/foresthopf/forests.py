@@ -23,7 +23,9 @@ parent must already be a tuple of ints in 0..n, acyclic and with no
 self-parent, and dec a tuple of n positive ints.  Products, restrictions,
 relabelings, heap lifts and the enumerations are forests by
 construction, so they are built through _ordered.  OrderedForest,
-PlainTree and PlainForest store their hash once, in a slot.
+PlainTree and PlainForest store their hash once, in a slot.  The
+children tuple of an OrderedForest is built from parent on first read
+and kept in a slot: many forests are only hashed and compared.
 """
 
 from __future__ import annotations
@@ -221,7 +223,7 @@ class OrderedForest:
     decoration.  Equality is literal: the order matters.
     """
 
-    __slots__ = ("parent", "dec", "n", "children", "_hash")
+    __slots__ = ("parent", "dec", "n", "_children", "_hash")
 
     def __init__(self, parent, dec=None):
         parent = tuple(int(p) for p in parent)
@@ -283,6 +285,21 @@ class OrderedForest:
             raise ParseError(str(exc)) from exc
 
     # -- structure ----------------------------------------------------------
+
+    @property
+    def children(self):
+        """children[v] lists the children of vertex v in increasing
+        order, children[0] the roots; built on first read."""
+        try:
+            return self._children
+        except AttributeError:
+            pass
+        children = [[] for _ in range(self.n + 1)]
+        for i, p in enumerate(self.parent, start=1):
+            children[p].append(i)
+        children = tuple(map(tuple, children))
+        _set_children(self, children)
+        return children
 
     @property
     def roots(self):
@@ -357,21 +374,16 @@ _new = object.__new__
 _set_parent = OrderedForest.parent.__set__
 _set_dec = OrderedForest.dec.__set__
 _set_n = OrderedForest.n.__set__
-_set_children = OrderedForest.children.__set__
+_set_children = OrderedForest._children.__set__
 _set_hash = OrderedForest._hash.__set__
 
 
 def _fill(forest, parent, dec):
-    """Set every slot of an OrderedForest from valid parent and dec
-    tuples: the children lists and the hash are derived here."""
-    n = len(parent)
-    children = [[] for _ in range(n + 1)]
-    for i, p in enumerate(parent, start=1):
-        children[p].append(i)
+    """Set the slots of an OrderedForest from valid parent and dec
+    tuples, the hash derived here; children waits for its first read."""
     _set_parent(forest, parent)
     _set_dec(forest, dec)
-    _set_n(forest, n)
-    _set_children(forest, tuple(map(tuple, children)))
+    _set_n(forest, len(parent))
     _set_hash(forest, hash(("OrderedForest", parent, dec)))
 
 

@@ -10,7 +10,9 @@ multiplies, co-multiplies and tensors linear combinations through them.
 Where one side is a single basis element (the antipode recursion and
 check_antipode), the other side's terms are multiplied by it directly.
 Products and coproducts on the basis are sums of basis objects with
-coefficient 1, built by coeffs._unit_sum.
+coefficient 1, built by coeffs._unit_sum (a forest product, one basis
+object, directly by _lincomb), so their coefficients are ints, as are
+the antipodes' and the counit's.
 
 Antipodes: the shuffle algebra has its closed reversal formula; every
 other structure, the forest algebra included, uses the generic
@@ -20,7 +22,7 @@ terms of the memoized coproduct.
 
 from __future__ import annotations
 
-from .coeffs import LinComb, Accumulator, _lincomb, _unit_sum, _ONE, _ZERO
+from .coeffs import LinComb, Accumulator, _lincomb, _unit_sum
 from .errors import StructureMismatchError
 from .words import _word, EMPTY_WORD, all_words
 from .perms import Perm, DecoratedPerm, all_perms, interleavings
@@ -108,7 +110,7 @@ class HopfStructure:
         raise NotImplementedError
 
     def counit(self, b):
-        return _ONE if self.degree(b) == 0 else _ZERO
+        return 1 if self.degree(b) == 0 else 0
 
     def antipode(self, b):
         """Generic graded-connected recursion, memoized per structure."""
@@ -192,7 +194,7 @@ class CKForests(HopfStructure):
 
     def product(self, b1, b2):
         """Disjoint union of plain forests (canonical, commutative)."""
-        return _unit_sum((b1 * b2,))
+        return _lincomb({b1 * b2: 1})
 
     def _coproduct(self, b):
         return ck_coproduct(b)
@@ -212,7 +214,7 @@ class Ordered(HopfStructure):
 
     def product(self, b1, b2):
         """Order-shifting concatenation of ordered forests."""
-        return _unit_sum((b1 * b2,))
+        return _lincomb({b1 * b2: 1})
 
     def _coproduct(self, b):
         return ho_coproduct(b)

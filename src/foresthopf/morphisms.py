@@ -18,7 +18,6 @@ closed form, by back substitution.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import product as _iproduct
 from math import factorial, prod
 
@@ -33,8 +32,6 @@ from .forests import (
 from .hopf import HeapOrdered, FQSym, ho_coproduct, tensor
 
 DEFAULT_BOUND = 6
-
-_SIGN = {1: Fraction(1), -1: Fraction(-1)}
 
 
 def theta(forest):
@@ -126,7 +123,7 @@ class ThetaMatrix:
             c = residual.pop(word, 0)
             if not c:
                 continue
-            result[f] = _SIGN.get(c) or Fraction(c)
+            result[f] = c
             for other in lower:
                 residual[other] = residual.get(other, 0) - c
         if any(residual.values()):
@@ -138,7 +135,7 @@ class ThetaMatrix:
     def inverse_matrix(self):
         """Row F, column sigma: coefficient of F in theta^{-1}(sigma)."""
         row_of = {f: i for i, f in enumerate(self.forests)}
-        rows = [[Fraction(0)] * len(self.perms) for _ in self.forests]
+        rows = [[0] * len(self.perms) for _ in self.forests]
         for j, sigma in enumerate(self.perms):
             for f, c in self.inverse_column(sigma).items():
                 rows[row_of[f]][j] = c
@@ -214,7 +211,7 @@ def _simplex_expansion(sigma):
                        else [(below, 1), (above, -1)])
     ones = (1,) * sigma.n
     return _lincomb({_ordered(tuple([p for p, _ in picked]), ones):
-                     _SIGN[prod([s for _, s in picked])]
+                     prod([s for _, s in picked])
                      for picked in _iproduct(*choices)})
 
 

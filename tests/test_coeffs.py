@@ -7,6 +7,10 @@ from foresthopf.coeffs import (GaussianRational, GR_ZERO, GR_ONE, GR_I,
                                parse_gaussian, MultiPoly, FreqExp, LinComb,
                                Accumulator)
 from foresthopf.errors import ParseError
+from foresthopf.forests import enumerate_heap_ordered
+from foresthopf.hopf import STRUCTURES
+from foresthopf.morphisms import ThetaMatrix, theta, theta_dec, t_sigma
+from foresthopf.perms import all_perms
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10)
@@ -126,13 +130,15 @@ class TestFreqExp:
 
 
 def assert_clean(value):
-    """The invariant every value of coeffs keeps: Fraction parts, keys of
-    the right arity, no stored zero term."""
+    """The invariant every value of coeffs keeps: Fraction parts (int or
+    Fraction for a LinComb coefficient), keys of the right arity, no
+    stored zero term."""
     if isinstance(value, GaussianRational):
         assert type(value.re) is Fraction and type(value.im) is Fraction
         return
     if isinstance(value, LinComb):
-        assert all(c and type(c) is Fraction for c in value.terms.values())
+        assert all(c and type(c) in (int, Fraction)
+                   for c in value.terms.values())
         return
     arity = len(value.vars) if isinstance(value, MultiPoly) else 3
     for key, c in value.terms.items():
@@ -299,3 +305,66 @@ class TestLinComb:
         assert str(lc) == "(12)+(21)"
         lc2 = LinComb.of(Perm((1, 2)), Fraction(1, 2)) - LinComb.of(Perm((2, 1)))
         assert str(lc2) == "1/2*(12)-(21)"
+
+
+def assert_int_coefficients(value):
+    assert_clean(value)
+    assert all(type(c) is int for c in value.terms.values()), value
+
+
+class TestIntCoefficients:
+    """The Hopf structure constants are integers, and so are the
+    coefficients the library stores for them: a LinComb coefficient
+    becomes a Fraction only when a division happens."""
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_basis_maps(self, name):
+        H = STRUCTURES[name](2)
+        layers = [H.basis(n) for n in range(4)]
+        for n, layer in enumerate(layers):
+            for b in layer:
+                assert_int_coefficients(H.coproduct(b))
+                assert_int_coefficients(H.antipode(b))
+                assert type(H.counit(b)) is int
+                for other in layers[:4 - n]:
+                    for b2 in other:
+                        assert_int_coefficients(H.product(b, b2))
+
+    def test_t_sigma(self):
+        for n in range(6):
+            for sigma in all_perms(n):
+                assert_int_coefficients(t_sigma(sigma))
+
+    def test_theta_and_its_inverse(self):
+        for n in range(5):
+            for f in enumerate_heap_ordered(n, 2):
+                assert_int_coefficients(theta(f))
+                assert_int_coefficients(theta_dec(f))
+        table = ThetaMatrix(4)
+        for sigma in table.perms:
+            assert_int_coefficients(table.inverse_column(sigma))
+
+    def test_a_division_makes_fractions(self):
+        a = LinComb.of("x") + LinComb.of("y", -3)
+        assert_int_coefficients(a * 2)
+        assert_int_coefficients(a - 2 * a)
+        for r in [a * Fraction(1, 2), LinComb.of("x") * Fraction(1, 2),
+                  LinComb.of("x", "1/2"), LinComb([("x", 1), ("x", "1/3")])]:
+            assert_clean(r)
+            assert all(type(c) is Fraction for c in r.terms.values()), r
+        mixed = a + LinComb.of("y", "1/3")
+        assert_clean(mixed)
+        assert type(mixed.coeff("x")) is int
+        assert type(mixed.coeff("y")) is Fraction
+        assert a * Fraction(1, 2) == LinComb([("x", "1/2"), ("y", "-3/2")])
+        assert hash(LinComb.of("x", Fraction(4, 2))) == hash(LinComb.of("x", 2))
+        assert str(LinComb.of("x", Fraction(-2))) == str(LinComb.of("x", -2))
+
+    def test_bad_coefficients_still_raise(self):
+        for bad in [0.5, None, 1j]:
+            with pytest.raises(TypeError, match="not an exact rational"):
+                LinComb.of("x", bad)
+            with pytest.raises(TypeError, match="not an exact rational"):
+                LinComb([("x", bad)])
+            with pytest.raises(TypeError, match="not an exact rational"):
+                LinComb.of("x") * bad

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from foresthopf.errors import ParseError
 from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import (
-    PlainForest, OrderedForest, EMPTY_PLAIN, EMPTY_ORDERED,
+    _ordered, PlainForest, OrderedForest, EMPTY_PLAIN, EMPTY_ORDERED,
     act, antichains, lea_vertices, ordered_cuts, plain_cuts,
     linear_extensions, extension_count, heap_order_lift, heap_order_lifts,
     enumerate_heap_ordered, enumerate_ordered,
@@ -249,14 +249,23 @@ class TestLifts:
                 assert Counter(heap_order_lifts(f)) == expected, f
 
 
+def eager_children(parent):
+    """children[v] of the forest with this parent tuple, computed
+    directly: the vertices whose parent is v, in increasing order."""
+    return tuple(tuple(i for i, p in enumerate(parent, start=1) if p == v)
+                 for v in range(len(parent) + 1))
+
+
 def assert_as_public(forest):
-    """forest equals, hashes like and has the children of the forest the
-    validating constructor builds from its fields."""
+    """forest equals, hashes like and has the children and roots of the
+    forest the validating constructor builds from its fields."""
     public = OrderedForest(forest.parent, forest.dec)
     assert forest == public, forest
     assert hash(forest) == hash(public), forest
     assert forest.n == public.n, forest
-    assert forest.children == public.children, forest
+    eager = eager_children(forest.parent)
+    assert forest.children == public.children == eager, forest
+    assert forest.roots == public.roots == eager[0], forest
 
 
 # every ordered forest up to degree 4 with two letters
@@ -309,6 +318,11 @@ class TestTrustedConstructor:
                 for f, _ in _simplex_expansion(sigma).items():
                     assert_as_public(f)
 
+    def test_trusted_fields(self):
+        for n in range(5):
+            for f in ORDERED_2[n]:
+                assert_as_public(_ordered(f.parent, f.dec))
+
     def test_plain_hash_follows_the_canonical_form(self):
         for text, same in [("1[3,2]", "1[2,3]"), ("2|1[2]", "1[2]|2"),
                            ("1[2[3],2]", "1[2,2[3]]")]:
@@ -320,6 +334,40 @@ class TestTrustedConstructor:
                 g = PlainForest(reversed(f.trees))
                 assert f == g and hash(f) == hash(g)
                 assert hash(f) == hash(heap_order_lift(f).to_plain())
+
+
+class TestLazyChildren:
+    """OrderedForest.children is built from parent on its first read."""
+
+    def test_unset_until_first_read(self):
+        for f in [OrderedForest((0, 1, 1), (1, 2, 1)),
+                  _ordered((2, 0, 2), (1, 1, 1)),
+                  OrderedForest.parse("1:1[2:1]") * OrderedForest.parse("1:2"),
+                  OrderedForest.parse("2:1[1:1,3:1]").restrict((1, 2)),
+                  act(Perm((3, 1, 2)), OrderedForest.parse("1:1[2:1]|3:1")),
+                  heap_order_lift(PlainForest.parse("1[2,2[1]]"))]:
+            with pytest.raises(AttributeError):
+                f._children
+            # hashing and comparing leave the children unbuilt
+            assert {f: 1}[_ordered(f.parent, f.dec)] == 1
+            with pytest.raises(AttributeError):
+                f._children
+            children = f.children
+            assert children == eager_children(f.parent)
+            assert f._children is children and f.children is children
+            assert f.roots is children[0]
+
+    def test_still_immutable(self):
+        f = OrderedForest.parse("1:1[2:1]")
+        for forest in (f, _ordered(f.parent, f.dec)):
+            with pytest.raises(AttributeError):
+                forest.children = ((), ())
+            assert forest.children == ((1,), (2,), ())
+            with pytest.raises(AttributeError):
+                forest.children = ((), ())
+            with pytest.raises(AttributeError):
+                forest._children = ((), ())
+            assert forest.children == ((1,), (2,), ())
 
 
 class TestPublicConstructorRejects:

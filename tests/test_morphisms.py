@@ -7,6 +7,7 @@ explicit diffs.
 """
 
 import itertools
+from math import prod
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,33 @@ class TestTSigma:
                 for f, c in t_sigma(sigma).items():
                     image += c * theta(f)
                 assert image == LinComb.of(sigma.inverse(), 1)
+
+    def test_counting_invariant(self):
+        """Summed over all sigma of degree n, T^sigma has (2n-1)!!
+        forests, and the sum of all their coefficients is 1.
+
+        Proof.  In the parent-choice expansion, vertex i has two parent
+        choices (signs +1 and -1) exactly when some earlier vertex has a
+        larger sigma-value, that is when sigma(i) is not a left-to-right
+        maximum of sigma; otherwise it has one (sign +1).  Distinct
+        choices give distinct parent tuples, so T^sigma has
+        2^(n - lrmax(sigma)) forests, and its coefficients sum to the
+        product over the vertices of the sum of their signs: 1 for a
+        maximum, 1 - 1 = 0 for a non-maximum.  The relative rank of
+        sigma(i) among sigma(1..i) takes each of its i values for equally
+        many sigma, independently over i, and sigma(i) is a maximum for
+        one of them, so sum_sigma x^lrmax(sigma) = x(x+1)...(x+n-1).  At
+        x = 1/2, times 2^n: sum_sigma 2^(n - lrmax) = 1*3*...*(2n-1) =
+        (2n-1)!!.  Only the identity has no non-maximum, so the
+        coefficient sums add up to 1."""
+        for n in range(8):
+            forests = total = 0
+            for sigma in all_perms(n):
+                lc = t_sigma(sigma, bound=n)
+                forests += len(lc)
+                total += sum(c for _, c in lc.items())
+            assert forests == prod(range(1, 2 * n, 2)), n
+            assert total == 1, n
 
     def test_bound_exceeded(self):
         with pytest.raises(BoundExceededError):
