@@ -31,10 +31,10 @@ from .characters import (Character, unit_character, convolve, char_inverse,
                          iter_int_tree, iter_int_char, tree_int_char,
                          chen_check, fubini_tsigma, fubini_matches_t_sigma)
 from .fourier import (TrigPath, FourierAtom, AtomMeasure, SectorSplit,
-                      sector_of, split_measure, word_measure,
-                      skeleton_value, e18_closed_form, chi, chi_character,
-                      chi_measure, rough_path_J, j_convolution, j_character,
-                      sector_sweep, converse_check)
+                      sector_of, split_measure, word_measure, chi,
+                      chi_character, chi_measure, rough_path_J,
+                      j_convolution, j_character, sector_sweep,
+                      converse_check)
 from .report import RunReport
 
 __version__ = "0.1.0"

@@ -84,6 +84,11 @@ def cmd_tsigma(args):
 
 
 def cmd_hopf_check(args):
+    # the fqsym basis is undecorated: a sweep with --d would check
+    # nothing decorated and still pass
+    if args.structure == "fqsym" and args.d != 1:
+        raise ParseError(f"fqsym has no decorations; use fqsym-dec for "
+                         f"--d {args.d}")
     H = get_structure(args.structure, args.d)
     report = RunReport(f"hopf-check {args.structure}")
     report.run(f"hopf axioms for {args.structure} up to degree {args.degree}"
@@ -306,9 +311,10 @@ def build_parser():
 
 
 # (argument, its name on the command line, least value it may take):
-# degrees and lengths count from 0, alphabets need at least one letter
+# degrees and lengths count from 0; alphabets need at least one letter,
+# and a sweep over no random case would pass without checking anything
 _LOWER_LIMITS = (("degree", "--degree", 0), ("n", "n", 0),
-                 ("jlen", "--jlen", 0), ("cases", "--cases", 0),
+                 ("jlen", "--jlen", 0), ("cases", "--cases", 1),
                  ("d", "--d", 1))
 
 

@@ -533,17 +533,6 @@ class MultiPoly(SparseSum):
             out[tuple(e)] = c
         return _poly(vars, out)
 
-    def eval(self, values):
-        """Evaluate at a dict name -> Fraction; returns a Fraction."""
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for name, k in zip(self.vars, exp):
-                if k:
-                    v *= _as_fraction(values[name]) ** k
-            total += v
-        return total
-
     # -- rendering -----------------------------------------------------------
 
     def _sorted_terms(self):
@@ -772,9 +761,6 @@ class LinComb(SparseSum):
 
     def coeff(self, basis):
         return self.terms.get(basis, 0)
-
-    def support(self):
-        return set(self.terms)
 
     def render(self, fmt=str):
         if not self.terms:

@@ -71,14 +71,7 @@ class PlainTree:
         return f"{self.dec}[{','.join(str(c) for c in self.children)}]"
 
     def __repr__(self):
-        return f"PlainTree.parse({str(self)!r})"
-
-    @staticmethod
-    def parse(text):
-        forest = PlainForest.parse(text)
-        if len(forest.trees) != 1:
-            raise ParseError(f"expected a single tree, got {text!r}")
-        return forest.trees[0]
+        return f"PlainForest.parse({str(self)!r}).trees[0]"
 
 
 class PlainForest:
@@ -514,17 +507,6 @@ def linear_extensions(forest):
 
     step()
     return out
-
-
-def extension_count(forest):
-    """|S_F| by the subtree-size product formula, n!/prod |subtree(v)|."""
-    n = forest.n
-    total = 1
-    for k in range(2, n + 1):
-        total *= k
-    for v in range(1, n + 1):
-        total //= 1 + len(forest.strictly_above(v))
-    return total
 
 
 def heap_order_lift(forest):

@@ -21,10 +21,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .coeffs import (GaussianRational, GR_ONE, FreqExp, FREQ_VARS, FREQ_ZERO,
-                     LinComb, SparseSum, Accumulator, parse_gaussian,
-                     _as_fraction, _gaussian, _freqexp, _drop_zeros, _merged,
-                     _new, _set_terms, _plus, _ZERO, _ONE)
+from .coeffs import (GaussianRational, GR_ONE, GR_I, FreqExp, FREQ_VARS,
+                     FREQ_ZERO, LinComb, SparseSum, Accumulator,
+                     parse_gaussian, _freqexp, _drop_zeros, _merged, _new,
+                     _set_terms, _plus, _ZERO, _ONE)
 from .errors import ParseError, SingularAtomError, MagnitudeTieError
 from .words import Path
 from .perms import Perm, all_perms, shuffles
@@ -34,6 +34,8 @@ from .hopf import Shuffle, HeapOrdered
 from .characters import Character, convolve, char_inverse
 
 GR_MINUS_I = GaussianRational(0, -1)
+# (-i)^n is _TURNS[n % 4]
+_TURNS = (GR_ONE, GR_MINUS_I, -GR_ONE, GR_I)
 
 
 # ---------------------------------------------------------------------------
@@ -249,68 +251,39 @@ def split_measure(mu):
 # ---------------------------------------------------------------------------
 
 def _xi_product(forest, freq):
-    """The product of the Xi_v over the vertices, and the sum of all
-    frequencies; raises on a vanishing Xi_v."""
-    children = forest.children
-    product = None
+    """The product of the Xi_v over the vertices of a heap-ordered
+    forest, and the sum of all frequencies.
 
-    def sub(v):
-        nonlocal product
-        total = freq[v - 1]
-        for child in children[v]:
-            total += sub(child)
-        if not total:
+    One pass over v = n, ..., 1: every vertex comes after its parent,
+    so Xi_v is complete when v is reached and is then added into its
+    parent's.  Raises on a vanishing Xi_v, and on a vertex whose parent
+    comes after it."""
+    parent = forest.parent
+    xi = list(freq)
+    product = None
+    total = _ZERO
+    for v in range(len(parent), 0, -1):
+        p = parent[v - 1]
+        if p >= v:
+            raise ValueError(f"{forest} is not heap-ordered")
+        x = xi[v - 1]
+        if not x:
             raise SingularAtomError(
                 f"frequency sum vanishes at vertex {v} of {forest}")
-        product = total if product is None else product * total
-        return total
-
-    total = _ZERO
-    for root in forest.roots:
-        total = _plus(total, sub(root))
+        product = x if product is None else product * x
+        if p:
+            xi[p - 1] += x
+        else:
+            total = _plus(total, x)
     return (_ONE if product is None else product), total
 
 
 def _skeleton_term(n, q, xi, var):
     """(-i)^n q exp(i xi var): the skeleton value of a degree-n forest
     whose vertex factors 1/(i Xi_v) multiply to (-i)^n q."""
-    r = n % 4
-    if r == 0:
-        coeff = _gaussian(q, _ZERO)
-    elif r == 1:
-        coeff = _gaussian(_ZERO, -q)
-    elif r == 2:
-        coeff = _gaussian(-q, _ZERO)
-    else:
-        coeff = _gaussian(_ZERO, q)
     k = FREQ_VARS.index(var)
-    return _freqexp({FREQ_ZERO[:k] + (xi,) + FREQ_ZERO[k + 1:]: coeff})
-
-
-def skeleton_value(forest, freq, var="t"):
-    """exp(i sum(freq) var) times the product of vertex factors."""
-    freq = tuple(map(_as_fraction, freq))
-    if len(freq) != forest.n:
-        raise ValueError("frequency vector must match the forest size")
-    product, xi = _xi_product(forest, freq)
-    return _skeleton_term(forest.n, 1 / product, xi, var)
-
-
-def e18_closed_form(forest, atom, var="t"):
-    """Closed form: amp exp(i sum var) / prod Xi_v, computed from the
-    partial order alone. Differs from the skeleton recursion by a
-    factor i^{-n}; kept as an independent cross-check route."""
-    denom = Fraction(1)
-    for v in range(1, forest.n + 1):
-        xi = atom.freq[v - 1]
-        for w in forest.strictly_above(v):
-            xi += atom.freq[w - 1]
-        if xi == 0:
-            raise SingularAtomError(
-                f"frequency sum vanishes at vertex {v} of {forest}")
-        denom *= xi
-    return FreqExp.exponential(var, sum(atom.freq, Fraction(0)),
-                               atom.amp / denom)
+    return _freqexp({FREQ_ZERO[:k] + (xi,) + FREQ_ZERO[k + 1:]:
+                     _TURNS[n % 4] * q})
 
 
 def phi_lin(lc, measure, var="t"):
@@ -438,7 +411,7 @@ def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
     if n == 0:
         return FreqExp.one()
     k_hi, k_lo = FREQ_VARS.index(hi), FREQ_VARS.index(lo)
-    turn = GR_MINUS_I ** n
+    turn = _TURNS[n % 4]
     out = {}
     get = out.get
     for sigma, piece in split_measure(word_measure(path, word)).pieces.items():

@@ -82,26 +82,22 @@ class ThetaMatrix:
         self.perms = all_perms(n)
         self.forests = enumerate_heap_ordered(n)
         self._extensions = {f: linear_extensions(f) for f in self.forests}
-        self._by_max = {}
+        by_max = {}
         for f, exts in self._extensions.items():
-            self._by_max[max(e.word for e in exts)] = f
-        if len(self._by_max) != factorial(n):
+            by_max[max(e.word for e in exts)] = f
+        if len(by_max) != factorial(n):
             raise AssertionError(f"max extension not bijective at n={n}")
         # back substitution visits the words from the largest down, each
         # with its forest and that forest's other extensions
         self._descending = []
-        for word in sorted(self._by_max, reverse=True):
-            f = self._by_max[word]
+        for word in sorted(by_max, reverse=True):
+            f = by_max[word]
             lower = [e.word for e in self._extensions[f] if e.word != word]
             self._descending.append((word, f, lower))
         self._inverse_columns = {}
 
     def extensions(self, forest):
         return self._extensions[forest]
-
-    def forest_with_max(self, sigma):
-        """The unique heap-ordered forest whose top extension is sigma."""
-        return self._by_max[sigma.word]
 
     def matrix(self):
         """Row sigma, column F: 1 when sigma is an extension of F."""

@@ -217,14 +217,6 @@ class DecoratedPerm:
         """Letter attached to the value v."""
         return self.bottom[self.perm.inverse()(v) - 1]
 
-    def ell_word(self):
-        """All letters by value, (ell(1),...,ell(n))."""
-        inv = self.perm.inverse()
-        return tuple(self.bottom[inv(v) - 1] for v in range(1, self.n + 1))
-
-    def undecorated(self):
-        return self.perm
-
     def __eq__(self, other):
         return (isinstance(other, DecoratedPerm)
                 and self.perm == other.perm and self.bottom == other.bottom)

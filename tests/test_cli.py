@@ -198,6 +198,9 @@ class TestExitCodes:
         ["square-check", "--degree", "-1"],
         ["fno", "verify", "--path", TRIG_FILE, "--degree", "1", "--jlen", "0",
          "--cases", "-3"],
+        ["fno", "verify", "--path", TRIG_FILE, "--degree", "1", "--jlen", "0",
+         "--cases", "0"],
+        ["hopf-check", "fqsym", "--d", "5", "--degree", "3"],
     ])
     def test_bad_value_exits_2(self, capsys, trig_file, argv):
         argv = [trig_file if a is TRIG_FILE else a for a in argv]

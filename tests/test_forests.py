@@ -10,11 +10,20 @@ from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import (
     _ordered, PlainForest, OrderedForest, EMPTY_PLAIN, EMPTY_ORDERED,
     act, antichains, lea_vertices, ordered_cuts, plain_cuts,
-    linear_extensions, extension_count, heap_order_lift, heap_order_lifts,
+    linear_extensions, heap_order_lift, heap_order_lifts,
     enumerate_heap_ordered, enumerate_ordered,
     enumerate_plain_trees, enumerate_plain_forests,
 )
 from foresthopf.morphisms import _simplex_expansion
+
+
+def extension_count(forest):
+    """|S_F| by the hook-length formula, n!/prod |subtree(v)|: the
+    reference count for linear_extensions."""
+    total = factorial(forest.n)
+    for v in range(1, forest.n + 1):
+        total //= 1 + len(forest.strictly_above(v))
+    return total
 
 
 def heap_forests(max_n=4):

@@ -12,19 +12,19 @@ import random
 import pytest
 
 from memo_check import check_bounded_memo
-from foresthopf.coeffs import GaussianRational, GR_ONE, GR_I, FreqExp
+from foresthopf.coeffs import GaussianRational, GR_ONE, GR_I, FreqExp, LinComb
 from foresthopf.errors import (ParseError, MagnitudeTieError,
                                SingularAtomError, BoundExceededError)
 from foresthopf.words import Word, all_words
 from foresthopf.perms import Perm, all_perms
 from foresthopf import fourier
-from foresthopf.forests import (OrderedForest, linear_extensions,
+from foresthopf.forests import (_ordered, OrderedForest, linear_extensions,
                                 enumerate_heap_ordered, ordered_cuts)
 from foresthopf.hopf import sh_product
 from foresthopf.fourier import (
     TrigPath, FourierAtom, AtomMeasure, word_measure, sector_of,
-    split_measure, skeleton_value, e18_closed_form, sbar_eval,
-    chi, j_convolution, j_character, rough_path_J,
+    split_measure, phi_lin, sbar_eval, chi, j_convolution, j_character,
+    rough_path_J,
     phi_multiplicativity_check, e28_check, e22_check, musigma_check,
     converse_check, random_atom, random_measure, sector_sweep, GR_MINUS_I,
 )
@@ -124,29 +124,53 @@ class TestSectors:
         assert split.piece(Perm((1, 2))).atoms == ()
 
 
+def one_atom_value(forest, freq, var="t"):
+    """The skeleton value of one forest against one unit atom:
+    exp(i sum(freq) var) times the product of the vertex factors."""
+    return phi_lin(LinComb.of(forest),
+                   AtomMeasure(forest.n, [FourierAtom(freq)]), var)
+
+
+def e18_closed_form(forest, atom, var="t"):
+    """Closed form: amp exp(i sum var) / prod Xi_v, computed from the
+    partial order alone. Differs from the skeleton recursion by a
+    factor i^{-n}; kept as an independent cross-check route."""
+    denom = Fraction(1)
+    for v in range(1, forest.n + 1):
+        xi = atom.freq[v - 1]
+        for w in forest.strictly_above(v):
+            xi += atom.freq[w - 1]
+        if xi == 0:
+            raise SingularAtomError(
+                f"frequency sum vanishes at vertex {v} of {forest}")
+        denom *= xi
+    return FreqExp.exponential(var, sum(atom.freq, Fraction(0)),
+                               atom.amp / denom)
+
+
 class TestSkeleton:
     def test_dot(self):
-        got = skeleton_value(OrderedForest.parse("1"), (Fraction(1),))
+        got = one_atom_value(OrderedForest.parse("1"), (Fraction(1),))
         assert got == freq_term("t", 1, 0, -1)
 
     def test_ladder(self):
-        got = skeleton_value(OrderedForest.parse("1[2]"),
+        got = one_atom_value(OrderedForest.parse("1[2]"),
                              (Fraction(1), Fraction(2)))
         assert got == freq_term("t", 3, Fraction(-1, 6))
 
     def test_cherry(self):
-        got = skeleton_value(OrderedForest.parse("1[2,3]"),
+        got = one_atom_value(OrderedForest.parse("1[2,3]"),
                              (Fraction(1), Fraction(2), Fraction(3)))
         assert got == freq_term("t", 6, 0, Fraction(1, 36))
 
     def test_forest_multiplies(self):
-        got = skeleton_value(OrderedForest.parse("1|2"),
+        got = one_atom_value(OrderedForest.parse("1|2"),
                              (Fraction(1), Fraction(2)))
         assert got == freq_term("t", 3, Fraction(-1, 2))
 
     def test_singular_vertex(self):
         with pytest.raises(SingularAtomError):
-            skeleton_value(OrderedForest.parse("1[2]"),
+            one_atom_value(OrderedForest.parse("1[2]"),
                            (Fraction(1), Fraction(-1)))
 
     def test_closed_form_ratio(self):
@@ -157,8 +181,32 @@ class TestSkeleton:
             n = f.n
             atom = FourierAtom(freqs[n])
             scale = GR_MINUS_I ** n
-            assert skeleton_value(f, atom.freq) \
+            assert one_atom_value(f, atom.freq) \
                 == scale * e18_closed_form(f, atom)
+
+    def test_not_heap_ordered(self):
+        # vertex 1 hangs below vertex 2: its parent comes after it
+        f = OrderedForest.parse("2:1[1:1]")
+        freq = (Fraction(1), Fraction(2))
+        with pytest.raises(ValueError, match="not heap-ordered"):
+            fourier._xi_product(f, freq)
+        with pytest.raises(ValueError, match="not heap-ordered"):
+            one_atom_value(f, freq)
+
+    def test_leaves_children_unbuilt(self):
+        f = _ordered((0, 1, 1, 0), (1, 1, 1, 1))
+        freq = tuple(map(Fraction, (1, 2, 4, 8)))
+        assert fourier._xi_product(f, freq) == (7 * 4 * 2 * 8, 15)
+        with pytest.raises(AttributeError):
+            f._children
+
+    def test_turns(self):
+        q = Fraction(-3, 7)
+        xi = Fraction(5, 2)
+        for n in range(8):
+            for var in ("t", "s"):
+                assert fourier._skeleton_term(n, q, xi, var) \
+                    == FreqExp.exponential(var, xi, GR_MINUS_I ** n * q), n
 
 
 def _nonresonant_atom(rng, n):
@@ -182,11 +230,11 @@ class TestSkeletonRoutes:
         for f in enumerate_heap_ordered(n, 1):
             for _ in range(2):
                 atom = _nonresonant_atom(rng, n)
-                assert skeleton_value(f, atom.freq) * atom.amp \
+                assert one_atom_value(f, atom.freq) * atom.amp \
                     == scale * e18_closed_form(f, atom), (f, atom)
 
     def test_integer_frequencies(self):
-        got = skeleton_value(OrderedForest.parse("1|2"), (1, 2))
+        got = one_atom_value(OrderedForest.parse("1|2"), (1, 2))
         assert got == freq_term("t", 3, Fraction(-1, 2))
         for key, c in got.terms.items():
             assert all(type(x) is Fraction for x in key)
@@ -198,24 +246,30 @@ class TestSkeletonRoutes:
         for text in ["1[2[3]]", "1[2,3]"]:
             f = OrderedForest.parse(text)
             with pytest.raises(SingularAtomError):
-                skeleton_value(f, atom.freq)
+                one_atom_value(f, atom.freq)
             with pytest.raises(SingularAtomError):
                 e18_closed_form(f, atom)
 
 
-def _sbar_reference(forest, freq, var):
+def _sbar_reference(forest, freq, var, memo):
     """The antipode evaluation as an exponential sum, by the recursion
-    S(F) = -F - sum over proper cuts Roo S(Lea)."""
+    S(F) = -F - sum over proper cuts Roo S(Lea); memo maps (forest,
+    freq, var) to the values already computed."""
     if forest.n == 0:
         return FreqExp.one()
-    total = skeleton_value(forest, freq, var)
+    freq = tuple(freq)
+    key = (forest, freq, var)
+    if key in memo:
+        return memo[key]
+    total = one_atom_value(forest, freq, var)
     for cut in ordered_cuts(forest):
         if cut.roo.n and cut.lea.n:
             total = total + (
-                skeleton_value(cut.roo, [freq[i] for i in cut.roo_at], var)
+                one_atom_value(cut.roo, [freq[i] for i in cut.roo_at], var)
                 * _sbar_reference(cut.lea, [freq[i] for i in cut.lea_at],
-                                  var))
-    return -total
+                                  var, memo))
+    memo[key] = -total
+    return memo[key]
 
 
 class TestSbarEval:
@@ -225,13 +279,14 @@ class TestSbarEval:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_heap_ordered_forest(self, n):
         rng = random.Random(2000 + n)
+        memo = {}
         for f in enumerate_heap_ordered(n, 1):
             freq = _nonresonant_atom(rng, n).freq
             xi = sum(freq)
             for var in ("t", "s"):
                 assert fourier._skeleton_term(n, sbar_eval(f, freq), xi,
                                               var) \
-                    == _sbar_reference(f, freq, var), (f, freq)
+                    == _sbar_reference(f, freq, var, memo), (f, freq)
 
     def test_empty_forest(self):
         assert sbar_eval(OrderedForest((), ()), ()) == 1
@@ -331,6 +386,17 @@ class TestJ:
                 j_convolution(p, Word((1, 3, 2)))
             assert str(info.value) \
                 == "frequency sum vanishes at vertex 1 of 1:1[2:1,3:1]"
+
+    def test_forest_route_names_the_vertex(self):
+        # `fno j` shows the character route's error, so the golden
+        # files do not reach these texts
+        p = TrigPath.parse("1: 1@1, 1@-2\n2: 1@3")
+        for text, vertex in [
+                ("aaaa", "vertex 2 of 1:1[2:1[3:1[4:1]]]"),
+                ("baaa", "vertex 1 of 1:1[2:1[3:1]]|4:1")]:
+            with pytest.raises(SingularAtomError) as info:
+                j_convolution(p, Word.parse(text))
+            assert str(info.value) == f"frequency sum vanishes at {vertex}"
 
     def test_chi_bound_after_memo(self, path):
         w = Word((1, 2, 1))

@@ -60,8 +60,9 @@ class TestThetaMatrix:
     def test_witness_bijection(self):
         for n in range(1, 6):
             tm = theta_inverse_table(n)
-            maxima = {tm.forest_with_max(p) for p in tm.perms}
-            assert len(maxima) == len(tm.perms)
+            maxima = {max(e.word for e in tm.extensions(f))
+                      for f in tm.forests}
+            assert len(maxima) == len(tm.forests) == len(tm.perms)
 
     def test_matrix_times_inverse(self):
         tm = theta_inverse_table(3)

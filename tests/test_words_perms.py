@@ -88,7 +88,7 @@ class TestDecoratedPerm:
         assert dp.bottom == (2, 1, 3)
         assert str(dp) == "(213;bac)"
         assert dp.ell(2) == 2
-        assert dp.ell_word() == (1, 2, 3)
+        assert tuple(dp.ell(v) for v in range(1, 4)) == (1, 2, 3)
 
     def test_parse(self):
         dp = DecoratedPerm.parse("(213;bac)")
@@ -96,10 +96,6 @@ class TestDecoratedPerm:
         assert dp.bottom == (2, 1, 3)
         with pytest.raises(ParseError):
             DecoratedPerm.parse("(21;abc)")
-
-    def test_undecorated(self):
-        dp = DecoratedPerm.parse("(12;ab)")
-        assert dp.undecorated() == Perm((1, 2))
 
 
 def assert_perm_as_public(p):
