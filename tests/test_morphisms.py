@@ -18,7 +18,7 @@ from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import (OrderedForest, PlainForest,
                                 enumerate_heap_ordered,
                                 enumerate_plain_forests,
-                                heap_order_lift, heap_order_lifts)
+                                heap_order_lift)
 from foresthopf.hopf import HeapOrdered, CKForests, tensor
 from foresthopf import morphisms
 from foresthopf.morphisms import (
@@ -33,6 +33,7 @@ from foresthopf.morphisms import (
 
 from frozen_tables import (THETA_TABLE, TSIGMA_TABLE, THETA_DEC_TABLE,
                            TSIGMA_DEC_TABLE, forest_comb, plain_comb)
+from test_forests import heap_order_lifts
 
 
 class TestTheta:
