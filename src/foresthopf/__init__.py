@@ -20,16 +20,14 @@ from .forests import (PlainTree, PlainForest, OrderedForest,
 from .fqsym import (fq_product, fq_coproduct, fq_product_dec,
                     fq_coproduct_dec, unique_factorization)
 from .hopf import (Shuffle, CKForests, Ordered, HeapOrdered, FQSym,
-                   FQSymDec, get_structure, hopf_axiom_sweep,
-                   sh_product, sh_coproduct, sh_antipode,
-                   ck_coproduct, ho_coproduct)
+                   FQSymDec, get_structure, hopf_axiom_sweep)
 from .morphisms import (theta, theta_dec, pi_ho, pi_sigma, theta_small,
                         ThetaMatrix, theta_inverse_table, t_sigma,
                         t_sigma_by_matrix, t_sigma_decorated, square_check)
-from .characters import (Character, unit_character, convolve, char_inverse,
+from .characters import (Character, convolve, char_inverse,
                          validate_character, PolyPath, iter_int_word,
-                         iter_int_tree, iter_int_char, tree_int_char,
-                         chen_check, fubini_tsigma, fubini_matches_t_sigma)
+                         iter_int_tree, iter_int_char, chen_check,
+                         fubini_tsigma, fubini_matches_t_sigma)
 from .fourier import (TrigPath, AtomMeasure, sector_of, split_measure,
                       word_measure, chi, chi_character, chi_measure,
                       rough_path_J, j_convolution, j_character, j_chen_check,

@@ -45,14 +45,6 @@ class Character:
         return total.value()
 
 
-def unit_character(structure, one, name="eta"):
-    def fn(b):
-        if structure.degree(b) == 0:
-            return one
-        return one - one
-    return Character(structure, fn, one, name=name)
-
-
 def convolve(phi, psi, name=None):
     """(phi * psi)(x) = sum phi(x') psi(x'') over the coproduct."""
     if not phi.structure.same_structure(psi.structure):
@@ -155,6 +147,31 @@ def _retime(poly_ts, hi, lo, vars=("t", "s")):
     return _poly(vars, out)
 
 
+def _integral_from_s(gamma, inner):
+    """The integral from s to t of gamma(x) inner(x, s) dx.
+
+    gamma is a path component in ("x",); inner and the result are in
+    ("t", "s").  With k = i + e + 1 the monomial t^i s^j times x^e
+    integrates to (t^k s^j - s^(k+j)) / k, so the products are summed
+    per key (k, j) first and each sum is divided once."""
+    sums = {}
+    get = sums.get
+    right = inner.terms.items()
+    for (e,), a in gamma.terms.items():
+        for (i, j), c in right:
+            key = (i + e + 1, j)
+            prev = get(key)
+            sums[key] = c * a if prev is None else prev + c * a
+    out = {}
+    low = out.get
+    for (k, j), c in sums.items():
+        q = c / k
+        out[k, j] = q
+        prev = low((0, k + j))
+        out[0, k + j] = -q if prev is None else prev - q
+    return _poly(("t", "s"), out)
+
+
 # Memo of iter_int_word, emptied when it holds _WORD_INTEGRAL_MEMO_CAP
 # entries, which at about 1.2 kB an entry (words up to length 6 over the
 # path (1, 2x)) keeps it near 5 MB.
@@ -172,12 +189,9 @@ def iter_int_word(path, word):
     cached = _WORD_INTEGRAL_MEMO.get(key)
     if cached is not None:
         return cached
-    inner = MultiPoly.one(("x", "s"))
+    value = MultiPoly.one(("t", "s"))
     for letter in reversed(word.letters):
-        gamma = path.component(letter).with_vars(("x", "s"))
-        h = (gamma * inner).antiderivative("x")
-        inner = h - h.subst_var("x", "s")
-    value = inner.rename_var("x", "t")
+        value = _integral_from_s(path.component(letter), value)
     if len(_WORD_INTEGRAL_MEMO) >= _WORD_INTEGRAL_MEMO_CAP:
         _WORD_INTEGRAL_MEMO.clear()
     _WORD_INTEGRAL_MEMO[key] = value
@@ -189,30 +203,22 @@ def iter_int_tree(path, forest):
     below their parent. Values in (t, s)."""
 
     def tree_factor(tree):
-        # value as a polynomial in (x, s): integral up to parent time x
-        gamma = path.component(tree.dec).with_vars(("x", "s"))
-        inner = MultiPoly.one(("x", "s"))
+        # the integral up to the parent's time, which takes the place of t
+        inner = MultiPoly.one(("t", "s"))
         for child in tree.children:
             inner = inner * tree_factor(child)
-        h = (gamma * inner).antiderivative("x")
-        return h - h.subst_var("x", "s")
+        return _integral_from_s(path.component(tree.dec), inner)
 
-    total = MultiPoly.one(("x", "s"))
+    total = MultiPoly.one(("t", "s"))
     for tree in forest.trees:
         total = total * tree_factor(tree)
-    return total.rename_var("x", "t")
+    return total
 
 
 def iter_int_char(path, structure):
     """The iterated-integral character on the shuffle structure."""
     return Character(structure, lambda w: iter_int_word(path, w),
                      MultiPoly.one(("t", "s")), name="I")
-
-
-def tree_int_char(path, structure):
-    """The skeleton-integral character on the forest structure."""
-    return Character(structure, lambda f: iter_int_tree(path, f),
-                     MultiPoly.one(("t", "s")), name="Itree")
 
 
 def tree_integral_factorization_check(path, forest):

@@ -129,7 +129,8 @@ class GaussianRational:
                 return _gaussian(-(b * d), a * d)
             return _gaussian(a * c - b * d, a * d + b * c)
         if isinstance(other, (int, Fraction)):
-            return _gaussian(self.re * other, self.im * other)
+            a, b = self.re, self.im
+            return _gaussian(a * other if a else a, b * other if b else b)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -144,7 +145,8 @@ class GaussianRational:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            return _gaussian(self.re / other, self.im / other)
+            a, b = self.re, self.im
+            return _gaussian(a / other if a else a, b / other if b else b)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -389,7 +391,7 @@ class MultiPoly(SparseSum):
 
     Terms map exponent tuples to nonzero coefficients.  The variable tuple
     is part of the value; mixing polynomials over different variable tuples
-    is an error (use with_vars to embed).
+    is an error.
     """
 
     __slots__ = ("vars",)
@@ -484,54 +486,6 @@ class MultiPoly(SparseSum):
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
-
-    # -- calculus and substitution ------------------------------------------
-
-    def antiderivative(self, name):
-        """Antiderivative in the named variable, zero constant term."""
-        i = self.vars.index(name)
-        out = {}
-        for exp, c in self.terms.items():
-            e = list(exp)
-            e[i] += 1
-            out[tuple(e)] = c / e[i]
-        return _poly(self.vars, out)
-
-    def subst_var(self, src, dst):
-        """Substitute variable src by variable dst (dst already declared)."""
-        i = self.vars.index(src)
-        j = self.vars.index(dst)
-        out = {}
-        get = out.get
-        for exp, c in self.terms.items():
-            e = list(exp)
-            e[j] += e[i]
-            e[i] = 0
-            key = tuple(e)
-            prev = get(key)
-            out[key] = c if prev is None else prev + c
-        return _poly(self.vars, out)
-
-    def rename_var(self, src, dst):
-        """Rename variable src to dst (dst must be fresh)."""
-        if dst in self.vars:
-            raise ValueError(f"{dst} already declared; use subst_var")
-        i = self.vars.index(src)
-        vars = list(self.vars)
-        vars[i] = dst
-        return _poly(tuple(vars), dict(self.terms))
-
-    def with_vars(self, vars):
-        """Embed into the polynomial ring over a larger variable tuple."""
-        vars = tuple(vars)
-        idx = [vars.index(v) for v in self.vars]
-        out = {}
-        for exp, c in self.terms.items():
-            e = [0] * len(vars)
-            for pos, k in zip(idx, exp):
-                e[pos] = k
-            out[tuple(e)] = c
-        return _poly(vars, out)
 
     # -- rendering -----------------------------------------------------------
 

@@ -34,36 +34,8 @@ from .forests import (
 
 
 # ---------------------------------------------------------------------------
-# Basis operations
+# Tensors
 # ---------------------------------------------------------------------------
-
-def sh_product(w1, w2):
-    """Shuffle product: all interleavings, equal words merged."""
-    return _unit_sum(_word(letters)
-                     for letters in interleavings(w1.letters, w2.letters))
-
-
-def sh_coproduct(w):
-    """Deconcatenation."""
-    letters = w.letters
-    return _unit_sum((_word(letters[:i]), _word(letters[i:]))
-                     for i in range(len(letters) + 1))
-
-
-def sh_antipode(w):
-    """(a_1...a_n) -> (-1)^n (a_n...a_1)."""
-    return LinComb.of(w.reverse(), (-1) ** len(w))
-
-
-def ck_coproduct(f):
-    """Sum over admissible cuts, Roo tensor Lea."""
-    return _unit_sum((cut.roo, cut.lea) for cut in plain_cuts(f))
-
-
-def ho_coproduct(f):
-    """Cuts with both parts carrying the standardized induced order."""
-    return _unit_sum((cut.roo, cut.lea) for cut in ordered_cuts(f))
-
 
 def tensor(a, b):
     """a (x) b: the LinComb over basis pairs (x, y) with coefficient
@@ -92,7 +64,8 @@ class HopfStructure:
         raise NotImplementedError
 
     def degree(self, b):
-        raise NotImplementedError
+        """Every basis type counts its letters, vertices or points as n."""
+        return b.n
 
     def product(self, b1, b2):
         raise NotImplementedError
@@ -167,17 +140,20 @@ class Shuffle(HopfStructure):
     def unit(self):
         return EMPTY_WORD
 
-    def degree(self, b):
-        return len(b)
-
     def product(self, b1, b2):
-        return sh_product(b1, b2)
+        """Shuffle product: all interleavings, equal words merged."""
+        return _unit_sum(_word(letters)
+                         for letters in interleavings(b1.letters, b2.letters))
 
     def _coproduct(self, b):
-        return sh_coproduct(b)
+        """Deconcatenation."""
+        letters = b.letters
+        return _unit_sum((_word(letters[:i]), _word(letters[i:]))
+                         for i in range(len(letters) + 1))
 
     def antipode(self, b):
-        return sh_antipode(b)
+        """(a_1...a_n) -> (-1)^n (a_n...a_1)."""
+        return LinComb.of(b.reverse(), (-1) ** len(b))
 
     def basis(self, n):
         return all_words(n, self.d)
@@ -189,15 +165,13 @@ class CKForests(HopfStructure):
     def unit(self):
         return EMPTY_PLAIN
 
-    def degree(self, b):
-        return b.n
-
     def product(self, b1, b2):
         """Disjoint union of plain forests (canonical, commutative)."""
         return _lincomb({b1 * b2: 1})
 
     def _coproduct(self, b):
-        return ck_coproduct(b)
+        """Sum over admissible cuts, Roo tensor Lea."""
+        return _unit_sum((cut.roo, cut.lea) for cut in plain_cuts(b))
 
     def basis(self, n):
         return enumerate_plain_forests(n, self.d)
@@ -209,15 +183,13 @@ class Ordered(HopfStructure):
     def unit(self):
         return EMPTY_ORDERED
 
-    def degree(self, b):
-        return b.n
-
     def product(self, b1, b2):
         """Order-shifting concatenation of ordered forests."""
         return _lincomb({b1 * b2: 1})
 
     def _coproduct(self, b):
-        return ho_coproduct(b)
+        """Cuts with both parts carrying the standardized induced order."""
+        return _unit_sum((cut.roo, cut.lea) for cut in ordered_cuts(b))
 
     def basis(self, n):
         return enumerate_ordered(n, self.d)
@@ -244,9 +216,6 @@ class FQSym(HopfStructure):
     def unit(self):
         return Perm(())
 
-    def degree(self, b):
-        return b.n
-
     def product(self, b1, b2):
         return fqsym.fq_product(b1, b2)
 
@@ -262,9 +231,6 @@ class FQSymDec(HopfStructure):
 
     def unit(self):
         return DecoratedPerm((), ())
-
-    def degree(self, b):
-        return b.n
 
     def product(self, b1, b2):
         return fqsym.fq_product_dec(b1, b2)

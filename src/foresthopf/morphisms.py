@@ -29,7 +29,7 @@ from .forests import (
     _ordered, act, linear_extensions, heap_order_lift,
     enumerate_heap_ordered,
 )
-from .hopf import HeapOrdered, FQSym, ho_coproduct, tensor
+from .hopf import HeapOrdered, FQSym, tensor
 
 DEFAULT_BOUND = 6
 
@@ -307,7 +307,7 @@ def theta_morphism_product_check(f1, f2):
 def theta_morphism_coproduct_check(f):
     """(theta x theta) Delta = Delta theta."""
     lhs = Accumulator(LinComb.zero())
-    for (roo, lea), c in ho_coproduct(f).items():
+    for (roo, lea), c in HeapOrdered().coproduct(f).items():
         lhs.add(tensor(theta(roo), theta(lea)), c)
     rhs = FQSym().coproduct_lin(theta(f))
     if lhs.value() != rhs:

@@ -133,6 +133,10 @@ class Word:
             text = text[1:-1]
         return cls(parse_letters(text))
 
+    @property
+    def n(self):
+        return len(self.letters)
+
     def __len__(self):
         return len(self.letters)
 

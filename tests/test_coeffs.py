@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from foresthopf.coeffs import (GaussianRational, GR_ZERO, GR_ONE, GR_I,
                                parse_gaussian, MultiPoly, FreqExp, LinComb,
                                Accumulator)
+from foresthopf.characters import _integral_from_s
 from foresthopf.errors import ParseError
 from foresthopf.forests import enumerate_heap_ordered
 from foresthopf.hopf import STRUCTURES
@@ -78,20 +79,6 @@ class TestMultiPoly:
         with pytest.raises(ValueError):
             t + s
 
-    def test_antiderivative_and_subst(self):
-        xs = ("x", "s")
-        x = MultiPoly.var(xs, "x")
-        h = (3 * x ** 2).antiderivative("x")
-        assert h == x ** 3
-        assert h.subst_var("x", "s") == MultiPoly.var(xs, "s") ** 3
-
-    def test_rename_and_embed(self):
-        x = MultiPoly.var(("x",), "x")
-        q = (x ** 2).with_vars(("x", "s"))
-        assert q.vars == ("x", "s")
-        r = q.rename_var("x", "u")
-        assert r.vars == ("u", "s")
-
     def test_str_order(self):
         ts = ("t", "s")
         t, s = MultiPoly.var(ts, "t"), MultiPoly.var(ts, "s")
@@ -162,10 +149,14 @@ def assert_same_as_public(value):
 
 
 XS = ("x", "s")
+TS = ("t", "s")
 small_ints = st.integers(min_value=-3, max_value=3)
 polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                         rationals, max_size=4).map(
-                            lambda terms: MultiPoly(XS, terms))
+                            lambda terms: MultiPoly(TS, terms))
+line_polys = st.dictionaries(st.tuples(st.integers(0, 3)), rationals,
+                             max_size=3).map(
+                                 lambda terms: MultiPoly(("x",), terms))
 freqs = st.tuples(small_ints, small_ints, small_ints)
 freq_exps = st.dictionaries(freqs, gaussians, max_size=3).map(FreqExp)
 lincombs = st.lists(st.tuples(st.sampled_from("abcd"), small_ints),
@@ -191,6 +182,15 @@ class TestCleanValues:
             assert_clean(r)
             assert_same_as_public(r)
 
+    def test_scalar_passes_zero_parts_through(self):
+        # a zero part is returned as it is, with no Fraction operation
+        a = GaussianRational(0, 2)
+        assert (a * Fraction(3)).re is a.re
+        for value in (3 * a, a / 3, a / Fraction(3, 2)):
+            assert value.re is a.re
+            assert_clean(value)
+        assert (a * Fraction(3)).im == 6 and (a / 4).im == Fraction(1, 2)
+
     def test_gaussian_product_with_zero_parts(self):
         parts = [Fraction(0), Fraction(1, 2), Fraction(-3)]
         for a in parts:
@@ -208,19 +208,20 @@ class TestCleanValues:
         assert (p - p).terms == {}
         assert p - p == MultiPoly.zero(XS)
 
-    def test_subst_var_collapses(self):
-        x, s = MultiPoly.var(XS, "x"), MultiPoly.var(XS, "s")
-        assert (x - s).subst_var("x", "s").terms == {}
-        q = (x * s + 2 * x * x - 2 * s * s).subst_var("x", "s")
-        assert q.terms == {(0, 2): Fraction(1)}
-        assert_clean(q)
+    def test_integral_from_s_cancels(self):
+        # the integral from s to t of 1 * (2x - s) dx is t^2 - t*s: the
+        # s^2 terms of the two monomials cancel and leave no stored zero
+        gamma = MultiPoly.one(("x",))
+        inner = MultiPoly(TS, {(1, 0): 2, (0, 1): -1})
+        value = _integral_from_s(gamma, inner)
+        assert value.terms == {(2, 0): Fraction(1), (1, 1): Fraction(-1)}
+        assert_clean(value)
 
-    @given(polys, polys, small_ints)
-    def test_poly_results_clean(self, p, q, k):
-        h = (p * q).antiderivative("x")
+    @given(polys, polys, line_polys, small_ints)
+    def test_poly_results_clean(self, p, q, gamma, k):
         results = [p + q, p - q, p * q, -p, p * k, k * p, p + k, k - p,
-                   h, h - h.subst_var("x", "s"), p.with_vars(("x", "u", "s")),
-                   p.rename_var("x", "t"), p ** 2]
+                   p ** 2, _integral_from_s(gamma, p),
+                   _integral_from_s(gamma, p * q)]
         for r in results:
             assert_clean(r)
             assert_same_as_public(r)

@@ -20,7 +20,7 @@ from foresthopf.perms import Perm, all_perms
 from foresthopf import fourier
 from foresthopf.forests import (_ordered, OrderedForest, linear_extensions,
                                 enumerate_heap_ordered, ordered_cuts)
-from foresthopf.hopf import sh_product
+from foresthopf.hopf import Shuffle
 from foresthopf.fourier import (
     TrigPath, AtomMeasure, word_measure, sector_of,
     split_measure, phi_lin, sbar_eval, chi, j_convolution, j_character,
@@ -324,7 +324,7 @@ class TestChi:
         for w1 in all_words(1, 2):
             for w2 in all_words(2, 2):
                 lhs = FreqExp.zero()
-                for w, c in sh_product(w1, w2).items():
+                for w, c in Shuffle().product(w1, w2).items():
                     lhs = lhs + c * chi(path, w)
                 assert lhs == chi(path, w1) * chi(path, w2)
 

@@ -6,9 +6,7 @@ from foresthopf.errors import StructureMismatchError
 from foresthopf.words import Word, EMPTY_WORD
 from foresthopf.forests import PlainForest, OrderedForest
 from foresthopf.hopf import (
-    sh_product, sh_coproduct, sh_antipode,
-    ck_coproduct, ho_coproduct,
-    HopfStructure, Shuffle, CKForests, HeapOrdered,
+    HopfStructure, Shuffle, CKForests, Ordered, HeapOrdered,
     FQSym, FQSymDec, get_structure, hopf_axiom_sweep,
     check_antipode, tensor,
 )
@@ -18,25 +16,25 @@ from test_coeffs import assert_clean
 class TestShuffle:
     def test_product_multiplicity(self):
         aa = Word((1, 1))
-        prod = sh_product(aa, Word((1,)))
+        prod = Shuffle().product(aa, Word((1,)))
         assert prod == LinComb.of(Word((1, 1, 1)), 3)
 
     def test_product_example(self):
         ab = Word((1, 2))
         c = Word((3,))
-        prod = sh_product(ab, c)
+        prod = Shuffle().product(ab, c)
         assert prod.render() == "(abc)+(acb)+(cab)"
 
     def test_coproduct_deconcatenation(self):
-        terms = sh_coproduct(Word((1, 2))).sorted_items()
+        terms = Shuffle().coproduct(Word((1, 2))).sorted_items()
         assert {(str(a), str(b)) for (a, b), _ in terms} == {
             ("()", "(ab)"), ("(a)", "(b)"), ("(ab)", "()"),
         }
 
     def test_antipode_closed_form(self):
         w = Word((1, 2, 3))
-        assert sh_antipode(w) == LinComb.of(Word((3, 2, 1)), -1)
-        assert sh_antipode(EMPTY_WORD) == LinComb.of(EMPTY_WORD, 1)
+        assert Shuffle().antipode(w) == LinComb.of(Word((3, 2, 1)), -1)
+        assert Shuffle().antipode(EMPTY_WORD) == LinComb.of(EMPTY_WORD, 1)
 
     def test_closed_antipode_matches_recursion(self):
         class RecursiveShuffle(Shuffle):
@@ -51,7 +49,7 @@ class TestShuffle:
 class TestCKForests:
     def test_coproduct_cherry(self):
         f = PlainForest.parse("1[2,2]")
-        delta = ck_coproduct(f)
+        delta = CKForests(2).coproduct(f)
         assert delta.coeff((PlainForest.parse("1[2]"),
                             PlainForest.parse("2"))) == 2
         assert delta.coeff((PlainForest.parse("1"),
@@ -70,7 +68,7 @@ class TestCKForests:
         # Roo S(Lea), written out here, must give the same antipode
         def cut_antipode(f):
             total = LinComb.of(f, -1 if f.n else 1)
-            for (roo, lea), c in ck_coproduct(f).items():
+            for (roo, lea), c in H.coproduct(f).items():
                 if roo.n and lea.n:
                     for g, cg in cut_antipode(lea).items():
                         total = total - LinComb.of(roo * g, c * cg)
@@ -85,7 +83,7 @@ class TestCKForests:
 class TestOrdered:
     def test_coproduct_standardizes(self):
         f = OrderedForest.parse("1:1[2:2[3:3]]")
-        delta = ho_coproduct(f)
+        delta = Ordered().coproduct(f)
         pair = (OrderedForest.parse("1:1"), OrderedForest.parse("1:2[2:3]"))
         assert delta.coeff(pair) == 1
 
