@@ -27,9 +27,11 @@ public constructor, which establishes this from arbitrary input and
 sums repeated keys.  Arithmetic on clean values yields clean parts, so
 results are built by the private constructors _gaussian, _poly,
 _freqexp and _lincomb, which check nothing and only drop the terms
-that cancelled.  _unit_sum builds the LinComb of a sum of basis
-objects, each with coefficient 1, through _lincomb: its coefficients are
-the ints that count the objects.
+that cancelled.  _nonzero_lincomb does not even look for cancelled
+terms: it serves producers whose coefficients cannot be zero.  One is
+_unit_sum, which builds the LinComb of a sum of basis objects, each
+with coefficient 1: its coefficients are the ints that count the
+objects.
 """
 
 from __future__ import annotations
@@ -744,6 +746,15 @@ def _lincomb(terms):
     return v
 
 
+def _nonzero_lincomb(terms):
+    """Trusted constructor for terms with no zero coefficient, such as
+    counts or products of nonzero coefficients over distinct keys.
+    Takes ownership of the terms dict and scans nothing."""
+    v = _new(LinComb)
+    _set_terms(v, terms)
+    return v
+
+
 def _unit_sum(keys):
     """The LinComb sum of the basis objects in keys, each taken with
     coefficient 1: a key's coefficient is the number of times it
@@ -752,4 +763,4 @@ def _unit_sum(keys):
     get = counts.get
     for key in keys:
         counts[key] = get(key, 0) + 1
-    return _lincomb(counts)
+    return _nonzero_lincomb(counts)

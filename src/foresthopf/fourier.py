@@ -14,22 +14,31 @@ frequencies at and above the vertex. The degree-n character chi comes
 out of the sector decomposition through the inverse elements T^sigma,
 and the two-endpoint object J is assembled either from chi by
 convolution or directly from the forest antipode; both routes agree.
+
+chi and the forest route read one table per sector sigma, built once:
+T^sigma and its merged cuts as flat tuples of parent tuples, so no
+forest is built per atom.  Atoms are scaled by L, the least common
+multiple of the frequency denominators, so every Xi_v is an int.  The
+weights c / prod Xi_v and sbar_eval are homogeneous of degree -n in
+the frequencies, so their rationals are multiplied by L^n once, and
+each phase, linear in them, is divided by L.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .coeffs import (GaussianRational, GR_ONE, GR_I, FreqExp, FREQ_VARS,
                      FREQ_ZERO, LinComb, SparseSum, Accumulator,
                      parse_gaussian, _as_fraction, _freqexp, _drop_zeros,
-                     _merged, _new, _pairs, _set_terms, _plus, _ZERO, _ONE)
+                     _merged, _new, _pairs, _set_terms, _ZERO, _ONE)
 from .errors import ParseError, SingularAtomError, MagnitudeTieError
 from .words import Word, Path
 from .perms import Perm, all_perms, shuffles
-from .forests import act, ordered_cuts
-from .morphisms import t_sigma, DEFAULT_BOUND
+from .forests import _ordered, act, ordered_cuts
+from .morphisms import t_sigma, _check_bound, DEFAULT_BOUND
 from .hopf import Shuffle, HeapOrdered
 from .characters import Character, convolve, char_inverse
 
@@ -206,32 +215,36 @@ def split_measure(mu):
 # Skeleton integrals
 # ---------------------------------------------------------------------------
 
-def _xi_product(forest, freq):
+def _shape(parent):
+    """The undecorated ordered forest with these parents, for messages."""
+    return _ordered(parent, (1,) * len(parent))
+
+
+def _xi_product(parent, freq):
     """The product of the Xi_v over the vertices of a heap-ordered
-    forest, and the sum of all frequencies.
+    forest, given by its parent tuple, and the sum of all frequencies.
 
     One pass over v = n, ..., 1: every vertex comes after its parent,
     so Xi_v is complete when v is reached and is then added into its
     parent's.  Raises on a vanishing Xi_v, and on a vertex whose parent
     comes after it."""
-    parent = forest.parent
     xi = list(freq)
-    product = None
-    total = _ZERO
+    product = 1
+    total = 0
     for v in range(len(parent), 0, -1):
         p = parent[v - 1]
         if p >= v:
-            raise ValueError(f"{forest} is not heap-ordered")
+            raise ValueError(f"{_shape(parent)} is not heap-ordered")
         x = xi[v - 1]
         if not x:
             raise SingularAtomError(
-                f"frequency sum vanishes at vertex {v} of {forest}")
-        product = x if product is None else product * x
+                f"frequency sum vanishes at vertex {v} of {_shape(parent)}")
+        product *= x
         if p:
             xi[p - 1] += x
         else:
-            total = _plus(total, x)
-    return (_ONE if product is None else product), total
+            total += x
+    return product, total
 
 
 def _skeleton_term(n, q, xi, var):
@@ -242,25 +255,92 @@ def _skeleton_term(n, q, xi, var):
                      _TURNS[n % 4] * q})
 
 
-def phi_lin(lc, measure, var="t"):
-    """Evaluate a LinComb of heap forests against a measure.
+def _integer_atoms(mu):
+    """The atoms of a measure as (frequencies times L, amplitude, L),
+    where L is the least common multiple of the frequency denominators:
+    the frequencies become ints."""
+    scale = lcm(*{f.denominator for freq in mu.terms for f in freq})
+    for freq, amp in mu.terms.items():
+        yield (tuple([f.numerator * (scale // f.denominator) for f in freq]),
+               amp, scale)
 
-    Against one atom every forest of the combination has the same
-    degree n and the same phase, so its value is (-i)^n exp(i Xi var)
-    times the rational sum of c / prod Xi_v over the forests."""
-    forests = list(lc.items())
+
+def _phi(forests, measure, var):
+    """phi^var of the combination of (parent, coefficient) pairs, all of
+    the measure's degree n and at least one, against the measure.
+
+    Against one atom every forest has the same phase, so its value is
+    (-i)^n exp(i Xi var) times the sum of c / prod Xi_v over the
+    forests, found at the scaled atom as one integer fraction."""
+    n = measure.n
     total = Accumulator(FreqExp.zero())
-    if not forests:
-        return total.value()
-    for freq, amp in measure.terms.items():
-        q = _ZERO
-        for f, c in forests:
-            if f.n != len(freq):
-                raise ValueError("frequency vector must match the forest size")
-            product, xi = _xi_product(f, freq)
-            q += c / product
-        total.add(_skeleton_term(len(freq), q, xi, var), amp)
+    for freq, amp, scale in _integer_atoms(measure):
+        num, den = 0, 1
+        for parent, c in forests:
+            product, xi = _xi_product(parent, freq)
+            num = num * product + c * den
+            den *= product
+        total.add(_skeleton_term(n, Fraction(num * scale ** n, den),
+                                 Fraction(xi, scale), var), amp)
     return total.value()
+
+
+def phi_lin(lc, measure, var="t"):
+    """Evaluate a LinComb of heap forests against a measure."""
+    if not lc or not measure:
+        return FreqExp.zero()
+    if any(f.n != measure.n for f in lc.terms):
+        raise ValueError("frequency vector must match the forest size")
+    return _phi([(f.parent, c) for f, c in lc.items()], measure, var)
+
+
+# ---------------------------------------------------------------------------
+# Sector tables
+# ---------------------------------------------------------------------------
+
+# Memos of the table of each sigma and of the cuts of each forest shape,
+# each emptied when it holds its cap.  Every permutation and every shape
+# up to degree 6 fits (874 of each), in about 13 MB.
+_SECTOR_MEMO = {}
+_SECTOR_MEMO_CAP = 1 << 10
+_CUTS_MEMO = {}
+_CUTS_MEMO_CAP = 1 << 12
+
+
+def _cuts(parent):
+    """The cuts of the undecorated forest with these parents, as (roo
+    parent, roo_at, lea parent, lea_at) tuples in ordered_cuts order."""
+    cuts = _CUTS_MEMO.get(parent)
+    if cuts is None:
+        cuts = tuple([(roo.parent, roo_at, lea.parent, lea_at)
+                      for roo, roo_at, lea, lea_at
+                      in ordered_cuts(_shape(parent))])
+        if len(_CUTS_MEMO) >= _CUTS_MEMO_CAP:
+            _CUTS_MEMO.clear()
+        _CUTS_MEMO[parent] = cuts
+    return cuts
+
+
+def _sector_table(sigma, bound):
+    """T^sigma as (parent, coefficient) pairs, and its cuts merged into
+    (roo parent, roo_at, lea parent, lea_at, coefficient) tuples in the
+    order first met, cancelled ones left out.  The bound is checked on
+    every call."""
+    _check_bound(sigma.n, bound)
+    table = _SECTOR_MEMO.get(sigma)
+    if table is None:
+        forests = tuple([(f.parent, c)
+                         for f, c in t_sigma(sigma, bound).items()])
+        merged = {}
+        for parent, c in forests:
+            for cut in _cuts(parent):
+                merged[cut] = merged.get(cut, 0) + c
+        table = (forests,
+                 tuple([cut + (c,) for cut, c in merged.items() if c]))
+        if len(_SECTOR_MEMO) >= _SECTOR_MEMO_CAP:
+            _SECTOR_MEMO.clear()
+        _SECTOR_MEMO[sigma] = table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +355,7 @@ def chi_measure(nu, var="t", bound=DEFAULT_BOUND):
             total.add(FreqExp.one(), amp)
         return total.value()
     for sigma, piece in split_measure(nu).items():
-        total.add(phi_lin(t_sigma(sigma, bound), piece, var))
+        total.add(_phi(_sector_table(sigma, bound)[0], piece, var))
     return total.value()
 
 
@@ -305,63 +385,54 @@ def chi(path, word, var="t", bound=DEFAULT_BOUND):
 
 
 # Memo of sbar_eval, emptied when it holds _SBAR_MEMO_CAP entries, which
-# at about 0.5 kB an entry (one Fraction, the key and its forest) keeps
-# it near 8 MB.  J of every word up to length 5 over two frequencies per
-# letter stores 2,245 entries.
+# at about 0.3 kB an entry (one Fraction and a key of two int tuples)
+# keeps it near 5 MB.  J of every word up to length 6 over two
+# frequencies per letter stores 11,564 entries.
 _SBAR_MEMO = {}
 _SBAR_MEMO_CAP = 1 << 14
 
 
-def sbar_eval(forest, freq):
+def sbar_eval(parent, freq):
     """The rational R with phi^var(S(F)) = (-i)^n R exp(i Xi var), for
-    any variable, the coordinates riding on the vertices.
+    any variable, of the undecorated forest F with this parent tuple,
+    the coordinates riding on the vertices.
 
     From S(F) = -F - sum over proper cuts Roo S(Lea), and since every
     cut splits the coordinates, R(F) = -(1/prod Xi_F + sum over proper
-    cuts R(Lea)/prod Xi_Roo)."""
-    if forest.n == 0:
+    cuts R(Lea)/prod Xi_Roo).  R is homogeneous of degree -n in the
+    coordinates."""
+    if not parent:
         return _ONE
     freq = tuple(freq)
-    key = (forest, freq)
+    key = (parent, freq)
     cached = _SBAR_MEMO.get(key)
     if cached is not None:
         return cached
-    product, _ = _xi_product(forest, freq)
-    total = _ONE / product
-    for cut in ordered_cuts(forest):
-        if cut.roo.n and cut.lea.n:
-            roo_product, _ = _xi_product(cut.roo,
-                                         [freq[i] for i in cut.roo_at])
-            total += sbar_eval(cut.lea,
-                               [freq[i] for i in cut.lea_at]) / roo_product
-    value = -total
+    den, _ = _xi_product(parent, freq)
+    num = 1
+    for roo, roo_at, lea, lea_at in _cuts(parent):
+        if roo and lea:
+            product, _ = _xi_product(roo, [freq[i] for i in roo_at])
+            r = sbar_eval(lea, [freq[i] for i in lea_at])
+            product *= r.denominator
+            num = num * product + r.numerator * den
+            den *= product
+    value = Fraction(-num, den)
     if len(_SBAR_MEMO) >= _SBAR_MEMO_CAP:
         _SBAR_MEMO.clear()
     _SBAR_MEMO[key] = value
     return value
 
 
-def _sector_cuts(terms):
-    """The cuts of every forest of a LinComb, merged: one (cut,
-    coefficient) pair per distinct cut, those whose coefficients cancel
-    left out."""
-    merged = {}
-    get = merged.get
-    for f, c in terms.items():
-        for cut in ordered_cuts(f):
-            prev = get(cut)
-            merged[cut] = c if prev is None else prev + c
-    return [(cut, c) for cut, c in merged.items() if c]
-
-
 def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
     """J along the forest route: per sector, phi^hi on Roo and the
-    antipode evaluation phi^lo on Lea, summed over cuts of T^sigma.
+    antipode evaluation phi^lo on Lea, summed over the merged cuts of
+    T^sigma.
 
-    The cuts of a sector are merged once and serve all of its atoms.
-    Against one atom every cut is (-i)^n times a rational times
-    exp(i(Xi_Roo hi + (Xi - Xi_Roo) lo)), so the rationals are summed
-    per Xi_Roo and each phase gives one term."""
+    Against one atom, scaled to ints, every cut is (-i)^n times a
+    rational times exp(i(Xi_Roo hi + (Xi - Xi_Roo) lo)), so the
+    rationals are summed per Xi_Roo as integer fractions, and each
+    phase gives one term."""
     n = len(word)
     if n == 0:
         return FreqExp.one()
@@ -370,22 +441,25 @@ def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
     out = {}
     get = out.get
     for sigma, piece in split_measure(word_measure(path, word)).items():
-        cuts = _sector_cuts(t_sigma(sigma, bound))
-        for freq, amp in piece.terms.items():
+        _, cuts = _sector_table(sigma, bound)
+        for freq, amp, scale in _integer_atoms(piece):
             by_roo = {}
-            for (roo, roo_at, lea, lea_at), c in cuts:
-                product, xi_roo = _xi_product(roo, [freq[i] for i in roo_at])
-                q = c * sbar_eval(lea, [freq[i] for i in lea_at]) / product
-                prev = by_roo.get(xi_roo)
-                by_roo[xi_roo] = q if prev is None else prev + q
-            xi = sum(freq, _ZERO)
+            for roo, roo_at, lea, lea_at, c in cuts:
+                product, xi_roo = _xi_product(roo,
+                                              [freq[i] for i in roo_at])
+                r = sbar_eval(lea, [freq[i] for i in lea_at])
+                product *= r.denominator
+                num, den = by_roo.get(xi_roo, (0, 1))
+                by_roo[xi_roo] = (num * product + c * r.numerator * den,
+                                  den * product)
+            xi = sum(freq)
             amp = amp * turn
-            for xi_roo, q in by_roo.items():
+            for xi_roo, (num, den) in by_roo.items():
                 phase = [_ZERO, _ZERO, _ZERO]
-                phase[k_hi] = xi_roo
-                phase[k_lo] += xi - xi_roo
+                phase[k_hi] = Fraction(xi_roo, scale)
+                phase[k_lo] += Fraction(xi - xi_roo, scale)
                 phase = tuple(phase)
-                term = amp * q
+                term = amp * Fraction(num * scale ** n, den)
                 prev = get(phase)
                 out[phase] = term if prev is None else prev + term
     return _freqexp(out)

@@ -11,8 +11,8 @@ Where one side is a single basis element (the antipode recursion and
 check_antipode), the other side's terms are multiplied by it directly.
 Products and coproducts on the basis are sums of basis objects with
 coefficient 1, built by coeffs._unit_sum (a forest product, one basis
-object, directly by _lincomb), so their coefficients are ints, as are
-the antipodes' and the counit's.
+object, directly by _nonzero_lincomb), so their coefficients are ints,
+as are the antipodes' and the counit's.
 
 Antipodes: the shuffle algebra has its closed reversal formula; every
 other structure, the forest algebra included, uses the generic
@@ -22,7 +22,8 @@ terms of the memoized coproduct.
 
 from __future__ import annotations
 
-from .coeffs import LinComb, Accumulator, _lincomb, _unit_sum
+from .coeffs import (LinComb, Accumulator, _lincomb, _nonzero_lincomb,
+                     _unit_sum)
 from .errors import StructureMismatchError
 from .words import _word, EMPTY_WORD, all_words
 from .perms import Perm, DecoratedPerm, all_perms, interleavings
@@ -42,8 +43,8 @@ def tensor(a, b):
     cx * cy.  Distinct pairs are distinct keys and the products of
     nonzero coefficients are nonzero, so nothing merges or cancels."""
     right = b.items()
-    return _lincomb({(x, y): cx * cy for x, cx in a.items()
-                     for y, cy in right})
+    return _nonzero_lincomb({(x, y): cx * cy for x, cx in a.items()
+                             for y, cy in right})
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +168,7 @@ class CKForests(HopfStructure):
 
     def product(self, b1, b2):
         """Disjoint union of plain forests (canonical, commutative)."""
-        return _lincomb({b1 * b2: 1})
+        return _nonzero_lincomb({b1 * b2: 1})
 
     def _coproduct(self, b):
         """Sum over admissible cuts, Roo tensor Lea."""
@@ -185,7 +186,7 @@ class Ordered(HopfStructure):
 
     def product(self, b1, b2):
         """Order-shifting concatenation of ordered forests."""
-        return _lincomb({b1 * b2: 1})
+        return _nonzero_lincomb({b1 * b2: 1})
 
     def _coproduct(self, b):
         """Cuts with both parts carrying the standardized induced order."""

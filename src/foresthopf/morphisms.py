@@ -21,7 +21,8 @@ import json
 from itertools import product as _iproduct
 from math import factorial, prod
 
-from .coeffs import LinComb, Accumulator, _lincomb, _unit_sum
+from .coeffs import (LinComb, Accumulator, _lincomb, _nonzero_lincomb,
+                     _unit_sum)
 from .errors import BoundExceededError
 from .words import _word
 from .perms import DecoratedPerm, all_perms, standardize, shuffles
@@ -193,7 +194,8 @@ def _simplex_expansion(sigma):
     takes as parent either the earlier vertex whose sigma-value is the
     nearest below sigma(i) (a root when there is none), with sign +1,
     or the earlier vertex whose sigma-value is the nearest above, with
-    sign -1. Each choice of parents is a distinct forest.
+    sign -1. Each choice of parents is a distinct forest, so no
+    coefficient is zero.
     """
     choices = []
     for i in range(1, sigma.n + 1):
@@ -206,9 +208,9 @@ def _simplex_expansion(sigma):
         choices.append([(below, 1)] if above is None
                        else [(below, 1), (above, -1)])
     ones = (1,) * sigma.n
-    return _lincomb({_ordered(tuple([p for p, _ in picked]), ones):
-                     prod([s for _, s in picked])
-                     for picked in _iproduct(*choices)})
+    return _nonzero_lincomb({_ordered(tuple([p for p, _ in picked]), ones):
+                             prod([s for _, s in picked])
+                             for picked in _iproduct(*choices)})
 
 
 def t_sigma(sigma, bound=DEFAULT_BOUND):

@@ -208,30 +208,40 @@ def test_criterion_6_iterated_integrals():
              "Chen, tree factorization, simplex expansion", failures)
 
 
-def test_criterion_7_fourier_normal_ordering():
-    start = time.monotonic()
-    path = TrigPath.parse("1: 1@1\n2: 1@2")
-    chi_char = Character(Shuffle(2), lambda w: chi(path, w),
-                         FreqExp.one(), name="chi")
-    failures = validate_character(chi_char, 4)
-    for n in range(1, 6):
+def _j_failures(path, max_len):
+    """Both J routes compared, and J's Chen identity checked, on every
+    two-letter word up to max_len."""
+    failures = []
+    for n in range(1, max_len + 1):
         for letters in itertools.product((1, 2), repeat=n):
             w = Word(letters)
             left = j_character(path, w)
             right = j_convolution(path, w)
             if left != right:
-                failures.append(f"J routes disagree on {w}")
+                failures.append(f"J routes disagree on {w} along {path}")
             chen = FreqExp.zero()
             for k in range(n + 1):
                 chen = chen + (j_character(path, Word(letters[:k]), "t", "u")
                                * j_character(path, Word(letters[k:]),
                                              "u", "s"))
             if chen != left:
-                failures.append(f"J Chen identity fails on {w}")
+                failures.append(f"J Chen identity fails on {w} along {path}")
+    return failures
+
+
+def test_criterion_7_fourier_normal_ordering():
+    start = time.monotonic()
+    path = TrigPath.parse("1: 1@1\n2: 1@2")
+    chi_char = Character(Shuffle(2), lambda w: chi(path, w),
+                         FreqExp.one(), name="chi")
+    failures = validate_character(chi_char, 4)
+    failures += _j_failures(path, 5)
+    failures += _j_failures(TrigPath.parse("1: 1@1, 1@2\n2: 1@10, 1@25"), 6)
     for bad in sector_sweep(cases=100, max_n=4, seed=20260816):
         failures.append(bad)
     _verdict(7, "Fourier normal ordering: chi character law, both J "
-             "routes and J Chen to length 5, seeded sector sweep",
+             "routes and J Chen to length 5 with one frequency per "
+             "letter and to length 6 with two, seeded sector sweep",
              failures, time.monotonic() - start, budget=120.0)
 
 

@@ -7,6 +7,7 @@ relation chi(ab) + chi(ba) = chi(a) chi(b).
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from foresthopf import fourier
 from foresthopf.forests import (_ordered, OrderedForest, linear_extensions,
                                 enumerate_heap_ordered, ordered_cuts)
 from foresthopf.hopf import Shuffle
+from foresthopf.morphisms import t_sigma
 from foresthopf.fourier import (
     TrigPath, AtomMeasure, word_measure, sector_of,
     split_measure, phi_lin, sbar_eval, chi, j_convolution, j_character,
@@ -204,14 +206,14 @@ class TestSkeleton:
         f = OrderedForest.parse("2:1[1:1]")
         freq = (Fraction(1), Fraction(2))
         with pytest.raises(ValueError, match="not heap-ordered"):
-            fourier._xi_product(f, freq)
+            fourier._xi_product(f.parent, freq)
         with pytest.raises(ValueError, match="not heap-ordered"):
             one_atom_value(f, freq)
 
     def test_leaves_children_unbuilt(self):
         f = _ordered((0, 1, 1, 0), (1, 1, 1, 1))
         freq = tuple(map(Fraction, (1, 2, 4, 8)))
-        assert fourier._xi_product(f, freq) == (7 * 4 * 2 * 8, 15)
+        assert fourier._xi_product(f.parent, freq) == (7 * 4 * 2 * 8, 15)
         with pytest.raises(AttributeError):
             f._children
 
@@ -300,12 +302,28 @@ class TestSbarEval:
             freq, _ = _nonresonant_atom(rng, n)
             xi = sum(freq)
             for var in ("t", "s"):
-                assert fourier._skeleton_term(n, sbar_eval(f, freq), xi,
-                                              var) \
+                assert fourier._skeleton_term(
+                    n, sbar_eval(f.parent, freq), xi, var) \
                     == _sbar_reference(f, freq, var, memo), (f, freq)
 
     def test_empty_forest(self):
-        assert sbar_eval(OrderedForest((), ()), ()) == 1
+        assert sbar_eval((), ()) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_homogeneous_of_degree_minus_n(self, n):
+        # R(lam xi) lam^n = R(xi): chi and the forest route evaluate at
+        # integer multiples of the frequencies and rely on it; the
+        # second lam turns every coordinate into an int
+        rng = random.Random(3000 + n)
+        lam = Fraction(-7, 3)
+        for f in enumerate_heap_ordered(n, 1):
+            freq, _ = _nonresonant_atom(rng, n)
+            scale = lcm(*[x.denominator for x in freq])
+            ints = tuple([int(scale * x) for x in freq])
+            for k, scaled in ((lam, tuple([lam * x for x in freq])),
+                              (scale, ints)):
+                assert sbar_eval(f.parent, scaled) * k ** n \
+                    == sbar_eval(f.parent, freq), (f, freq, k)
 
 
 class TestChi:
@@ -444,6 +462,73 @@ class TestJ:
         words = [w for n in range(1, 4) for w in all_words(n, 2)]
         check_bounded_memo(monkeypatch, fourier, "_CHI_MEMO",
                            lambda w: j_character(p, w), words)
+
+
+class TestSectorTable:
+    """The per-permutation tables of T^sigma and its cuts, the per-shape
+    cuts, and the integer rescaling that chi and the forest route apply
+    to each atom."""
+
+    FRACTIONAL = "1: 1@1/3, 1@-7/11\n2: 1@5/2"
+
+    def test_bounded_sector_memo(self, monkeypatch):
+        p = TrigPath.parse(self.FRACTIONAL)
+        words = [w for n in range(1, 4) for w in all_words(n, 2)]
+        check_bounded_memo(monkeypatch, fourier, "_SECTOR_MEMO",
+                           lambda w: j_convolution(p, w), words)
+
+    def test_bounded_cuts_memo(self, monkeypatch):
+        shapes = [f.parent for n in range(5)
+                  for f in enumerate_heap_ordered(n, 1)]
+        check_bounded_memo(monkeypatch, fourier, "_CUTS_MEMO",
+                           fourier._cuts, shapes)
+
+    def test_cuts_follow_ordered_cuts(self):
+        for n in range(5):
+            for f in enumerate_heap_ordered(n, 1):
+                assert fourier._cuts(f.parent) == tuple(
+                    (roo.parent, roo_at, lea.parent, lea_at)
+                    for roo, roo_at, lea, lea_at in ordered_cuts(f))
+
+    def test_bound_after_degree_6_is_cached(self, monkeypatch):
+        p = TrigPath.parse("1: 1@1\n2: 1@2")
+        w = Word((1, 2, 1, 1, 2, 2))
+        with monkeypatch.context() as m:
+            m.setattr(fourier, "_SECTOR_MEMO", {})
+            with pytest.raises(BoundExceededError) as cold:
+                j_convolution(p, w, bound=4)
+        j_convolution(p, w)
+        assert any(sigma.n == 6 for sigma in fourier._SECTOR_MEMO)
+        with pytest.raises(BoundExceededError) as warm:
+            j_convolution(p, w, bound=4)
+        assert str(warm.value) == str(cold.value) \
+            == "degree 6 exceeds bound 4; raise the bound explicitly"
+
+    def test_routes_agree_with_fraction_frequencies(self):
+        p = TrigPath.parse(self.FRACTIONAL)
+        for n in range(1, 5):
+            for w in all_words(n, 2):
+                assert j_convolution(p, w) == j_character(p, w), w
+
+    def test_chi_matches_the_unscaled_sector_expansion(self):
+        # the reference evaluates every forest of T^sigma in Fractions,
+        # with no rescaling
+        p = TrigPath.parse(self.FRACTIONAL)
+        for n in range(1, 5):
+            for w in all_words(n, 2):
+                mu = word_measure(p, w)
+                expected = FreqExp.zero()
+                for sigma, piece in split_measure(mu).items():
+                    expected = expected + phi_lin(t_sigma(sigma), piece)
+                assert fourier.chi_measure(mu) == expected, w
+
+    def test_magnitude_tie_names_the_path_frequencies(self):
+        p = TrigPath.parse("1: 1@1/2\n2: 1@-1/2")
+        text = "frequencies 1/2 and -1/2 share a magnitude"
+        for route in (j_convolution, chi):
+            with pytest.raises(MagnitudeTieError) as info:
+                route(p, Word((1, 2)))
+            assert str(info.value) == text
 
 
 class TestIdentities:

@@ -10,6 +10,8 @@ from foresthopf.hopf import (
     FQSym, FQSymDec, get_structure, hopf_axiom_sweep,
     check_antipode, tensor,
 )
+from foresthopf.morphisms import t_sigma
+from foresthopf.perms import all_perms
 from test_coeffs import assert_clean
 
 
@@ -160,6 +162,37 @@ class TestBilinearLayer:
         for name, value in got.items():
             assert value == expected[name], name
             assert_clean(value)
+
+
+class TestNonzeroProducers:
+    """The producers built by coeffs._nonzero_lincomb, which skips the
+    zero scan, never store a zero coefficient: every product and
+    coproduct on the basis (each through _unit_sum or a one-key forest
+    product), tensor, and the closed form of T^sigma, exhaustively to
+    degree 4."""
+
+    @pytest.mark.parametrize("name, d", [
+        ("shuffle", 2), ("ck", 2), ("ordered", 2), ("heap", 2),
+        ("fqsym", 1), ("fqsym-dec", 2),
+    ])
+    def test_products_coproducts_and_tensors(self, name, d):
+        H = get_structure(name, d)
+        basis = {n: H.basis(n) for n in range(5)}
+        for n1 in range(5):
+            for n2 in range(5 - n1):
+                for x in basis[n1]:
+                    dx = H.coproduct(x)
+                    assert_clean(dx)
+                    for y in basis[n2]:
+                        assert_clean(H.product(x, y))
+                        assert_clean(tensor(dx, H.coproduct(y)))
+
+    def test_simplex_expansion(self):
+        for n in range(5):
+            for sigma in all_perms(n):
+                terms = t_sigma(sigma)
+                assert_clean(terms)
+                assert terms == LinComb(list(terms.items()))
 
 
 class TestAxiomSweeps:
