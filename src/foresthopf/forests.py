@@ -26,11 +26,23 @@ construction, so they are built through _ordered.  OrderedForest,
 PlainTree and PlainForest store their hash once, in a slot.  The
 children tuple of an OrderedForest is built from parent on first read
 and kept in a slot: many forests are only hashed and compared.
+
+PlainTree and PlainForest likewise keep validating public constructors,
+which sort their trees, and have trusted ones that check and sort
+nothing: _plain_tree(dec, children) takes a positive int and a tuple of
+PlainTrees already sorted by key, _plain_forest(trees) a tuple of
+PlainTrees sorted by key.  to_plain and the product of plain forests,
+whose trees are canonical by construction, build through them.
+
+Cuts are enumerated once per shape: _cut_shapes(parent) takes the
+parent tuple of a valid forest (as for _ordered) and gives its cuts as
+parent tuples and positions; ordered_cuts adds the decorations.
 """
 
 from __future__ import annotations
 
 from itertools import product as _iproduct
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -48,13 +60,7 @@ class PlainTree:
         dec = int(dec)
         if dec < 1:
             raise ValueError("decoration out of range")
-        children = tuple(sorted(children, key=lambda t: t.key))
-        object.__setattr__(self, "dec", dec)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "n", 1 + sum(c.n for c in children))
-        key = (dec, tuple(c.key for c in children))
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(("PlainTree", key)))
+        _fill_tree(self, dec, tuple(sorted(children, key=_by_key)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlainTree is immutable")
@@ -80,12 +86,7 @@ class PlainForest:
     __slots__ = ("trees", "n", "key", "_hash")
 
     def __init__(self, trees=()):
-        trees = tuple(sorted(trees, key=lambda t: t.key))
-        key = tuple(t.key for t in trees)
-        object.__setattr__(self, "trees", trees)
-        object.__setattr__(self, "n", sum(t.n for t in trees))
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(("PlainForest", key)))
+        _fill_forest(self, tuple(sorted(trees, key=_by_key)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlainForest is immutable")
@@ -104,7 +105,13 @@ class PlainForest:
         return cls(trees)
 
     def __mul__(self, other):
-        return PlainForest(self.trees + other.trees)
+        if not other.trees:
+            return self
+        if not self.trees:
+            return other
+        # two sorted runs: the sort merges them
+        return _plain_forest(tuple(sorted(self.trees + other.trees,
+                                          key=_by_key)))
 
     def __eq__(self, other):
         return isinstance(other, PlainForest) and self.key == other.key
@@ -122,6 +129,61 @@ class PlainForest:
 
     def __repr__(self):
         return f"PlainForest.parse({str(self)!r})"
+
+
+_new = object.__new__
+_by_key = attrgetter("key")
+_set_tree_dec = PlainTree.dec.__set__
+_set_tree_children = PlainTree.children.__set__
+_set_tree_n = PlainTree.n.__set__
+_set_tree_key = PlainTree.key.__set__
+_set_tree_hash = PlainTree._hash.__set__
+_set_forest_trees = PlainForest.trees.__set__
+_set_forest_n = PlainForest.n.__set__
+_set_forest_key = PlainForest.key.__set__
+_set_forest_hash = PlainForest._hash.__set__
+
+
+def _fill_tree(tree, dec, children):
+    """Set the slots of a PlainTree from a positive int and its
+    children, already sorted by key."""
+    key = (dec, tuple([c.key for c in children]))
+    _set_tree_dec(tree, dec)
+    _set_tree_children(tree, children)
+    _set_tree_n(tree, 1 + sum([c.n for c in children]))
+    _set_tree_key(tree, key)
+    _set_tree_hash(tree, hash(("PlainTree", key)))
+
+
+def _fill_forest(forest, trees):
+    """Set the slots of a PlainForest from its trees, already sorted by
+    key."""
+    key = tuple([t.key for t in trees])
+    _set_forest_trees(forest, trees)
+    _set_forest_n(forest, sum([t.n for t in trees]))
+    _set_forest_key(forest, key)
+    _set_forest_hash(forest, hash(("PlainForest", key)))
+
+
+def _canonical(trees):
+    """A list of trees as a tuple sorted by key."""
+    if len(trees) > 1:
+        trees.sort(key=_by_key)
+    return tuple(trees)
+
+
+def _plain_tree(dec, children):
+    """Trusted constructor (see the module docstring)."""
+    tree = _new(PlainTree)
+    _fill_tree(tree, dec, children)
+    return tree
+
+
+def _plain_forest(trees):
+    """Trusted constructor (see the module docstring)."""
+    forest = _new(PlainForest)
+    _fill_forest(forest, trees)
+    return forest
 
 
 EMPTY_PLAIN = PlainForest(())
@@ -299,7 +361,7 @@ class OrderedForest:
         return self.children[0]
 
     def is_heap_ordered(self):
-        return all(p < i for i, p in enumerate(self.parent, start=1))
+        return all([p < i for i, p in enumerate(self.parent, start=1)])
 
     def strictly_above(self, v):
         """All vertices in the subtree of v, excluding v itself."""
@@ -330,10 +392,22 @@ class OrderedForest:
                         tuple([dec[v - 1] for v in vs]))
 
     def to_plain(self):
-        def build(v):
-            return PlainTree(self.dec[v - 1],
-                             [build(c) for c in self.children[v]])
-        return PlainForest([build(r) for r in self.roots])
+        """The plain forest, built bottom-up: each tree once, after the
+        trees on its children, from their canonical tuple.  A heap order
+        lists every vertex after its parent; any other forest is put in
+        breadth-first order first."""
+        parent, dec = self.parent, self.dec
+        order = range(1, self.n + 1)
+        if not self.is_heap_ordered():
+            children = self.children
+            order = list(children[0])
+            for v in order:
+                order.extend(children[v])
+        trees = [[] for _ in range(self.n + 1)]
+        for v in reversed(order):
+            trees[parent[v - 1]].append(
+                _plain_tree(dec[v - 1], _canonical(trees[v])))
+        return _plain_forest(_canonical(trees[0]))
 
     # -- identity -----------------------------------------------------------
 
@@ -363,7 +437,6 @@ class OrderedForest:
         return f"OrderedForest.parse({str(self)!r})"
 
 
-_new = object.__new__
 _set_parent = OrderedForest.parent.__set__
 _set_dec = OrderedForest.dec.__set__
 _set_n = OrderedForest.n.__set__
@@ -419,32 +492,57 @@ class Cut(NamedTuple):
     lea_at: tuple
 
 
-def ordered_cuts(forest):
-    """Admissible cuts of an OrderedForest, parts standardized; the
-    two trivial cuts included.
+def _cut_shapes(parent):
+    """The admissible cuts of the forest with these parents, as (roo
+    parent, roo_at, lea parent, lea_at) tuples: each part's parent
+    tuple, standardized, and the 0-based positions of the vertices it
+    keeps, in increasing order.
 
     A cut is fixed by its Lea, an upward-closed vertex set.  Below each
     root the Lea holds either the root's whole subtree or a Lea of the
     trees on its children, so every Lea appears exactly once, the empty
-    one (Lea empty) and the whole forest (Roo empty) among them."""
-    children = forest.children
+    one (Lea empty) and the whole forest (Roo empty) among them.  A
+    parent outside the Lea is in the Roo, so a Roo vertex keeps its
+    parent and a Lea vertex may lose its own."""
+    n = len(parent)
+    children = [[] for _ in range(n + 1)]
+    for v, p in enumerate(parent, start=1):
+        children[p].append(v)
 
-    def leas(vertices):
-        out = [()]
+    def walk(vertices):
+        # (the vertices of the trees on these roots, their Leas)
+        whole, leas = (), [()]
         for v in vertices:
-            choices = ([(v, *forest.strictly_above(v))]
-                       + leas(children[v]))
-            out = [a + b for a in out for b in choices]
-        return out
+            above, own = walk(children[v])
+            tree = (v,) + above
+            whole += tree
+            leas = [a + b for a in leas for b in [tree] + own]
+        return whole, leas
 
     cuts = []
-    for lea in leas(children[0]):
-        lea = sorted(lea)
-        kept = set(lea)
-        roo = [v for v in range(1, forest.n + 1) if v not in kept]
-        cuts.append(Cut(forest.restrict(roo), tuple([v - 1 for v in roo]),
-                        forest.restrict(lea), tuple([v - 1 for v in lea])))
+    for lea in walk(children[0])[1]:
+        in_lea = [False] * (n + 1)
+        for v in lea:
+            in_lea[v] = True
+        rank = [0] * (n + 1)
+        roo_at, lea_at = [], []
+        for v in range(1, n + 1):
+            at = lea_at if in_lea[v] else roo_at
+            at.append(v - 1)
+            rank[v] = len(at)
+        cuts.append((tuple([rank[parent[i]] for i in roo_at]), tuple(roo_at),
+                     tuple([rank[parent[i]] if in_lea[parent[i]] else 0
+                            for i in lea_at]), tuple(lea_at)))
     return cuts
+
+
+def ordered_cuts(forest):
+    """Admissible cuts of an OrderedForest, parts standardized; the
+    two trivial cuts included, in the order of _cut_shapes."""
+    dec = forest.dec
+    return [Cut(_ordered(roo, tuple([dec[i] for i in roo_at])), roo_at,
+                _ordered(lea, tuple([dec[i] for i in lea_at])), lea_at)
+            for roo, roo_at, lea, lea_at in _cut_shapes(forest.parent)]
 
 
 def plain_cuts(forest):

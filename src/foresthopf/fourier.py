@@ -36,8 +36,8 @@ from .coeffs import (GaussianRational, GR_ONE, GR_I, FreqExp, FREQ_VARS,
                      _merged, _new, _pairs, _set_terms, _ZERO, _ONE)
 from .errors import ParseError, SingularAtomError, MagnitudeTieError
 from .words import Word, Path
-from .perms import Perm, all_perms, shuffles
-from .forests import _ordered, act, ordered_cuts
+from .perms import Perm, _perm, all_perms, shuffles
+from .forests import _ordered, _cut_shapes, act
 from .morphisms import t_sigma, _check_bound, DEFAULT_BOUND
 from .hopf import Shuffle, HeapOrdered
 from .characters import Character, convolve, char_inverse
@@ -190,7 +190,7 @@ def sector_of(freq):
         if mags[a - 1] == mags[b - 1] and fa != fb:
             raise MagnitudeTieError(
                 f"frequencies {fa} and {fb} share a magnitude")
-    return Perm(tuple(order))
+    return _perm(tuple(order))
 
 
 def split_measure(mu):
@@ -308,13 +308,11 @@ _CUTS_MEMO_CAP = 1 << 12
 
 
 def _cuts(parent):
-    """The cuts of the undecorated forest with these parents, as (roo
-    parent, roo_at, lea parent, lea_at) tuples in ordered_cuts order."""
+    """The cuts of the forest shape with these parents, as (roo
+    parent, roo_at, lea parent, lea_at) tuples from _cut_shapes."""
     cuts = _CUTS_MEMO.get(parent)
     if cuts is None:
-        cuts = tuple([(roo.parent, roo_at, lea.parent, lea_at)
-                      for roo, roo_at, lea, lea_at
-                      in ordered_cuts(_shape(parent))])
+        cuts = tuple(_cut_shapes(parent))
         if len(_CUTS_MEMO) >= _CUTS_MEMO_CAP:
             _CUTS_MEMO.clear()
         _CUTS_MEMO[parent] = cuts

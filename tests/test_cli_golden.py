@@ -41,10 +41,15 @@ CASES = {
     "theta_1_1_2_1": (None, ["theta", "1:1|2:1"]),
     "theta_inv_2413": (None, ["theta-inv", "2413"]),
     "tsigma_2413_dec_abab": (None, ["tsigma", "2413", "--dec", "abab"]),
+    # canonical plain forests of degree 6, printed in order
+    "tsigma_615243_dec_abbaba": (None, ["tsigma", "615243", "--dec",
+                                        "abbaba"]),
     "theta_inv_matrix_d3": (None, ["theta-inv", "--matrix", "--degree", "3"]),
     "square_check_d3": (None, ["square-check", "--degree", "3", "--d", "2"]),
     "hopf_check_heap_d3": (None, ["hopf-check", "heap", "--degree", "3",
                                   "--d", "2"]),
+    "hopf_check_ck_d4": (None, ["hopf-check", "ck", "--degree", "4",
+                                "--d", "2"]),
     # fqsym has no decorations, so --d other than 1 is refused
     "hopf_check_fqsym_d5": (None, ["hopf-check", "fqsym", "--d", "5",
                                    "--degree", "3"]),

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from foresthopf.errors import ParseError
 from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import (
-    _ordered, PlainForest, OrderedForest, EMPTY_PLAIN, EMPTY_ORDERED,
+    _ordered, _cut_shapes, PlainTree, PlainForest, OrderedForest,
+    EMPTY_PLAIN, EMPTY_ORDERED,
     act, ordered_cuts, plain_cuts, linear_extensions, heap_order_lift,
     enumerate_heap_ordered, enumerate_ordered,
     enumerate_plain_trees, enumerate_plain_forests,
@@ -168,11 +169,9 @@ class TestCuts:
 
     def test_leas_are_the_upward_closed_subsets(self):
         # by definition: a Lea holds every vertex above each of its own,
-        # and every such subset is the Lea of exactly one cut; 1,442
-        # ordered forests and 443 two-letter heap-ordered forests
-        forests = [f for n in range(6) for f in enumerate_ordered(n)]
-        forests += [f for n in range(5) for f in enumerate_heap_ordered(n, 2)]
-        for f in forests:
+        # and every such subset is the Lea of exactly one cut; each part
+        # is the restriction to the vertices it keeps
+        for f in LEA_FORESTS:
             verts = range(1, f.n + 1)
             above = {v: f.strictly_above(v) for v in verts}
             expected = {frozenset(s) for k in range(f.n + 1)
@@ -184,6 +183,24 @@ class TestCuts:
             assert set(found) == expected, f
             for c in cuts:
                 assert sorted(c.roo_at + c.lea_at) == list(range(f.n)), f
+                assert f.restrict([i + 1 for i in c.roo_at]) == c.roo, f
+                assert f.restrict([i + 1 for i in c.lea_at]) == c.lea, f
+
+    def test_cuts_follow_ordered_cuts(self):
+        # the shapes fourier enumerates once per forest shape are the
+        # cuts the Hopf side decorates, in the same order
+        for f in LEA_FORESTS:
+            assert _cut_shapes(f.parent) == [
+                (c.roo.parent, c.roo_at, c.lea.parent, c.lea_at)
+                for c in ordered_cuts(f)], f
+            for c in ordered_cuts(f):
+                assert c.roo.dec == tuple(f.dec[i] for i in c.roo_at), f
+                assert c.lea.dec == tuple(f.dec[i] for i in c.lea_at), f
+
+
+# 1,442 ordered forests and 443 two-letter heap-ordered forests
+LEA_FORESTS = ([f for n in range(6) for f in enumerate_ordered(n)]
+               + [f for n in range(5) for f in enumerate_heap_ordered(n, 2)])
 
 
 class TestExtensions:
@@ -355,6 +372,53 @@ class TestTrustedConstructor:
                 g = PlainForest(reversed(f.trees))
                 assert f == g and hash(f) == hash(g)
                 assert hash(f) == hash(heap_order_lift(f).to_plain())
+
+    def test_to_plain(self):
+        # the reference builds each tree from its children through the
+        # public constructors, which sort
+        def build(f, v):
+            return PlainTree(f.dec[v - 1], [build(f, c)
+                                            for c in f.children[v]])
+
+        for n in range(5):
+            for f in ORDERED_2[n]:
+                plain = f.to_plain()
+                assert_as_parsed(plain)
+                assert plain == PlainForest([build(f, r) for r in f.roots])
+
+    def test_plain_products(self):
+        plain = {n: enumerate_plain_forests(n, 2) for n in range(6)}
+        for k in range(6):
+            for l in range(6 - k):
+                for f in plain[k]:
+                    for g in plain[l]:
+                        assert_as_parsed(f * g)
+                        assert f * g == PlainForest(f.trees + g.trees)
+
+    def test_plain_cuts(self):
+        for n in range(6):
+            for f in enumerate_plain_forests(n, 2):
+                for cut in plain_cuts(f):
+                    assert_as_parsed(cut.roo)
+                    assert_as_parsed(cut.lea)
+
+
+def assert_as_parsed(forest):
+    """forest equals, hashes like and has the trees, key and n of the
+    plain forest parsed from its text, and so does each of its trees at
+    every depth."""
+    parsed = PlainForest.parse(str(forest))
+    assert forest == parsed, forest
+    assert hash(forest) == hash(parsed), forest
+    assert forest.trees == parsed.trees, forest
+    assert forest.key == parsed.key, forest
+    assert forest.n == parsed.n, forest
+    pairs = list(zip(forest.trees, parsed.trees))
+    while pairs:
+        tree, twin = pairs.pop()
+        assert (tree.key, tree.n, hash(tree)) \
+            == (twin.key, twin.n, hash(twin)), forest
+        pairs.extend(zip(tree.children, twin.children))
 
 
 class TestLazyChildren:

@@ -6,7 +6,7 @@ relation chi(ab) + chi(ba) = chi(a) chi(b).
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
 import random
 
@@ -127,8 +127,23 @@ class TestSectors:
         assert sector_of((Fraction(1), Fraction(1))) == Perm((1, 2))
 
     def test_magnitude_tie(self):
-        with pytest.raises(MagnitudeTieError):
+        with pytest.raises(MagnitudeTieError) as info:
             sector_of((Fraction(1), Fraction(-1)))
+        assert str(info.value) == "frequencies 1 and -1 share a magnitude"
+
+    def test_sectors_are_the_validated_permutations(self):
+        # tie-free frequencies in every order, and repeats of one
+        # frequency, which sort stably by position
+        cases = [tuple(Fraction(f) for f in freq) for n in range(5)
+                 for freq in permutations([3, -1, Fraction(5, 2), -7][:n])]
+        cases += [(Fraction(2), Fraction(-1), Fraction(2)),
+                  (Fraction(-3),) * 3, (Fraction(1, 2), Fraction(1, 2))]
+        for freq in cases:
+            sigma = sector_of(freq)
+            public = Perm(sigma.word)
+            assert sigma == public and hash(sigma) == hash(public), freq
+            assert [abs(freq[p - 1]) for p in sigma.word] \
+                == sorted(abs(f) for f in freq), freq
 
     def test_split_reassemble(self):
         mu = AtomMeasure(2, {(3, 1): 1, (1, 2): GR_I})
@@ -482,13 +497,6 @@ class TestSectorTable:
                   for f in enumerate_heap_ordered(n, 1)]
         check_bounded_memo(monkeypatch, fourier, "_CUTS_MEMO",
                            fourier._cuts, shapes)
-
-    def test_cuts_follow_ordered_cuts(self):
-        for n in range(5):
-            for f in enumerate_heap_ordered(n, 1):
-                assert fourier._cuts(f.parent) == tuple(
-                    (roo.parent, roo_at, lea.parent, lea_at)
-                    for roo, roo_at, lea, lea_at in ordered_cuts(f))
 
     def test_bound_after_degree_6_is_cached(self, monkeypatch):
         p = TrigPath.parse("1: 1@1\n2: 1@2")

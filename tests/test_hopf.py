@@ -1,14 +1,14 @@
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from foresthopf.coeffs import LinComb
+from foresthopf.coeffs import LinComb, _lincomb
 from foresthopf.errors import StructureMismatchError
 from foresthopf.words import Word, EMPTY_WORD
 from foresthopf.forests import PlainForest, OrderedForest
 from foresthopf.hopf import (
     HopfStructure, Shuffle, CKForests, Ordered, HeapOrdered,
     FQSym, FQSymDec, get_structure, hopf_axiom_sweep,
-    check_antipode, tensor,
+    check_antipode, check_coassoc, check_counit, tensor,
 )
 from foresthopf.morphisms import t_sigma
 from foresthopf.perms import all_perms
@@ -217,6 +217,56 @@ class TestAxiomSweeps:
         msg = check_antipode(Broken(), Word((1,)))
         assert msg is not None
 
+    def test_coassoc_check_catches_a_dropped_term(self):
+        ladder = PlainForest.parse("1[1[1]]")
+        assert check_coassoc(DroppedCut(), ladder) is None
+        assert check_coassoc(DroppedCut(last=True), ladder) \
+            == "coassociativity fails on 1[1[1]]"
+
+    def test_antipode_check_catches_each_side(self):
+        # the generic recursion S(x) = -x - sum S(x')x'' makes the
+        # (S x id) side hold on any coproduct; a dropped term breaks
+        # coassociativity, and with it the (id x S) side
+        ladder = PlainForest.parse("1[1[1]]")
+        assert check_antipode(DroppedCut(), ladder) is None
+        assert check_antipode(DroppedCut(last=True), ladder) \
+            == "antipode axiom (id x S) fails on 1[1[1]]"
+
+        class NegatedAntipode(CKForests):
+            def antipode(self, b):
+                value = super().antipode(b)
+                return -value if b.n == 3 else value
+
+        assert check_antipode(NegatedAntipode(), ladder) \
+            == "antipode axiom (S x id) fails on 1[1[1]]"
+
+    def test_counit_check_catches_a_dropped_trivial_term(self):
+        class NoTrivialRight(CKForests):
+            def _coproduct(self, b):
+                terms = dict(super()._coproduct(b).terms)
+                del terms[(b, PlainForest(()))]
+                return _lincomb(terms)
+
+        cherry = PlainForest.parse("1[1,1]")
+        assert check_counit(CKForests(), cherry) is None
+        assert check_counit(NoTrivialRight(), cherry) \
+            == "counit axiom fails on 1[1,1]"
+
+
+class DroppedCut(CKForests):
+    """The forest coproduct, and the same with its last proper term
+    dropped on every forest of degree 3 and more."""
+
+    def __init__(self, last=False):
+        super().__init__()
+        self.last = last
+
+    def _coproduct(self, b):
+        terms = dict(super()._coproduct(b).terms)
+        if self.last and b.n >= 3:
+            del terms[[k for k in terms if k[0].n and k[1].n][-1]]
+        return _lincomb(terms)
+
 
 class TestRegistry:
     def test_get_structure_names(self):
@@ -227,9 +277,11 @@ class TestRegistry:
     def test_fqsym_refuses_decorations(self):
         # the basis is undecorated, so a decoration count would be
         # silently ignored
-        with pytest.raises(ValueError, match="use fqsym-dec for --d 2"):
+        text = (r"fqsym has no decorations \(d={}\); "
+                r"use the fqsym-dec structure$")
+        with pytest.raises(ValueError, match=text.format(2)):
             FQSym(2)
-        with pytest.raises(ValueError, match="use fqsym-dec for --d 5"):
+        with pytest.raises(ValueError, match=text.format(5)):
             get_structure("fqsym", 5)
 
     def test_unknown_structure(self):
