@@ -310,6 +310,10 @@ def main(argv=None):
     except (ParseError, BoundExceededError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the exception's text depends on where the stack ran out
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
     except (SingularAtomError, MagnitudeTieError) as exc:
         print(f"singular input: {exc}", file=sys.stderr)
         return 3

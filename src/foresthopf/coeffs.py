@@ -11,23 +11,24 @@ so every value type here is built on fractions.Fraction:
 Nothing here ever touches floating point.
 
 MultiPoly, FreqExp and LinComb are sparse sums: a terms dict from keys
-to coefficients with no stored zero.  They share one base, SparseSum
-(as does fourier.AtomMeasure), which defines +, -, negation, equality,
-hashing and truth once, on Accumulator: the one in-place sum of
-scalar * value into one dict.
+to coefficients with no stored zero, over a space.  They share one
+base, SparseSum (as does fourier.AtomMeasure), which owns the space and
+defines +, -, negation, equality, hashing and truth once, on
+Accumulator: the one in-place sum of scalar * value into one dict.
 
 Every value is clean: each rational part, coefficient and frequency is
 a Fraction (a LinComb coefficient is an int until a division happens,
 that is until a Fraction scalar or summand meets it; equal int and
 Fraction values compare, hash and print the same), every key of a
-MultiPoly or FreqExp has the arity of its space (the variable tuple,
-or (t, u, s)), a LinComb's keys are any hashable basis objects, and no
-stored term is zero.  Each type has one
+MultiPoly has the arity of its variable tuple and every key of a
+FreqExp is a triple over (t, u, s), a LinComb's keys are any hashable
+basis objects, and no stored term is zero.  Each type has one
 public constructor, which establishes this from arbitrary input and
 sums repeated keys.  Arithmetic on clean values yields clean parts, so
 results are built by the private constructors _gaussian, _poly,
 _freqexp and _lincomb, which check nothing and only drop the terms
-that cancelled.  _nonzero_lincomb does not even look for cancelled
+that cancelled; _sparse(cls, space, terms) does the same for any
+sparse-sum type.  _nonzero_lincomb does not even look for cancelled
 terms: it serves producers whose coefficients cannot be zero.  One is
 _unit_sum, which builds the LinComb of a sum of basis objects, each
 with coefficient 1: its coefficients are the ints that count the
@@ -257,21 +258,38 @@ def parse_gaussian(text):
 # ---------------------------------------------------------------------------
 
 class SparseSum:
-    """A finite sum: ``terms`` maps keys to nonzero coefficients.
+    """A finite sum: ``terms`` maps keys to nonzero coefficients, over a
+    ``space``: the variable tuple of a MultiPoly, the arity of a
+    fourier.AtomMeasure, None for FreqExp and LinComb.
 
-    Immutable.  Addition, subtraction, negation, equality, hashing and
-    truth are defined here once, on Accumulator.  A subclass supplies
-    _coerce (an operand of its own type, or a scalar turned into one,
-    else None), _check (raise unless the argument is a summand of the
-    same space), _SCALARS (the scalars an Accumulator may scale a
-    summand by) and _with_terms (its trusted constructor, in the space
-    of self).
+    Immutable.  Only sums of one type and space are added or compared
+    equal.  Addition, subtraction, negation, equality, hashing, truth,
+    _check (raise unless the argument is a summand of the same type and
+    space), _with_terms (a sum in the space of self) and the default
+    _coerce (an operand of the same type, else None) are defined here
+    once, on Accumulator and the trusted constructor _sparse.  A
+    subclass supplies _SCALARS (the scalars an Accumulator may scale a
+    summand by), and may widen _coerce to scalars.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("space", "terms")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _check(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"not a summand of type {type(self).__name__}: "
+                            f"{other!r}")
+        if self.space != other.space:
+            raise ValueError(f"{type(self).__name__} spaces differ: "
+                             f"{self.space!r} vs {other.space!r}")
+
+    def _with_terms(self, terms):
+        return _sparse(type(self), self.space, terms)
+
+    def _coerce(self, other):
+        return other if isinstance(other, type(self)) else None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -301,16 +319,27 @@ class SparseSum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.space == other.space and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.space, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
 
 
+_set_space = SparseSum.space.__set__
 _set_terms = SparseSum.terms.__set__
+
+
+def _sparse(cls, space, terms):
+    """Trusted constructor of a sparse sum of type cls over space: the
+    keys and coefficients are already clean.  Takes ownership of the
+    terms dict and drops its zero coefficients."""
+    v = _new(cls)
+    _set_space(v, space)
+    _set_terms(v, _drop_zeros(terms))
+    return v
 
 
 def _pairs(terms):
@@ -344,8 +373,7 @@ def _drop_zeros(terms):
 class Accumulator:
     """A running sum of scalar * value over one space of sparse sums.
 
-    The sum starts at ``start``, which also fixes its space (the type,
-    and what its _check compares: the variable tuple of a MultiPoly).
+    The sum starts at ``start``, which also fixes its type and space.
     Each add folds the terms of one value into one dict in place;
     value() builds the sum once.
     """
@@ -392,11 +420,11 @@ class MultiPoly(SparseSum):
     """Sparse polynomial with Fraction coefficients over a fixed variable tuple.
 
     Terms map exponent tuples to nonzero coefficients.  The variable tuple
-    is part of the value; mixing polynomials over different variable tuples
-    is an error.
+    is the space, part of the value; mixing polynomials over different
+    variable tuples is an error.
     """
 
-    __slots__ = ("vars",)
+    __slots__ = ()
 
     def __init__(self, vars, terms=None):
         vars = tuple(vars)
@@ -408,8 +436,12 @@ class MultiPoly(SparseSum):
                 if len(exp) != len(vars):
                     raise ValueError("exponent arity does not match variables")
                 pairs.append((exp, c))
-        _set_vars(self, vars)
+        _set_space(self, vars)
         _set_terms(self, _merged(pairs))
+
+    @property
+    def vars(self):
+        return self.space
 
     # -- constructors -------------------------------------------------------
 
@@ -438,24 +470,15 @@ class MultiPoly(SparseSum):
 
     _SCALARS = (int, Fraction)
 
-    def _check(self, other):
-        if not isinstance(other, MultiPoly):
-            raise TypeError(f"not a MultiPoly: {other!r}")
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-
-    def _with_terms(self, terms):
-        return _poly(self.vars, terms)
-
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(self.vars, other)
+            return MultiPoly.const(self.space, other)
         return other if isinstance(other, MultiPoly) else None
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _poly(self.vars, {e: v * other
-                                     for e, v in self.terms.items()})
+            return _poly(self.space, {e: v * other
+                                      for e, v in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
@@ -468,26 +491,17 @@ class MultiPoly(SparseSum):
                 c = c1 * c2
                 prev = get(e)
                 out[e] = c if prev is None else prev + c
-        return _poly(self.vars, out)
+        return _poly(self.space, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.one(self.vars)
+        result = MultiPoly.one(self.space)
         for _ in range(k):
             result = result * self
         return result
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- rendering -----------------------------------------------------------
 
@@ -523,15 +537,12 @@ class MultiPoly(SparseSum):
         return f"MultiPoly({self.vars!r}, {self.terms!r})"
 
 
-_set_vars = MultiPoly.vars.__set__
-
-
 def _poly(vars, terms):
     """Trusted constructor over a variable tuple: keys have its arity and
     coefficients are Fraction.  Takes ownership of the terms dict and
     drops its zero coefficients."""
     p = _new(MultiPoly)
-    _set_vars(p, vars)
+    _set_space(p, vars)
     _set_terms(p, _drop_zeros(terms))
     return p
 
@@ -564,6 +575,7 @@ class FreqExp(SparseSum):
                 if len(freq) != 3:
                     raise ValueError("frequency vector must cover (t, u, s)")
                 pairs.append((freq, c))
+        _set_space(self, None)
         _set_terms(self, _merged(pairs))
 
     @classmethod
@@ -582,13 +594,6 @@ class FreqExp(SparseSum):
         return cls({tuple(freq): coeff})
 
     _SCALARS = (int, Fraction, GaussianRational)
-
-    def _check(self, other):
-        if not isinstance(other, FreqExp):
-            raise TypeError(f"not a FreqExp: {other!r}")
-
-    def _with_terms(self, terms):
-        return _freqexp(terms)
 
     @staticmethod
     def _coerce(x):
@@ -644,6 +649,7 @@ def _freqexp(terms):
     GaussianRational.  Takes ownership of the terms dict and drops its
     zero coefficients."""
     v = _new(FreqExp)
+    _set_space(v, None)
     _set_terms(v, _drop_zeros(terms))
     return v
 
@@ -676,6 +682,7 @@ class LinComb(SparseSum):
     __slots__ = ()
 
     def __init__(self, terms=None):
+        _set_space(self, None)
         _set_terms(self, _merged((b, _as_coeff(c))
                                  for b, c in _pairs(terms)))
 
@@ -688,17 +695,6 @@ class LinComb(SparseSum):
         return _lincomb({basis: _as_coeff(coeff)})
 
     _SCALARS = (int, Fraction)
-
-    def _check(self, other):
-        if not isinstance(other, LinComb):
-            raise TypeError(f"not a LinComb: {other!r}")
-
-    def _with_terms(self, terms):
-        return _lincomb(terms)
-
-    @staticmethod
-    def _coerce(x):
-        return x if isinstance(x, LinComb) else None
 
     def __mul__(self, scalar):
         c = _as_coeff(scalar)
@@ -742,6 +738,7 @@ def _lincomb(terms):
     """Trusted constructor: coefficients are int or Fraction.  Takes
     ownership of the terms dict and drops its zero coefficients."""
     v = _new(LinComb)
+    _set_space(v, None)
     _set_terms(v, _drop_zeros(terms))
     return v
 
@@ -751,6 +748,7 @@ def _nonzero_lincomb(terms):
     counts or products of nonzero coefficients over distinct keys.
     Takes ownership of the terms dict and scans nothing."""
     v = _new(LinComb)
+    _set_space(v, None)
     _set_terms(v, terms)
     return v
 

@@ -20,7 +20,7 @@ OrderedForest has one validating public constructor,
 OrderedForest(parent, dec), used at parse and public boundaries, and
 one trusted constructor, _ordered(parent, dec), which checks nothing:
 parent must already be a tuple of ints in 0..n, acyclic and with no
-self-parent, and dec a tuple of n positive ints.  Products, restrictions,
+self-parent, and dec a tuple of n positive ints.  Products, cut parts,
 relabelings, heap lifts and the enumerations are forests by
 construction, so they are built through _ordered.  OrderedForest,
 PlainTree and PlainForest store their hash once, in a slot.  The
@@ -363,33 +363,11 @@ class OrderedForest:
     def is_heap_ordered(self):
         return all([p < i for i, p in enumerate(self.parent, start=1)])
 
-    def strictly_above(self, v):
-        """All vertices in the subtree of v, excluding v itself."""
-        out = []
-        stack = list(self.children[v])
-        while stack:
-            w = stack.pop()
-            out.append(w)
-            stack.extend(self.children[w])
-        return set(out)
-
     def __mul__(self, other):
         k = self.n
         parent = self.parent + tuple([p + k if p else 0
                                       for p in other.parent])
         return _ordered(parent, self.dec + other.dec)
-
-    def restrict(self, vertices):
-        """Induced ordered forest on a vertex subset, standardized.
-
-        A vertex whose parent is outside the subset becomes a root; this
-        matches cut parts, where subsets are up- or downward closed.
-        """
-        vs = sorted(vertices)
-        rank = {v: i for i, v in enumerate(vs, start=1)}
-        parent, dec = self.parent, self.dec
-        return _ordered(tuple([rank.get(parent[v - 1], 0) for v in vs]),
-                        tuple([dec[v - 1] for v in vs]))
 
     def to_plain(self):
         """The plain forest, built bottom-up: each tree once, after the

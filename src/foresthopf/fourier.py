@@ -32,8 +32,8 @@ from math import lcm
 
 from .coeffs import (GaussianRational, GR_ONE, GR_I, FreqExp, FREQ_VARS,
                      FREQ_ZERO, LinComb, SparseSum, Accumulator,
-                     parse_gaussian, _as_fraction, _freqexp, _drop_zeros,
-                     _merged, _new, _pairs, _set_terms, _ZERO, _ONE)
+                     parse_gaussian, _as_fraction, _freqexp, _merged,
+                     _pairs, _set_space, _set_terms, _sparse, _ZERO, _ONE)
 from .errors import ParseError, SingularAtomError, MagnitudeTieError
 from .words import Word, Path
 from .perms import Perm, _perm, all_perms, shuffles
@@ -86,11 +86,12 @@ class AtomMeasure(SparseSum):
     """Finite sum of atoms of one arity, merged by frequency vector.
 
     A sparse sum: terms map length-n frequency vectors to nonzero
-    GaussianRational amplitudes, and the arity n is part of the value.
-    The constructor takes a dict or an iterable of (frequency vector,
-    amplitude) pairs and sums repeated vectors."""
+    GaussianRational amplitudes, and the arity n is the space, part of
+    the value.  The constructor takes a dict or an iterable of
+    (frequency vector, amplitude) pairs and sums repeated vectors; the
+    library builds measures of clean parts through coeffs._sparse."""
 
-    __slots__ = ("n",)
+    __slots__ = ()
 
     def __init__(self, n, terms=None):
         pairs = []
@@ -101,62 +102,32 @@ class AtomMeasure(SparseSum):
             if not isinstance(amp, GaussianRational):
                 amp = GaussianRational(amp)
             pairs.append((freq, amp))
-        _set_n(self, n)
+        _set_space(self, n)
         _set_terms(self, _merged(pairs))
 
-    @classmethod
-    def _from_terms(cls, n, terms):
-        """Trusted constructor: keys are length-n tuples of Fraction and
-        amplitudes GaussianRational.  Takes ownership of the terms dict
-        and drops its zero amplitudes."""
-        m = _new(cls)
-        _set_n(m, n)
-        _set_terms(m, _drop_zeros(terms))
-        return m
+    @property
+    def n(self):
+        return self.space
 
     _SCALARS = (int, Fraction, GaussianRational)
-
-    def _check(self, other):
-        if not isinstance(other, AtomMeasure):
-            raise TypeError(f"not an AtomMeasure: {other!r}")
-        if self.n != other.n:
-            raise ValueError("mixed arities inside one measure")
-
-    def _with_terms(self, terms):
-        return AtomMeasure._from_terms(self.n, terms)
-
-    @staticmethod
-    def _coerce(x):
-        return x if isinstance(x, AtomMeasure) else None
 
     def compose(self, eps):
         """Coordinates xi o eps on every atom: position j reads
         xi_{eps(j)}.  A bijection of keys, so nothing merges."""
-        return AtomMeasure._from_terms(
-            self.n, {tuple([freq[p - 1] for p in eps.word]): amp
-                     for freq, amp in self.terms.items()})
+        return _sparse(AtomMeasure, self.space,
+                       {tuple([freq[p - 1] for p in eps.word]): amp
+                        for freq, amp in self.terms.items()})
 
     def tensor(self, other):
         """The product measure: frequency vectors concatenated and
         amplitudes multiplied, over every pair of atoms (distinct keys)."""
         right = other.terms.items()
-        return AtomMeasure._from_terms(
-            self.n + other.n, {f1 + f2: a1 * a2
-                               for f1, a1 in self.terms.items()
-                               for f2, a2 in right})
-
-    def __eq__(self, other):
-        return (isinstance(other, AtomMeasure) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
+        return _sparse(AtomMeasure, self.space + other.space,
+                       {f1 + f2: a1 * a2 for f1, a1 in self.terms.items()
+                        for f2, a2 in right})
 
     def __repr__(self):
         return f"AtomMeasure({self.n}, {sorted(self.terms.items())})"
-
-
-_set_n = AtomMeasure.n.__set__
 
 
 def word_measure(path, word):
@@ -169,7 +140,7 @@ def word_measure(path, word):
         component = [(f, a) for f, a in path.component(letter) if a]
         terms = {freq + (f,): amp * a
                  for freq, amp in terms.items() for f, a in component}
-    return AtomMeasure._from_terms(len(word), terms)
+    return _sparse(AtomMeasure, len(word), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +178,7 @@ def split_measure(mu):
         if terms is None:
             terms = pieces[sigma] = {}
         terms[tuple([freq[p - 1] for p in sigma.word])] = amp
-    return {sigma: AtomMeasure._from_terms(mu.n, terms)
+    return {sigma: _sparse(AtomMeasure, mu.space, terms)
             for sigma, terms in pieces.items()}
 
 

@@ -4,13 +4,14 @@ Every structure acts on LinComb over its own basis type: words for the
 shuffle algebra, plain forests for the Connes-Kreimer algebra, ordered
 and heap-ordered forests, and (decorated) permutations for FQSym.
 Tensors are plain Python pairs (triples for the coassociativity check).
-The linear extensions product_lin, coproduct_lin and tensor_mul, with
-the module-level tensor, are the one bilinear layer: every identity
+The linear extensions product_lin and coproduct_lin, with the
+module-level tensor, are the one bilinear layer: every identity
 multiplies, co-multiplies and tensors linear combinations through them.
 Where one side is a single basis element (the antipode recursion and
 check_antipode), the other side's terms are multiplied by it directly.
-check_coassoc and check_antipode add every term of a side into one
-dict and compare the LinComb built from it once, with no sum built per
+check_coassoc and check_antipode add every term of a side, and
+check_delta_mult every term of its right side, into one dict and
+compare the LinComb built from it once, with no sum built per
 coproduct term.
 Products and coproducts on the basis are sums of basis objects with
 coefficient 1, built by coeffs._unit_sum (a forest product, one basis
@@ -119,16 +120,6 @@ class HopfStructure:
         total = Accumulator(LinComb.zero())
         for x, cx in a.items():
             total.add(self.coproduct(x), cx)
-        return total.value()
-
-    def tensor_mul(self, t1, t2):
-        """Componentwise product on LinComb over basis pairs."""
-        total = Accumulator(LinComb.zero())
-        right = t2.items()
-        for (a, b), c1 in t1.items():
-            for (x, y), c2 in right:
-                total.add(tensor(self.product(a, x), self.product(b, y)),
-                          c1 * c2)
         return total.value()
 
     def same_structure(self, other):
@@ -295,10 +286,21 @@ def check_coassoc(H, b):
 
 
 def check_delta_mult(H, b1, b2):
-    """Delta(xy) = Delta(x)Delta(y)."""
+    """Delta(xy) = Delta(x)Delta(y), the right side multiplied
+    componentwise over pairs of coproduct terms."""
     lhs = H.coproduct_lin(H.product(b1, b2))
-    rhs = H.tensor_mul(H.coproduct(b1), H.coproduct(b2))
-    if lhs != rhs:
+    rhs = {}
+    get = rhs.get
+    right = H.coproduct(b2).items()
+    for (u, v), c1 in H.coproduct(b1).items():
+        for (x, y), c2 in right:
+            c = c1 * c2
+            second = H.product(v, y).items()
+            for p, cp in H.product(u, x).items():
+                for q, cq in second:
+                    key = (p, q)
+                    rhs[key] = get(key, 0) + c * cp * cq
+    if lhs != _lincomb(rhs):
         return f"Delta not multiplicative on {b1}, {b2}"
     return None
 

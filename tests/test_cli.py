@@ -188,6 +188,17 @@ class TestExitCodes:
         assert code == 3
         assert "singular input:" in err
 
+    def test_deep_nesting_exits_2(self, capsys):
+        # a 400-vertex chain 1:1[2:1[...]] outruns the recursion limit;
+        # the text must not depend on where the stack ran out
+        chain = "400:1"
+        for v in range(399, 0, -1):
+            chain = f"{v}:1[{chain}]"
+        code, out, err = run(capsys, ["theta", chain])
+        assert code == 2
+        assert out == ""
+        assert err == "error: input nested too deeply\n"
+
     @pytest.mark.parametrize("argv", [
         ["tsigma", "12", "--dec", "abc"],
         ["theta-inv", "--matrix", "--degree", "-1"],

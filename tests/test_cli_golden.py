@@ -34,6 +34,8 @@ GAMMA_PATH = "1: 1\n2: 2x\n"
 RESONANT_PATH = "1: 1@1, 1@-2\n2: 1@3\n"
 # 1 + 2 - 3 = 0 at the root of every forest on abc
 SINGULAR_PATH = "1: 1@1\n2: 1@2\n3: 1@-3\n"
+# a ladder of 1,000 vertices, nested deeper than the recursion limit
+DEEP_TREE = "1[" * 999 + "1" + "]" * 999
 
 # name -> (path file text or None, arguments before --path); the cases
 # of EXIT_CODES exit with the code named there, every other case with 0
@@ -59,13 +61,15 @@ CASES = {
                                      "--jlen", "2"]),
     "iterint_ab": (GAMMA_PATH, ["iterint", "ab"]),
     "iterint_tree_1_2": (GAMMA_PATH, ["iterint", "1[2]", "--tree"]),
+    "iterint_tree_deep": (GAMMA_PATH, ["iterint", DEEP_TREE, "--tree"]),
     "chen_check_d3": (GAMMA_PATH, ["chen-check", "--degree", "3"]),
     "fno_chi_aaaa_resonant": (RESONANT_PATH, ["fno", "chi", "aaaa"]),
     "fno_j_baaa_resonant": (RESONANT_PATH, ["fno", "j", "baaa"]),
     "fno_chi_abc_singular": (SINGULAR_PATH, ["fno", "chi", "abc"]),
 }
 EXIT_CODES = {"fno_chi_aaaa_resonant": 3, "fno_j_baaa_resonant": 3,
-              "fno_chi_abc_singular": 3, "hopf_check_fqsym_d5": 2}
+              "fno_chi_abc_singular": 3, "hopf_check_fqsym_d5": 2,
+              "iterint_tree_deep": 2}
 SECONDS = re.compile(r'"seconds": [0-9][0-9.eE+-]*')
 
 

@@ -5,10 +5,12 @@ from hypothesis import given, strategies as st
 
 from foresthopf.coeffs import (GaussianRational, GR_ZERO, GR_ONE, GR_I,
                                parse_gaussian, MultiPoly, FreqExp, LinComb,
-                               Accumulator)
+                               Accumulator, _freqexp, _lincomb, _poly,
+                               _sparse, _ZERO)
 from foresthopf.characters import _integral_from_s
 from foresthopf.errors import ParseError
 from foresthopf.forests import enumerate_heap_ordered
+from foresthopf.fourier import AtomMeasure
 from foresthopf.hopf import STRUCTURES
 from foresthopf.morphisms import ThetaMatrix, theta, theta_dec, t_sigma
 from foresthopf.perms import all_perms
@@ -281,6 +283,48 @@ class TestCleanValues:
         assert value == MultiPoly.zero(XS)
         with pytest.raises(TypeError):
             Accumulator(LinComb.zero()).add(MultiPoly.one(XS))
+
+
+# each sparse-sum type: a sum built by its public constructor, the same
+# sum built by its trusted one, and a sum with the same terms in another
+# space (None for the types that have one space only)
+SPACES = {
+    "MultiPoly": (MultiPoly(("t",), {(1,): 2}),
+                  _poly(("t",), {(1,): Fraction(2)}),
+                  MultiPoly(("s",), {(1,): 2})),
+    "MultiPoly-zero": (MultiPoly.zero(("t",)), _poly(("t",), {}),
+                       MultiPoly.zero(("s",))),
+    "AtomMeasure": (AtomMeasure(2), _sparse(AtomMeasure, 2, {}),
+                    AtomMeasure(3)),
+    "FreqExp": (FreqExp({(1, 0, 0): GR_I}),
+                _freqexp({(Fraction(1), _ZERO, _ZERO): GR_I}), None),
+    "LinComb": (LinComb({"a": 2}), _lincomb({"a": 2}), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_space_is_part_of_the_value(name):
+    """SparseSum compares, hashes and adds sums over (space, terms)."""
+    public, trusted, other = SPACES[name]
+    kind = type(public).__name__
+    assert public == trusted and trusted == public
+    assert hash(public) == hash(trusted)
+    total = Accumulator(trusted)
+    total.add(public)
+    assert total.value() == public + trusted
+    with pytest.raises(TypeError,
+                       match=f"^not a summand of type {kind}: "):
+        total.add(GR_ONE)
+    if other is None:
+        return
+    assert other.terms == public.terms
+    assert public != other and other != public
+    with pytest.raises(ValueError) as exc:
+        Accumulator(public).add(other)
+    assert str(exc.value) == (f"{kind} spaces differ: "
+                              f"{public.space!r} vs {other.space!r}")
+    with pytest.raises(ValueError):
+        public + other
 
 
 class TestLinComb:

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from memo_check import check_bounded_memo
+from test_forests import strictly_above
 from foresthopf.coeffs import GaussianRational, GR_ONE, GR_I, FreqExp, LinComb
 from foresthopf.errors import (ParseError, MagnitudeTieError,
                                SingularAtomError, BoundExceededError)
@@ -172,7 +173,7 @@ def e18_closed_form(forest, freq, amp, var="t"):
     denom = Fraction(1)
     for v in range(1, forest.n + 1):
         xi = freq[v - 1]
-        for w in forest.strictly_above(v):
+        for w in strictly_above(forest, v):
             xi += freq[w - 1]
         if xi == 0:
             raise SingularAtomError(

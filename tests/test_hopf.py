@@ -8,7 +8,7 @@ from foresthopf.forests import PlainForest, OrderedForest
 from foresthopf.hopf import (
     HopfStructure, Shuffle, CKForests, Ordered, HeapOrdered,
     FQSym, FQSymDec, get_structure, hopf_axiom_sweep,
-    check_antipode, check_coassoc, check_counit, tensor,
+    check_antipode, check_coassoc, check_counit, check_delta_mult, tensor,
 )
 from foresthopf.morphisms import t_sigma
 from foresthopf.perms import all_perms
@@ -109,33 +109,25 @@ class TestOrdered:
 # both HeapOrdered and FQSym), with small coefficients that often cancel
 lin_terms = st.lists(st.tuples(st.integers(0, 9), st.integers(-2, 2)),
                      max_size=5)
-pair_terms = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
-                                st.integers(-2, 2)), max_size=3)
 
 
 class TestBilinearLayer:
-    """product_lin, coproduct_lin, tensor and tensor_mul against explicit
-    loops into the public LinComb constructor."""
+    """product_lin, coproduct_lin and tensor against explicit loops into
+    the public LinComb constructor."""
 
     @pytest.mark.parametrize("structure", [HeapOrdered, FQSym])
     @seed(20261018)
     @settings(max_examples=60, deadline=None)
-    @given(a_terms=lin_terms, b_terms=lin_terms, t1_terms=pair_terms,
-           t2_terms=pair_terms)
+    @given(a_terms=lin_terms, b_terms=lin_terms)
     # (1 + x)(x - 1) = x - 1 + xx - x: the two x terms cancel
-    @example(a_terms=[(0, 1), (1, 1)], b_terms=[(1, 1), (0, -1)],
-             t1_terms=[], t2_terms=[])
-    # inputs that cancel to zero
-    @example(a_terms=[(2, 1), (2, -1)], b_terms=[(3, 2)],
-             t1_terms=[(1, 1, 1), (1, 1, -1)], t2_terms=[(0, 2, 1)])
-    def test_maps_match_double_loops(self, structure, a_terms, b_terms,
-                                     t1_terms, t2_terms):
+    @example(a_terms=[(0, 1), (1, 1)], b_terms=[(1, 1), (0, -1)])
+    # an input that cancels to zero
+    @example(a_terms=[(2, 1), (2, -1)], b_terms=[(3, 2)])
+    def test_maps_match_double_loops(self, structure, a_terms, b_terms):
         H = structure()
         pool = [x for n in range(4) for x in H.basis(n)]
         a = LinComb((pool[i], c) for i, c in a_terms)
         b = LinComb((pool[i], c) for i, c in b_terms)
-        t1 = LinComb(((pool[i], pool[j]), c) for i, j, c in t1_terms)
-        t2 = LinComb(((pool[i], pool[j]), c) for i, j, c in t2_terms)
         expected = {
             "product_lin": LinComb(
                 (z, cx * cy * cz) for x, cx in a.items()
@@ -147,17 +139,11 @@ class TestBilinearLayer:
             "tensor": LinComb(
                 ((x, y), cx * cy) for x, cx in a.items()
                 for y, cy in b.items()),
-            "tensor_mul": LinComb(
-                ((p, q), c1 * c2 * cp * cq) for (u, v), c1 in t1.items()
-                for (x, y), c2 in t2.items()
-                for p, cp in H.product(u, x).items()
-                for q, cq in H.product(v, y).items()),
         }
         got = {
             "product_lin": H.product_lin(a, b),
             "coproduct_lin": H.coproduct_lin(a),
             "tensor": tensor(a, b),
-            "tensor_mul": H.tensor_mul(t1, t2),
         }
         for name, value in got.items():
             assert value == expected[name], name
@@ -222,6 +208,20 @@ class TestAxiomSweeps:
         assert check_coassoc(DroppedCut(), ladder) is None
         assert check_coassoc(DroppedCut(last=True), ladder) \
             == "coassociativity fails on 1[1[1]]"
+
+    def test_delta_mult_check_catches_a_dropped_term(self):
+        # a cut is dropped from Delta(1|1[1]) only: its factors have
+        # degree below 3
+        one, ladder = PlainForest.parse("1"), PlainForest.parse("1[1]")
+        assert check_delta_mult(CKForests(), one, ladder) is None
+        assert check_delta_mult(DroppedCut(last=True), one, ladder) \
+            == "Delta not multiplicative on 1, 1[1]"
+        # every coefficient of the right side counts: the cut 1[1] x 1
+        # of the cherry 1[1,1] has coefficient 2, and the shuffle
+        # a * a = 2aa weighs both tensor factors
+        cherry, a = PlainForest.parse("1[1,1]"), Word((1,))
+        assert check_delta_mult(CKForests(), cherry, cherry) is None
+        assert check_delta_mult(Shuffle(), a, a) is None
 
     def test_antipode_check_catches_each_side(self):
         # the generic recursion S(x) = -x - sum S(x')x'' makes the

@@ -1,5 +1,7 @@
 """Source hygiene: every module uses each name it imports, every
-library memo is bounded, and every name the benchmark traces exists.
+library memo is bounded, every name the benchmark traces exists, and
+only coeffs.SparseSum decides which sparse sums may be added and
+compared.
 
 Package ``__init__`` modules are skipped by the import check, since they
 import to re-export; ``from __future__`` imports are compiler
@@ -122,3 +124,55 @@ def test_traced_names_resolve():
     finally:
         tracer.uninstall()
     assert tracer.missing() == PINNED_MISSING
+
+
+# SparseSum defines these once, over (space, terms); a sparse-sum type
+# that defined its own would keep a second rule for its space
+SPACE_METHODS = {"_check", "_with_terms", "__eq__", "__hash__"}
+
+
+def space_overrides(sources):
+    """(class, name) for each name of SPACE_METHODS that a class deriving
+    from SparseSum, directly or through another class of the sources,
+    defines or assigns in its body."""
+    classes = [node for source in sources
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)]
+    sums = {"SparseSum"}
+    grown = True
+    while grown:
+        grown = False
+        for node in classes:
+            if node.name not in sums and any(
+                    isinstance(base, ast.Name) and base.id in sums
+                    for base in node.bases):
+                sums.add(node.name)
+                grown = True
+    found = []
+    for node in classes:
+        if node.name == "SparseSum" or node.name not in sums:
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            found.extend((node.name, name) for name in names
+                         if name in SPACE_METHODS)
+    return sorted(found)
+
+
+def test_guard_sees_a_space_override():
+    sources = ["class SparseSum:\n    def __eq__(self, other): pass\n",
+               "class A(SparseSum):\n    def _check(self, other): pass\n"
+               "    def __mul__(self, other): pass\n"
+               "class B(A):\n    __hash__ = None\n"
+               "class C:\n    def __eq__(self, other): pass\n"]
+    assert space_overrides(sources) == [("A", "_check"), ("B", "__hash__")]
+
+
+def test_only_sparse_sum_owns_the_space():
+    assert space_overrides([p.read_text() for p in LIBRARY]) == []
