@@ -34,6 +34,14 @@ PlainTrees already sorted by key, _plain_forest(trees) a tuple of
 PlainTrees sorted by key.  to_plain and the product of plain forests,
 whose trees are canonical by construction, build through them.
 
+The three trusted constructors return one shared instance per shape:
+each looks its arguments up in a bounded memo (_ORDERED_MEMO,
+_PLAIN_TREE_MEMO, _PLAIN_FOREST_MEMO, each emptied when it holds its
+cap) and builds a forest only on a miss, so a dict lookup of an equal
+forest mostly meets the same object and compares nothing.  Equality and
+hashing stay structural: the public constructors, and the trusted ones
+after an eviction, may build equal forests that are not identical.
+
 Cuts are enumerated once per shape: _cut_shapes(parent) takes the
 parent tuple of a valid forest (as for _ordered) and gives its cuts as
 parent tuples and positions; ordered_cuts adds the decorations.
@@ -172,17 +180,35 @@ def _canonical(trees):
     return tuple(trees)
 
 
+# Memos of the trusted constructors, each emptied when it holds its cap.
+_PLAIN_TREE_MEMO = {}
+_PLAIN_TREE_MEMO_CAP = 1 << 14
+_PLAIN_FOREST_MEMO = {}
+_PLAIN_FOREST_MEMO_CAP = 1 << 14
+
+
 def _plain_tree(dec, children):
     """Trusted constructor (see the module docstring)."""
-    tree = _new(PlainTree)
-    _fill_tree(tree, dec, children)
+    key = (dec, children)
+    tree = _PLAIN_TREE_MEMO.get(key)
+    if tree is None:
+        tree = _new(PlainTree)
+        _fill_tree(tree, dec, children)
+        if len(_PLAIN_TREE_MEMO) >= _PLAIN_TREE_MEMO_CAP:
+            _PLAIN_TREE_MEMO.clear()
+        _PLAIN_TREE_MEMO[key] = tree
     return tree
 
 
 def _plain_forest(trees):
     """Trusted constructor (see the module docstring)."""
-    forest = _new(PlainForest)
-    _fill_forest(forest, trees)
+    forest = _PLAIN_FOREST_MEMO.get(trees)
+    if forest is None:
+        forest = _new(PlainForest)
+        _fill_forest(forest, trees)
+        if len(_PLAIN_FOREST_MEMO) >= _PLAIN_FOREST_MEMO_CAP:
+            _PLAIN_FOREST_MEMO.clear()
+        _PLAIN_FOREST_MEMO[trees] = forest
     return forest
 
 
@@ -431,11 +457,21 @@ def _fill(forest, parent, dec):
     _set_hash(forest, hash(("OrderedForest", parent, dec)))
 
 
+_ORDERED_MEMO = {}
+_ORDERED_MEMO_CAP = 1 << 14
+
+
 def _ordered(parent, dec):
     """Trusted constructor: parent and dec are already the tuples of a
     valid forest (see the module docstring)."""
-    forest = _new(OrderedForest)
-    _fill(forest, parent, dec)
+    key = (parent, dec)
+    forest = _ORDERED_MEMO.get(key)
+    if forest is None:
+        forest = _new(OrderedForest)
+        _fill(forest, parent, dec)
+        if len(_ORDERED_MEMO) >= _ORDERED_MEMO_CAP:
+            _ORDERED_MEMO.clear()
+        _ORDERED_MEMO[key] = forest
     return forest
 
 

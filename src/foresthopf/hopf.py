@@ -55,6 +55,21 @@ def tensor(a, b):
 # Structure objects
 # ---------------------------------------------------------------------------
 
+# Each structure's coproduct and antipode memos are emptied when they hold
+# this many entries.  A sweep to degree n fills them with at most its
+# basis up to degree n (18,249 ordered forests up to degree 6), so no
+# sweep of the tests or of the benchmark empties them.
+STRUCTURE_MEMO_CAP = 1 << 16
+
+
+def _remember(memo, key, value):
+    """Store value in a structure memo, emptied first when full."""
+    if len(memo) >= STRUCTURE_MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 class HopfStructure:
     """Product/coproduct/antipode bundle over one basis type."""
 
@@ -81,7 +96,7 @@ class HopfStructure:
     def coproduct(self, b):
         cached = self._coproduct_memo.get(b)
         if cached is None:
-            cached = self._coproduct_memo[b] = self._coproduct(b)
+            cached = _remember(self._coproduct_memo, b, self._coproduct(b))
         return cached
 
     def basis(self, n):
@@ -103,8 +118,7 @@ class HopfStructure:
                 continue
             for y, cy in self.antipode(x1).items():
                 total.add(self.product(y, x2), -c * cy)
-        value = self._antipode_memo[b] = total.value()
-        return value
+        return _remember(self._antipode_memo, b, total.value())
 
     # -- linear extensions of the basis maps ---------------------------------
 

@@ -5,10 +5,13 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memo_check import check_bounded_memo
+from foresthopf import forests
 from foresthopf.errors import ParseError
 from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import (
-    _ordered, _cut_shapes, PlainTree, PlainForest, OrderedForest,
+    _ordered, _plain_tree, _plain_forest, _cut_shapes,
+    PlainTree, PlainForest, OrderedForest,
     EMPTY_PLAIN, EMPTY_ORDERED,
     act, ordered_cuts, plain_cuts, linear_extensions, heap_order_lift,
     enumerate_heap_ordered, enumerate_ordered,
@@ -447,7 +450,10 @@ def assert_as_parsed(forest):
 class TestLazyChildren:
     """OrderedForest.children is built from parent on its first read."""
 
-    def test_unset_until_first_read(self):
+    def test_unset_until_first_read(self, monkeypatch):
+        # an empty memo, so that each forest is built here and not
+        # shared with one whose children an earlier test read
+        monkeypatch.setattr(forests, "_ORDERED_MEMO", {})
         for f in [OrderedForest((0, 1, 1), (1, 2, 1)),
                   _ordered((2, 0, 2), (1, 1, 1)),
                   OrderedForest.parse("1:1[2:1]") * OrderedForest.parse("1:2"),
@@ -475,6 +481,66 @@ class TestLazyChildren:
             with pytest.raises(AttributeError):
                 forest._children = ((), ())
             assert forest.children == ((1,), (2,), ())
+
+
+def fresh(t):
+    """An equal tuple that is a distinct object."""
+    return tuple(list(t))
+
+
+class TestSharedInstances:
+    """The trusted constructors return one shared instance per shape;
+    equality and hashing stay structural."""
+
+    ORDERED = [f for n in range(4) for f in ORDERED_2[n]]
+    PLAIN = [f for n in range(4) for f in enumerate_plain_forests(n, 2)]
+
+    def test_ordered_memo_is_bounded(self, monkeypatch):
+        check_bounded_memo(monkeypatch, forests, "_ORDERED_MEMO",
+                           ordered_cuts, self.ORDERED)
+
+    def test_plain_tree_memo_is_bounded(self, monkeypatch):
+        check_bounded_memo(monkeypatch, forests, "_PLAIN_TREE_MEMO",
+                           OrderedForest.to_plain, self.ORDERED)
+
+    def test_plain_forest_memo_is_bounded(self, monkeypatch):
+        check_bounded_memo(monkeypatch, forests, "_PLAIN_FOREST_MEMO",
+                           plain_cuts, self.PLAIN)
+
+    def test_equal_arguments_share_one_instance(self):
+        for f in self.ORDERED:
+            shared = _ordered(f.parent, f.dec)
+            assert _ordered(fresh(f.parent), fresh(f.dec)) is shared
+            assert shared * shared is shared * shared
+            plain = f.to_plain()
+            assert f.to_plain() is plain
+            assert _plain_forest(fresh(plain.trees)) is plain
+            for tree in plain.trees:
+                assert _plain_tree(tree.dec, fresh(tree.children)) is tree
+            assert heap_order_lift(plain) is heap_order_lift(plain)
+            assert plain * plain is plain * plain
+
+    def test_public_and_evicted_forests_stay_equal(self, monkeypatch):
+        shared = [(_ordered(f.parent, f.dec), f.to_plain())
+                  for f in self.ORDERED]
+        for ordered, plain in shared:
+            public = OrderedForest(ordered.parent, ordered.dec)
+            parsed = PlainForest.parse(str(plain))
+            assert public is not ordered and parsed is not plain
+            assert public == ordered and hash(public) == hash(ordered)
+            assert parsed == plain and hash(parsed) == hash(plain)
+            assert {ordered: 1, plain: 2}[public] == 1
+            assert {ordered: 1, plain: 2}[parsed] == 2
+        for name in ("_ORDERED_MEMO", "_PLAIN_TREE_MEMO",
+                     "_PLAIN_FOREST_MEMO"):
+            monkeypatch.setattr(forests, name, {})
+        for ordered, plain in shared:
+            again = _ordered(ordered.parent, ordered.dec)
+            replain = again.to_plain()
+            assert again is not ordered and replain is not plain
+            assert again == ordered and hash(again) == hash(ordered)
+            assert replain == plain and hash(replain) == hash(plain)
+            assert replain.trees == plain.trees
 
 
 class TestPublicConstructorRejects:

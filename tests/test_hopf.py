@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from memo_check import MemoRecorder
+from foresthopf import hopf
 from foresthopf.coeffs import LinComb, _lincomb
 from foresthopf.errors import StructureMismatchError
 from foresthopf.words import Word, EMPTY_WORD
-from foresthopf.forests import PlainForest, OrderedForest
+from foresthopf.forests import PlainForest, OrderedForest, enumerate_ordered
 from foresthopf.hopf import (
     HopfStructure, Shuffle, CKForests, Ordered, HeapOrdered,
     FQSym, FQSymDec, get_structure, hopf_axiom_sweep,
@@ -251,6 +253,38 @@ class TestAxiomSweeps:
         assert check_counit(CKForests(), cherry) is None
         assert check_counit(NoTrivialRight(), cherry) \
             == "counit axiom fails on 1[1,1]"
+
+
+class TestStructureMemos:
+    """The coproduct and antipode memos of a structure are emptied at
+    STRUCTURE_MEMO_CAP entries, and that changes no result."""
+
+    @pytest.mark.parametrize("make,deg", [
+        (lambda: CKForests(2), 4),
+        (lambda: Ordered(1), 3),
+        (lambda: FQSymDec(2), 3),
+        (lambda: DroppedCut(last=True), 4),
+    ], ids=["ck-2", "ordered-1", "fqsym-dec-2", "dropped-cut"])
+    def test_small_cap_gives_the_same_sweep(self, monkeypatch, make, deg):
+        full = make()
+        expected = hopf_axiom_sweep(full, deg)
+        monkeypatch.setattr(hopf, "STRUCTURE_MEMO_CAP", 5)
+        small = make()
+        memos = small._coproduct_memo, small._antipode_memo = \
+            MemoRecorder(), MemoRecorder()
+        assert hopf_axiom_sweep(small, deg) == expected
+        for n in range(deg + 1):
+            for b in full.basis(n):
+                assert small.coproduct(b) == full.coproduct(b)
+                assert small.antipode(b) == full.antipode(b)
+        for memo in memos:
+            assert memo.peak == 5 and memo.clears > 0
+
+    def test_sweeps_fit_the_cap(self):
+        # the largest sweep of the tests and the benchmark memoizes at
+        # most the ordered forests up to degree 6
+        assert sum(len(enumerate_ordered(n)) for n in range(7)) \
+            < hopf.STRUCTURE_MEMO_CAP
 
 
 class DroppedCut(CKForests):

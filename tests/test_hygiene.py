@@ -96,7 +96,8 @@ def test_guard_sees_an_unbounded_memo():
 def test_guard_sees_the_library_memos():
     found = {name for path in LIBRARY for name in memos(path.read_text())[0]}
     assert {"_SBAR_MEMO", "_CHI_MEMO", "_SECTOR_MEMO", "_CUTS_MEMO",
-            "_WORD_INTEGRAL_MEMO"} <= found
+            "_WORD_INTEGRAL_MEMO", "_ORDERED_MEMO", "_PLAIN_TREE_MEMO",
+            "_PLAIN_FOREST_MEMO"} <= found
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
