@@ -16,6 +16,8 @@ from fractions import Fraction
 from .coeffs import MultiPoly, Accumulator, _poly
 from .errors import ParseError, StructureMismatchError
 from .words import Word, Path
+from .hopf import STRUCTURE_MEMO_CAP
+from .memo import Memo
 from .morphisms import (theta_small, _simplex_expansion, t_sigma_by_matrix,
                         decorate_by_order)
 
@@ -31,12 +33,13 @@ class Character:
         self.one = one
         self.zero = one - one
         self.name = name
-        self._cache = {}
+        self._cache = Memo(STRUCTURE_MEMO_CAP)
 
     def __call__(self, b):
-        if b not in self._cache:
-            self._cache[b] = self.fn(b)
-        return self._cache[b]
+        value = self._cache.get(b)
+        if value is None:
+            value = self._cache[b] = self.fn(b)
+        return value
 
     def eval_lin(self, lc):
         total = Accumulator(self.zero)
@@ -172,11 +175,9 @@ def _integral_from_s(gamma, inner):
     return _poly(("t", "s"), out)
 
 
-# Memo of iter_int_word, emptied when it holds _WORD_INTEGRAL_MEMO_CAP
-# entries, which at about 1.2 kB an entry (words up to length 6 over the
-# path (1, 2x)) keeps it near 5 MB.
-_WORD_INTEGRAL_MEMO = {}
-_WORD_INTEGRAL_MEMO_CAP = 1 << 12
+# Memo of iter_int_word: at about 1.2 kB an entry (words up to length 6
+# over the path (1, 2x)) the cap keeps it near 5 MB.
+_WORD_INTEGRAL_MEMO = Memo(1 << 12)
 
 
 def iter_int_word(path, word):
@@ -192,8 +193,6 @@ def iter_int_word(path, word):
     value = MultiPoly.one(("t", "s"))
     for letter in reversed(word.letters):
         value = _integral_from_s(path.component(letter), value)
-    if len(_WORD_INTEGRAL_MEMO) >= _WORD_INTEGRAL_MEMO_CAP:
-        _WORD_INTEGRAL_MEMO.clear()
     _WORD_INTEGRAL_MEMO[key] = value
     return value
 

@@ -90,9 +90,6 @@ def cmd_tsigma(args):
 
 
 def cmd_hopf_check(args):
-    if args.structure == "fqsym" and args.d != 1:
-        raise ParseError(f"fqsym has no decorations; use fqsym-dec for "
-                         f"--d {args.d}")
     H = get_structure(args.structure, args.d)
     report = RunReport(f"hopf-check {args.structure}")
     report.run(f"hopf axioms for {args.structure} up to degree {args.degree}"

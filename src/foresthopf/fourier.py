@@ -40,6 +40,7 @@ from .perms import Perm, _perm, all_perms, shuffles
 from .forests import _ordered, _cut_shapes, act
 from .morphisms import t_sigma, _check_bound, DEFAULT_BOUND
 from .hopf import Shuffle, HeapOrdered
+from .memo import Memo
 from .characters import Character, convolve, char_inverse
 
 GR_MINUS_I = GaussianRational(0, -1)
@@ -269,13 +270,11 @@ def phi_lin(lc, measure, var="t"):
 # Sector tables
 # ---------------------------------------------------------------------------
 
-# Memos of the table of each sigma and of the cuts of each forest shape,
-# each emptied when it holds its cap.  Every permutation and every shape
-# up to degree 6 fits (874 of each), in about 13 MB.
-_SECTOR_MEMO = {}
-_SECTOR_MEMO_CAP = 1 << 10
-_CUTS_MEMO = {}
-_CUTS_MEMO_CAP = 1 << 12
+# Memos of the table of each sigma and of the cuts of each forest shape:
+# every permutation and every shape up to degree 6 fits (874 of each),
+# in about 13 MB.
+_SECTOR_MEMO = Memo(1 << 10)
+_CUTS_MEMO = Memo(1 << 12)
 
 
 def _cuts(parent):
@@ -284,8 +283,6 @@ def _cuts(parent):
     cuts = _CUTS_MEMO.get(parent)
     if cuts is None:
         cuts = tuple(_cut_shapes(parent))
-        if len(_CUTS_MEMO) >= _CUTS_MEMO_CAP:
-            _CUTS_MEMO.clear()
         _CUTS_MEMO[parent] = cuts
     return cuts
 
@@ -306,8 +303,6 @@ def _sector_table(sigma, bound):
                 merged[cut] = merged.get(cut, 0) + c
         table = (forests,
                  tuple([cut + (c,) for cut, c in merged.items() if c]))
-        if len(_SECTOR_MEMO) >= _SECTOR_MEMO_CAP:
-            _SECTOR_MEMO.clear()
         _SECTOR_MEMO[sigma] = table
     return table
 
@@ -328,11 +323,10 @@ def chi_measure(nu, var="t", bound=DEFAULT_BOUND):
     return total.value()
 
 
-# Memo of chi, emptied when it holds _CHI_MEMO_CAP entries, which at
-# about 3 kB an entry keeps it near 12 MB.  J by characters of every word
-# up to length 5 over two frequencies per letter stores 126 entries.
-_CHI_MEMO = {}
-_CHI_MEMO_CAP = 1 << 12
+# Memo of chi: at about 3 kB an entry the cap keeps it near 12 MB.  J
+# by characters of every word up to length 5 over two frequencies per
+# letter stores 126 entries.
+_CHI_MEMO = Memo(1 << 12)
 
 
 def chi(path, word, var="t", bound=DEFAULT_BOUND):
@@ -347,18 +341,14 @@ def chi(path, word, var="t", bound=DEFAULT_BOUND):
         if cached is not None:
             return cached
     value = chi_measure(word_measure(path, word), var, bound)
-    if len(_CHI_MEMO) >= _CHI_MEMO_CAP:
-        _CHI_MEMO.clear()
     _CHI_MEMO[key] = value
     return value
 
 
-# Memo of sbar_eval, emptied when it holds _SBAR_MEMO_CAP entries, which
-# at about 0.3 kB an entry (one Fraction and a key of two int tuples)
-# keeps it near 5 MB.  J of every word up to length 6 over two
-# frequencies per letter stores 11,564 entries.
-_SBAR_MEMO = {}
-_SBAR_MEMO_CAP = 1 << 14
+# Memo of sbar_eval: at about 0.3 kB an entry (one Fraction and a key of
+# two int tuples) the cap keeps it near 5 MB.  J of every word up to
+# length 6 over two frequencies per letter stores 11,564 entries.
+_SBAR_MEMO = Memo(1 << 14)
 
 
 def sbar_eval(parent, freq):
@@ -387,8 +377,6 @@ def sbar_eval(parent, freq):
             num = num * product + r.numerator * den
             den *= product
     value = Fraction(-num, den)
-    if len(_SBAR_MEMO) >= _SBAR_MEMO_CAP:
-        _SBAR_MEMO.clear()
     _SBAR_MEMO[key] = value
     return value
 

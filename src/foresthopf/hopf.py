@@ -29,6 +29,7 @@ from __future__ import annotations
 from .coeffs import (LinComb, Accumulator, _lincomb, _nonzero_lincomb,
                      _unit_sum)
 from .errors import StructureMismatchError
+from .memo import Memo
 from .words import _word, EMPTY_WORD, all_words
 from .perms import Perm, DecoratedPerm, all_perms, interleavings
 from . import fqsym
@@ -55,19 +56,11 @@ def tensor(a, b):
 # Structure objects
 # ---------------------------------------------------------------------------
 
-# Each structure's coproduct and antipode memos are emptied when they hold
-# this many entries.  A sweep to degree n fills them with at most its
+# The cap of each structure's coproduct and antipode memos and of each
+# character's values: a sweep to degree n fills them with at most its
 # basis up to degree n (18,249 ordered forests up to degree 6), so no
 # sweep of the tests or of the benchmark empties them.
 STRUCTURE_MEMO_CAP = 1 << 16
-
-
-def _remember(memo, key, value):
-    """Store value in a structure memo, emptied first when full."""
-    if len(memo) >= STRUCTURE_MEMO_CAP:
-        memo.clear()
-    memo[key] = value
-    return value
 
 
 class HopfStructure:
@@ -77,8 +70,8 @@ class HopfStructure:
 
     def __init__(self, d=1):
         self.d = d
-        self._antipode_memo = {}
-        self._coproduct_memo = {}
+        self._antipode_memo = Memo(STRUCTURE_MEMO_CAP)
+        self._coproduct_memo = Memo(STRUCTURE_MEMO_CAP)
 
     def unit(self):
         raise NotImplementedError
@@ -96,7 +89,7 @@ class HopfStructure:
     def coproduct(self, b):
         cached = self._coproduct_memo.get(b)
         if cached is None:
-            cached = _remember(self._coproduct_memo, b, self._coproduct(b))
+            cached = self._coproduct_memo[b] = self._coproduct(b)
         return cached
 
     def basis(self, n):
@@ -118,7 +111,8 @@ class HopfStructure:
                 continue
             for y, cy in self.antipode(x1).items():
                 total.add(self.product(y, x2), -c * cy)
-        return _remember(self._antipode_memo, b, total.value())
+        value = self._antipode_memo[b] = total.value()
+        return value
 
     # -- linear extensions of the basis maps ---------------------------------
 

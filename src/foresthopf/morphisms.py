@@ -24,6 +24,7 @@ from math import factorial, prod
 from .coeffs import (LinComb, Accumulator, _lincomb, _nonzero_lincomb,
                      _unit_sum)
 from .errors import BoundExceededError
+from .memo import Memo
 from .words import _word
 from .perms import DecoratedPerm, all_perms, standardize, shuffles
 from .forests import (
@@ -169,7 +170,7 @@ def _json_rows(rows):
 
 # The last ThetaMatrix built, keyed by its degree: at most one entry,
 # since ThetaMatrix(7) alone peaks at about 265 MB.
-_MATRIX_CACHE = {}
+_MATRIX_CACHE = Memo(1)
 
 
 def _check_bound(n, bound):
@@ -182,7 +183,6 @@ def theta_inverse_table(n, bound=DEFAULT_BOUND):
     _check_bound(n, bound)
     table = _MATRIX_CACHE.get(n)
     if table is None:
-        _MATRIX_CACHE.clear()
         table = _MATRIX_CACHE[n] = ThetaMatrix(n)
     return table
 

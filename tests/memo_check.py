@@ -1,15 +1,18 @@
-"""Shared check that a module memo stays within its cap.
+"""Shared check that a memo stays within its cap.
 
-A memo ``NAME`` is a module-level dict with an integer ``NAME_CAP``; it
-is emptied before an insertion would take it past the cap."""
+A memo is a ``foresthopf.memo.Memo`` held as an attribute of a module or
+of an instance; it is emptied before an insertion would take it past its
+cap."""
+
+from foresthopf.memo import Memo
 
 
-class MemoRecorder(dict):
-    """A memo dict that records its largest size and how often it was
+class MemoRecorder(Memo):
+    """A memo that records its largest size and how often it was
     emptied."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, cap):
+        super().__init__(cap)
         self.peak = 0
         self.clears = 0
 
@@ -22,15 +25,15 @@ class MemoRecorder(dict):
         super().clear()
 
 
-def check_bounded_memo(monkeypatch, module, name, compute, inputs):
-    """With NAME_CAP set to 5, compute gives the same values on inputs as
+def check_bounded_memo(monkeypatch, owner, name, compute, inputs):
+    """With the memo ``name`` of owner, a module or an instance, swapped
+    for a recorder of cap 5, compute gives the same values on inputs as
     with an empty memo at the full cap, the memo reaches 5 entries and
     never more, and it is emptied at least once."""
-    getattr(module, name).clear()
+    monkeypatch.setattr(owner, name, Memo(getattr(owner, name).cap))
     expected = [compute(x) for x in inputs]
-    memo = MemoRecorder()
-    monkeypatch.setattr(module, name, memo)
-    monkeypatch.setattr(module, name + "_CAP", 5)
+    memo = MemoRecorder(5)
+    monkeypatch.setattr(owner, name, memo)
     assert [compute(x) for x in inputs] == expected
     assert memo.peak == 5
     assert memo.clears > 0

@@ -191,6 +191,18 @@ class TestCharacterPlumbing:
         phi(w)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("doubled", [(), ((1, 2),)],
+                             ids=["law-holds", "ab-doubled"])
+    def test_bounded_cache(self, monkeypatch, path, doubled):
+        # doubling the value on a word breaks the character law there
+        def fn(w):
+            value = iter_int_word(path, w)
+            return value + value if w.letters in doubled else value
+
+        phi = Character(Shuffle(2), fn, MultiPoly.one(("t", "s")))
+        check_bounded_memo(monkeypatch, phi, "_cache",
+                           lambda n: validate_character(phi, n), range(4))
+
     def test_eval_lin(self, path):
         I = iter_int_char(path, Shuffle(2))
         lc = LinComb([(Word((1,)), 2), (Word((2,)), -1)])

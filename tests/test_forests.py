@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from memo_check import check_bounded_memo
 from foresthopf import forests
 from foresthopf.errors import ParseError
+from foresthopf.memo import Memo
 from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import (
     _ordered, _plain_tree, _plain_forest, _cut_shapes,
@@ -453,7 +454,8 @@ class TestLazyChildren:
     def test_unset_until_first_read(self, monkeypatch):
         # an empty memo, so that each forest is built here and not
         # shared with one whose children an earlier test read
-        monkeypatch.setattr(forests, "_ORDERED_MEMO", {})
+        monkeypatch.setattr(forests, "_ORDERED_MEMO",
+                            Memo(forests._ORDERED_MEMO.cap))
         for f in [OrderedForest((0, 1, 1), (1, 2, 1)),
                   _ordered((2, 0, 2), (1, 1, 1)),
                   OrderedForest.parse("1:1[2:1]") * OrderedForest.parse("1:2"),
@@ -533,7 +535,8 @@ class TestSharedInstances:
             assert {ordered: 1, plain: 2}[parsed] == 2
         for name in ("_ORDERED_MEMO", "_PLAIN_TREE_MEMO",
                      "_PLAIN_FOREST_MEMO"):
-            monkeypatch.setattr(forests, name, {})
+            monkeypatch.setattr(forests, name,
+                                Memo(getattr(forests, name).cap))
         for ordered, plain in shared:
             again = _ordered(ordered.parent, ordered.dec)
             replain = again.to_plain()

@@ -23,6 +23,7 @@ from foresthopf import forests, fourier
 from foresthopf.forests import (_ordered, OrderedForest, linear_extensions,
                                 enumerate_heap_ordered, ordered_cuts)
 from foresthopf.hopf import Shuffle
+from foresthopf.memo import Memo
 from foresthopf.morphisms import t_sigma
 from foresthopf.fourier import (
     TrigPath, AtomMeasure, word_measure, sector_of,
@@ -228,7 +229,8 @@ class TestSkeleton:
 
     def test_leaves_children_unbuilt(self, monkeypatch):
         # an empty memo, so that the forest is built here
-        monkeypatch.setattr(forests, "_ORDERED_MEMO", {})
+        monkeypatch.setattr(forests, "_ORDERED_MEMO",
+                            Memo(forests._ORDERED_MEMO.cap))
         f = _ordered((0, 1, 1, 0), (1, 1, 1, 1))
         freq = tuple(map(Fraction, (1, 2, 4, 8)))
         assert fourier._xi_product(f.parent, freq) == (7 * 4 * 2 * 8, 15)
@@ -505,7 +507,8 @@ class TestSectorTable:
         p = TrigPath.parse("1: 1@1\n2: 1@2")
         w = Word((1, 2, 1, 1, 2, 2))
         with monkeypatch.context() as m:
-            m.setattr(fourier, "_SECTOR_MEMO", {})
+            m.setattr(fourier, "_SECTOR_MEMO",
+                      Memo(fourier._SECTOR_MEMO.cap))
             with pytest.raises(BoundExceededError) as cold:
                 j_convolution(p, w, bound=4)
         j_convolution(p, w)

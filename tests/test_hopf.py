@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from memo_check import MemoRecorder
+from memo_check import check_bounded_memo
 from foresthopf import hopf
 from foresthopf.coeffs import LinComb, _lincomb
 from foresthopf.errors import StructureMismatchError
@@ -256,8 +256,8 @@ class TestAxiomSweeps:
 
 
 class TestStructureMemos:
-    """The coproduct and antipode memos of a structure are emptied at
-    STRUCTURE_MEMO_CAP entries, and that changes no result."""
+    """The coproduct and antipode memos of a structure are bounded, and a
+    cap of 5 on one and then on both changes no result."""
 
     @pytest.mark.parametrize("make,deg", [
         (lambda: CKForests(2), 4),
@@ -266,19 +266,16 @@ class TestStructureMemos:
         (lambda: DroppedCut(last=True), 4),
     ], ids=["ck-2", "ordered-1", "fqsym-dec-2", "dropped-cut"])
     def test_small_cap_gives_the_same_sweep(self, monkeypatch, make, deg):
-        full = make()
-        expected = hopf_axiom_sweep(full, deg)
-        monkeypatch.setattr(hopf, "STRUCTURE_MEMO_CAP", 5)
-        small = make()
-        memos = small._coproduct_memo, small._antipode_memo = \
-            MemoRecorder(), MemoRecorder()
-        assert hopf_axiom_sweep(small, deg) == expected
-        for n in range(deg + 1):
-            for b in full.basis(n):
-                assert small.coproduct(b) == full.coproduct(b)
-                assert small.antipode(b) == full.antipode(b)
-        for memo in memos:
-            assert memo.peak == 5 and memo.clears > 0
+        H = make()
+
+        def compute(n):
+            return (hopf_axiom_sweep(H, n),
+                    [(H.coproduct(b), H.antipode(b)) for b in H.basis(n)])
+
+        # the coproduct memo keeps its recorder while the antipode memo
+        # is checked
+        for name in ("_coproduct_memo", "_antipode_memo"):
+            check_bounded_memo(monkeypatch, H, name, compute, range(deg + 1))
 
     def test_sweeps_fit_the_cap(self):
         # the largest sweep of the tests and the benchmark memoizes at

@@ -5,15 +5,23 @@ compared.
 
 Package ``__init__`` modules are skipped by the import check, since they
 import to re-export; ``from __future__`` imports are compiler
-directives.  A memo is a module-level name ending in ``_MEMO``; it is
-bounded when the same module sets ``<NAME>_CAP`` to an integer constant.
+directives.  A memo is any dict held by a library module or by a fresh
+structure or character, or any attribute named ``*_MEMO`` or ``*_CACHE``;
+it is bounded when it is a ``foresthopf.memo.Memo`` with an int cap of
+at least 1.  The one exempt dict is the registry ``hopf.STRUCTURES``.
 """
 
 import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from foresthopf import hopf
+from foresthopf.characters import Character
+from foresthopf.coeffs import MultiPoly
+from foresthopf.memo import Memo
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in (ROOT / "src" / "foresthopf", ROOT / "tests")
@@ -47,62 +55,74 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _module_values(tree):
-    """The values bound to plain names at module level."""
-    values = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                values[target.id] = node.value
-    return values
+def library_module(path):
+    """The imported library module of a source file."""
+    return importlib.import_module(
+        "foresthopf" if path.stem == "__init__" else f"foresthopf.{path.stem}")
 
 
-def _is_int_constant(node):
-    """An expression of integer literals and arithmetic operators only."""
-    if node is None:
-        return False
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Constant):
-            if type(sub.value) is not int:
-                return False
-        elif not isinstance(sub, (ast.BinOp, ast.UnaryOp, ast.operator,
-                                  ast.unaryop)):
-            return False
-    return True
+def _bounded(value):
+    return isinstance(value, Memo) and type(value.cap) is int \
+        and value.cap >= 1
 
 
-def memos(source):
-    """(memo names, those without an integer <NAME>_CAP) of a module."""
-    values = _module_values(ast.parse(source))
-    names = sorted(name for name in values if name.endswith("_MEMO"))
-    return names, [name for name in names
-                   if not _is_int_constant(values.get(name + "_CAP"))]
+def unbounded_memos(namespace, exempt=()):
+    """The names in namespace, the attributes of a module or of an
+    instance, that hold a dict, or are named as a memo or cache, and are
+    not a Memo with an int cap of at least 1.  Dunder names and the
+    objects in exempt are skipped."""
+    return sorted(
+        name for name, value in namespace.items()
+        if not (name.startswith("__") and name.endswith("__"))
+        and not any(value is obj for obj in exempt)
+        and (isinstance(value, dict)
+             or name.lower().endswith(("_memo", "_cache")))
+        and not _bounded(value))
 
 
 def test_guard_sees_an_unbounded_memo():
-    source = ("_A_MEMO = {}\n_A_MEMO_CAP = 1 << 4\n_B_MEMO = {}\n"
-              "_C_MEMO = {}\n_C_MEMO_CAP = LIMIT\n_D_MEMO: dict = {}\n"
-              "_D_MEMO_CAP = '9'\n")
-    assert memos(source) == (["_A_MEMO", "_B_MEMO", "_C_MEMO", "_D_MEMO"],
-                             ["_B_MEMO", "_C_MEMO", "_D_MEMO"])
+    namespace = {"_A_MEMO": Memo(1 << 4), "_B_MEMO": {}, "_X_CACHE": {},
+                 "_C_MEMO": Memo(0), "_D_MEMO": Memo("9"),
+                 "_E_MEMO": Memo(True), "_f_cache": [], "TABLE": {1: 2},
+                 "REGISTRY": {"a": 1}, "LIMIT": 4, "__builtins__": {}}
+    assert unbounded_memos(namespace, exempt=[namespace["REGISTRY"]]) \
+        == ["TABLE", "_B_MEMO", "_C_MEMO", "_D_MEMO", "_E_MEMO", "_X_CACHE",
+            "_f_cache"]
 
 
 def test_guard_sees_the_library_memos():
-    found = {name for path in LIBRARY for name in memos(path.read_text())[0]}
-    assert {"_SBAR_MEMO", "_CHI_MEMO", "_SECTOR_MEMO", "_CUTS_MEMO",
-            "_WORD_INTEGRAL_MEMO", "_ORDERED_MEMO", "_PLAIN_TREE_MEMO",
-            "_PLAIN_FOREST_MEMO"} <= found
+    found = {(path.stem, name) for path in LIBRARY
+             for name, value in vars(library_module(path)).items()
+             if _bounded(value)}
+    assert {("fourier", "_SBAR_MEMO"),
+            ("fourier", "_CHI_MEMO"),
+            ("fourier", "_SECTOR_MEMO"),
+            ("fourier", "_CUTS_MEMO"),
+            ("characters", "_WORD_INTEGRAL_MEMO"),
+            ("forests", "_ORDERED_MEMO"),
+            ("forests", "_PLAIN_TREE_MEMO"),
+            ("forests", "_PLAIN_FOREST_MEMO"),
+            ("morphisms", "_MATRIX_CACHE")} <= found
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
 def test_every_memo_is_bounded(path):
-    assert memos(path.read_text())[1] == []
+    assert unbounded_memos(vars(library_module(path)),
+                           exempt=[hopf.STRUCTURES]) == []
+
+
+def _fresh_instances():
+    yield from (make() for make in hopf.STRUCTURES.values())
+    one = MultiPoly.one(("t",))
+    yield Character(hopf.Shuffle(), lambda b: one, one)
+
+
+@pytest.mark.parametrize("instance", _fresh_instances(),
+                         ids=lambda obj: type(obj).__name__)
+def test_every_instance_memo_is_bounded(instance):
+    memos = [name for name, value in vars(instance).items()
+             if isinstance(value, dict)]
+    assert memos and unbounded_memos(vars(instance)) == []
 
 
 # The names perfbench/tracing.py still lists although the library no
