@@ -15,6 +15,10 @@ to coefficients with no stored zero, over a space.  They share one
 base, SparseSum (as does fourier.AtomMeasure), which owns the space and
 defines +, -, negation, equality, hashing and truth once, on
 Accumulator: the one in-place sum of scalar * value into one dict.
+MultiPoly and FreqExp are commutative algebras over exponent keys and
+share ExpSum, which defines the coercion of a scalar to a constant and
+the product once.  MultiPoly and LinComb print through one text rule,
+_signed_sum.
 
 Every value is clean: each rational part, coefficient and frequency is
 a Fraction (a LinComb coefficient is an int until a division happens,
@@ -25,19 +29,21 @@ FreqExp is a triple over (t, u, s), a LinComb's keys are any hashable
 basis objects, and no stored term is zero.  Each type has one
 public constructor, which establishes this from arbitrary input and
 sums repeated keys.  Arithmetic on clean values yields clean parts, so
-results are built by the private constructors _gaussian, _poly,
-_freqexp and _lincomb, which check nothing and only drop the terms
-that cancelled; _sparse(cls, space, terms) does the same for any
-sparse-sum type.  _nonzero_lincomb does not even look for cancelled
-terms: it serves producers whose coefficients cannot be zero.  One is
-_unit_sum, which builds the LinComb of a sum of basis objects, each
-with coefficient 1: its coefficients are the ints that count the
-objects.
+results are built by private constructors that check nothing:
+_gaussian, and for every sparse sum the one builder _sparse(cls,
+space, terms), which only drops the terms that cancelled.  _poly,
+_freqexp and _lincomb are _sparse with the type, and the space None of
+FreqExp and LinComb, filled in.  The only exception is
+_nonzero_lincomb, which does not even look for cancelled terms: it
+serves producers whose coefficients cannot be zero.  One is _unit_sum,
+which builds the LinComb of a sum of basis objects, each with
+coefficient 1: its coefficients are the ints that count the objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import add
 
 from .errors import ParseError
@@ -179,7 +185,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its real part, so it hashes as that part
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -267,9 +274,10 @@ class SparseSum:
     _check (raise unless the argument is a summand of the same type and
     space), _with_terms (a sum in the space of self) and the default
     _coerce (an operand of the same type, else None) are defined here
-    once, on Accumulator and the trusted constructor _sparse.  A
-    subclass supplies _SCALARS (the scalars an Accumulator may scale a
-    summand by), and may widen _coerce to scalars.
+    once, on Accumulator and the trusted constructor _sparse, and so is
+    scalar * sum, as sum * scalar.  A subclass supplies _SCALARS (the
+    scalars an Accumulator may scale a summand by) and may define
+    __mul__; ExpSum widens _coerce to the scalars.
     """
 
     __slots__ = ("space", "terms")
@@ -311,6 +319,10 @@ class SparseSum:
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def __rmul__(self, scalar):
+        # scalars commute with every sum
+        return self * scalar
 
     def __neg__(self):
         return self._with_terms({k: -c for k, c in self.terms.items()})
@@ -412,11 +424,71 @@ class Accumulator:
         return self._start._with_terms(dict(self._terms))
 
 
+def _signed_sum(pairs):
+    """The text of a sum of (name, coefficient) pairs, in their order:
+    each term is coefficient*name, a unit coefficient printed only by
+    its sign and an empty name standing for 1; "0" for no pairs."""
+    parts = []
+    for name, c in pairs:
+        a = abs(c)
+        if not name:
+            term = str(a)
+        elif a == 1:
+            term = name
+        else:
+            term = f"{a}*{name}"
+        parts.append(("+" if c > 0 else "-") + term)
+    text = "".join(parts)
+    if not text:
+        return "0"
+    return text[1:] if text[0] == "+" else text
+
+
+class ExpSum(SparseSum):
+    """A sparse sum over exponent keys that is a commutative algebra:
+    the product of two terms multiplies their coefficients and adds
+    their keys componentwise.
+
+    A scalar of _SCALARS is coerced to the constant term that
+    _constant(scalar) builds, and multiplies each coefficient.  A
+    subclass supplies _constant and _add_keys, the sum of two key
+    components.
+    """
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        if isinstance(other, self._SCALARS):
+            return self._constant(other)
+        return other if isinstance(other, type(self)) else None
+
+    def __mul__(self, other):
+        if isinstance(other, self._SCALARS):
+            return self._with_terms({k: c * other
+                                     for k, c in self.terms.items()})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        add_keys = self._add_keys
+        out = {}
+        get = out.get
+        right = other.terms.items()
+        for k1, c1 in self.terms.items():
+            for k2, c2 in right:
+                k = tuple(map(add_keys, k1, k2))
+                c = c1 * c2
+                prev = get(k)
+                out[k] = c if prev is None else prev + c
+        return self._with_terms(out)
+
+    __rmul__ = __mul__
+
+
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-class MultiPoly(SparseSum):
+class MultiPoly(ExpSum):
     """Sparse polynomial with Fraction coefficients over a fixed variable tuple.
 
     Terms map exponent tuples to nonzero coefficients.  The variable tuple
@@ -469,31 +541,10 @@ class MultiPoly(SparseSum):
     # -- ring operations ----------------------------------------------------
 
     _SCALARS = (int, Fraction)
+    _add_keys = staticmethod(add)
 
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(self.space, other)
-        return other if isinstance(other, MultiPoly) else None
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _poly(self.space, {e: v * other
-                                      for e, v in self.terms.items()})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check(other)
-        out = {}
-        get = out.get
-        right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                prev = get(e)
-                out[e] = c if prev is None else prev + c
-        return _poly(self.space, out)
-
-    __rmul__ = __mul__
+    def _constant(self, c):
+        return MultiPoly.const(self.space, c)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -513,38 +564,13 @@ class MultiPoly(SparseSum):
                       reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, c in self._sorted_terms():
-            mono = "*".join(
-                (v if k == 1 else f"{v}^{k}")
-                for v, k in zip(self.vars, exp) if k
-            )
-            if not mono:
-                text = str(abs(c))
-            elif abs(c) == 1:
-                text = mono
-            else:
-                text = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(text if c > 0 else "-" + text)
-            else:
-                parts.append(("+" if c > 0 else "-") + text)
-        return "".join(parts)
+        return _signed_sum(
+            ("*".join((v if k == 1 else f"{v}^{k}")
+                      for v, k in zip(self.vars, exp) if k), c)
+            for exp, c in self._sorted_terms())
 
     def __repr__(self):
         return f"MultiPoly({self.vars!r}, {self.terms!r})"
-
-
-def _poly(vars, terms):
-    """Trusted constructor over a variable tuple: keys have its arity and
-    coefficients are Fraction.  Takes ownership of the terms dict and
-    drops its zero coefficients."""
-    p = _new(MultiPoly)
-    _set_space(p, vars)
-    _set_terms(p, _drop_zeros(terms))
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +580,7 @@ def _poly(vars, terms):
 FREQ_VARS = ("t", "u", "s")
 
 
-class FreqExp(SparseSum):
+class FreqExp(ExpSum):
     """Finite sum of c * exp(i*(xi_t*t + xi_u*u + xi_s*s)).
 
     Keys are triples of rational frequencies over the fixed variables
@@ -594,33 +620,12 @@ class FreqExp(SparseSum):
         return cls({tuple(freq): coeff})
 
     _SCALARS = (int, Fraction, GaussianRational)
+    # a zero frequency part costs no Fraction operation
+    _add_keys = staticmethod(_plus)
 
     @staticmethod
-    def _coerce(x):
-        if isinstance(x, FreqExp):
-            return x
-        if isinstance(x, FreqExp._SCALARS):
-            return FreqExp({FREQ_ZERO: x})
-        return None
-
-    def __mul__(self, other):
-        if isinstance(other, FreqExp._SCALARS):
-            return _freqexp({f: c * other for f, c in self.terms.items()})
-        if not isinstance(other, FreqExp):
-            return NotImplemented
-        out = {}
-        get = out.get
-        right = other.terms.items()
-        for f1, c1 in self.terms.items():
-            for f2, c2 in right:
-                f = (_plus(f1[0], f2[0]), _plus(f1[1], f2[1]),
-                     _plus(f1[2], f2[2]))
-                c = c1 * c2
-                prev = get(f)
-                out[f] = c if prev is None else prev + c
-        return _freqexp(out)
-
-    __rmul__ = __mul__
+    def _constant(c):
+        return FreqExp({FREQ_ZERO: c})
 
     def __str__(self):
         if not self.terms:
@@ -642,16 +647,6 @@ class FreqExp(SparseSum):
 
 
 FREQ_ZERO = (_ZERO, _ZERO, _ZERO)
-
-
-def _freqexp(terms):
-    """Trusted constructor: keys are Fraction triples and coefficients
-    GaussianRational.  Takes ownership of the terms dict and drops its
-    zero coefficients."""
-    v = _new(FreqExp)
-    _set_space(v, None)
-    _set_terms(v, _drop_zeros(terms))
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +695,6 @@ class LinComb(SparseSum):
         c = _as_coeff(scalar)
         return _lincomb({b: v * c for b, v in self.terms.items()})
 
-    __rmul__ = __mul__
-
     def __len__(self):
         return len(self.terms)
 
@@ -714,33 +707,18 @@ class LinComb(SparseSum):
     def coeff(self, basis):
         return self.terms.get(basis, 0)
 
-    def render(self, fmt=str):
-        if not self.terms:
-            return "0"
-        parts = []
-        for b, c in self.sorted_items():
-            text = fmt(b)
-            if abs(c) != 1:
-                text = f"{abs(c)}*{text}"
-            if not parts:
-                parts.append(text if c > 0 else "-" + text)
-            else:
-                parts.append(("+" if c > 0 else "-") + text)
-        return "".join(parts)
-
-    __str__ = render
+    def __str__(self):
+        return _signed_sum((str(b), c) for b, c in self.sorted_items())
 
     def __repr__(self):
         return f"LinComb({self.terms!r})"
 
 
-def _lincomb(terms):
-    """Trusted constructor: coefficients are int or Fraction.  Takes
-    ownership of the terms dict and drops its zero coefficients."""
-    v = _new(LinComb)
-    _set_space(v, None)
-    _set_terms(v, _drop_zeros(terms))
-    return v
+# The trusted constructors of the three sum types (see the module
+# docstring).
+_poly = partial(_sparse, MultiPoly)
+_freqexp = partial(_sparse, FreqExp, None)
+_lincomb = partial(_sparse, LinComb, None)
 
 
 def _nonzero_lincomb(terms):

@@ -23,9 +23,7 @@ parent must already be a tuple of ints in 0..n, acyclic and with no
 self-parent, and dec a tuple of n positive ints.  Products, cut parts,
 relabelings, heap lifts and the enumerations are forests by
 construction, so they are built through _ordered.  OrderedForest,
-PlainTree and PlainForest store their hash once, in a slot.  The
-children tuple of an OrderedForest is built from parent on first read
-and kept in a slot: many forests are only hashed and compared.
+PlainTree and PlainForest store their hash once, in a slot.
 
 PlainTree and PlainForest likewise keep validating public constructors,
 which sort their trees, and have trusted ones that check and sort
@@ -299,7 +297,7 @@ class OrderedForest:
     decoration.  Equality is literal: the order matters.
     """
 
-    __slots__ = ("parent", "dec", "n", "_children", "_hash")
+    __slots__ = ("parent", "dec", "n", "_hash")
 
     def __init__(self, parent, dec=None):
         parent = tuple(int(p) for p in parent)
@@ -365,17 +363,8 @@ class OrderedForest:
     @property
     def children(self):
         """children[v] lists the children of vertex v in increasing
-        order, children[0] the roots; built on first read."""
-        try:
-            return self._children
-        except AttributeError:
-            pass
-        children = [[] for _ in range(self.n + 1)]
-        for i, p in enumerate(self.parent, start=1):
-            children[p].append(i)
-        children = tuple(map(tuple, children))
-        _set_children(self, children)
-        return children
+        order, children[0] the roots."""
+        return tuple(map(tuple, _children(self.parent)))
 
     @property
     def roots(self):
@@ -424,13 +413,15 @@ class OrderedForest:
         if not self.n:
             return "e"
 
+        children = self.children
+
         def render(v):
             head = f"{v}:{self.dec[v - 1]}"
-            if self.children[v]:
-                head += "[" + ",".join(render(c) for c in self.children[v]) + "]"
+            if children[v]:
+                head += "[" + ",".join(render(c) for c in children[v]) + "]"
             return head
 
-        return "|".join(render(r) for r in self.roots)
+        return "|".join(render(r) for r in children[0])
 
     def __repr__(self):
         return f"OrderedForest.parse({str(self)!r})"
@@ -439,13 +430,12 @@ class OrderedForest:
 _set_parent = OrderedForest.parent.__set__
 _set_dec = OrderedForest.dec.__set__
 _set_n = OrderedForest.n.__set__
-_set_children = OrderedForest._children.__set__
 _set_hash = OrderedForest._hash.__set__
 
 
 def _fill(forest, parent, dec):
     """Set the slots of an OrderedForest from valid parent and dec
-    tuples, the hash derived here; children waits for its first read."""
+    tuples, the hash derived here."""
     _set_parent(forest, parent)
     _set_dec(forest, dec)
     _set_n(forest, len(parent))
@@ -502,6 +492,15 @@ class Cut(NamedTuple):
     lea_at: tuple
 
 
+def _children(parent):
+    """children[v], for the forest with these parents, lists the
+    children of vertex v in increasing order, children[0] the roots."""
+    children = [[] for _ in range(len(parent) + 1)]
+    for v, p in enumerate(parent, start=1):
+        children[p].append(v)
+    return children
+
+
 def _cut_shapes(parent):
     """The admissible cuts of the forest with these parents, as (roo
     parent, roo_at, lea parent, lea_at) tuples: each part's parent
@@ -515,9 +514,7 @@ def _cut_shapes(parent):
     parent outside the Lea is in the Roo, so a Roo vertex keeps its
     parent and a Lea vertex may lose its own."""
     n = len(parent)
-    children = [[] for _ in range(n + 1)]
-    for v, p in enumerate(parent, start=1):
-        children[p].append(v)
+    children = _children(parent)
 
     def walk(vertices):
         # (the vertices of the trees on these roots, their Leas)

@@ -161,7 +161,7 @@ class PlainForestPool:
 class TestFubini:
     def test_worked_example(self):
         lc = fubini_tsigma(Perm.parse("231"), (1, 2, 3))
-        assert lc.render() == "-1[2,3]+1[2]|3"
+        assert str(lc) == "-1[2,3]+1[2]|3"
 
     def test_matches_inverse_elements(self):
         for sigma in all_perms(3):

@@ -65,6 +65,12 @@ class TestGaussianRational:
         assert 2 * GR_I == GaussianRational(0, 2)
         assert GR_ONE + Fraction(1, 2) == GaussianRational(Fraction(3, 2))
 
+    @given(rationals)
+    def test_real_value_hashes_as_its_real_part(self, q):
+        z = GaussianRational(q)
+        assert z == q and hash(z) == hash(q)
+        assert z in {q} and q in {z}
+
 
 class TestMultiPoly:
     def test_ring_ops(self):
@@ -192,6 +198,17 @@ class TestCleanValues:
             assert value.re is a.re
             assert_clean(value)
         assert (a * Fraction(3)).im == 6 and (a / 4).im == Fraction(1, 2)
+
+    def test_freq_product_passes_zero_parts_through(self):
+        # the sum of two frequency parts, one of them zero, is the other
+        # part itself, with no Fraction operation
+        a = FreqExp.exponential("t", 2)
+        b = FreqExp.exponential("s", -3)
+        (fa,), (fb,) = a.terms, b.terms
+        (f,) = (a * b).terms
+        assert f == (fa[0], _ZERO, fb[2])
+        assert f[0] is fa[0] and f[1] is fb[1] and f[2] is fb[2]
+        assert_clean(a * b)
 
     def test_gaussian_product_with_zero_parts(self):
         parts = [Fraction(0), Fraction(1, 2), Fraction(-3)]

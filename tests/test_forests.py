@@ -449,39 +449,13 @@ def assert_as_parsed(forest):
 
 
 class TestLazyChildren:
-    """OrderedForest.children is built from parent on its first read."""
-
-    def test_unset_until_first_read(self, monkeypatch):
-        # an empty memo, so that each forest is built here and not
-        # shared with one whose children an earlier test read
-        monkeypatch.setattr(forests, "_ORDERED_MEMO",
-                            Memo(forests._ORDERED_MEMO.cap))
-        for f in [OrderedForest((0, 1, 1), (1, 2, 1)),
-                  _ordered((2, 0, 2), (1, 1, 1)),
-                  OrderedForest.parse("1:1[2:1]") * OrderedForest.parse("1:2"),
-                  act(Perm((3, 1, 2)), OrderedForest.parse("1:1[2:1]|3:1")),
-                  heap_order_lift(PlainForest.parse("1[2,2[1]]"))]:
-            with pytest.raises(AttributeError):
-                f._children
-            # hashing and comparing leave the children unbuilt
-            assert {f: 1}[_ordered(f.parent, f.dec)] == 1
-            with pytest.raises(AttributeError):
-                f._children
-            children = f.children
-            assert children == eager_children(f.parent)
-            assert f._children is children and f.children is children
-            assert f.roots is children[0]
+    """OrderedForest.children is built from parent on each read."""
 
     def test_still_immutable(self):
         f = OrderedForest.parse("1:1[2:1]")
         for forest in (f, _ordered(f.parent, f.dec)):
             with pytest.raises(AttributeError):
                 forest.children = ((), ())
-            assert forest.children == ((1,), (2,), ())
-            with pytest.raises(AttributeError):
-                forest.children = ((), ())
-            with pytest.raises(AttributeError):
-                forest._children = ((), ())
             assert forest.children == ((1,), (2,), ())
 
 

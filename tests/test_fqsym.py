@@ -14,7 +14,7 @@ perms_small = st.integers(1, 4).flatmap(
 
 class TestProduct:
     def test_worked_product(self):
-        assert fq_product(Perm((2, 1)), Perm((1,))).render() \
+        assert str(fq_product(Perm((2, 1)), Perm((1,)))) \
             == "(213)+(231)+(321)"
 
     def test_term_count_is_binomial(self):

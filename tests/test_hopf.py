@@ -27,7 +27,7 @@ class TestShuffle:
         ab = Word((1, 2))
         c = Word((3,))
         prod = Shuffle().product(ab, c)
-        assert prod.render() == "(abc)+(acb)+(cab)"
+        assert str(prod) == "(abc)+(acb)+(cab)"
 
     def test_coproduct_deconcatenation(self):
         terms = Shuffle().coproduct(Word((1, 2))).sorted_items()

@@ -1,7 +1,7 @@
 """Source hygiene: every module uses each name it imports, every
-library memo is bounded, every name the benchmark traces exists, and
-only coeffs.SparseSum decides which sparse sums may be added and
-compared.
+library memo is bounded, every name the benchmark traces exists, only
+coeffs.SparseSum decides which sparse sums may be added and compared,
+and only coeffs.ExpSum multiplies two sums.
 
 Package ``__init__`` modules are skipped by the import check, since they
 import to re-export; ``from __future__`` imports are compiler
@@ -126,7 +126,7 @@ def test_every_instance_memo_is_bounded(instance):
 
 
 # The names perfbench/tracing.py still lists although the library no
-# longer has them; the traced smoke run in CI allows exactly these.
+# longer has them: the one list of names a traced run may miss.
 PINNED_MISSING = ["forests.antichains", "forests.heap_order_lifts",
                   "fourier.skeleton_value", "hopf.CKForests.antipode"]
 
@@ -152,10 +152,10 @@ def test_traced_names_resolve():
 SPACE_METHODS = {"_check", "_with_terms", "__eq__", "__hash__"}
 
 
-def space_overrides(sources):
-    """(class, name) for each name of SPACE_METHODS that a class deriving
-    from SparseSum, directly or through another class of the sources,
-    defines or assigns in its body."""
+def space_overrides(sources, methods=SPACE_METHODS):
+    """(class, name) for each of the methods that a class deriving from
+    SparseSum, directly or through another class of the sources, defines
+    or assigns in its body."""
     classes = [node for source in sources
                for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.ClassDef)]
@@ -182,7 +182,7 @@ def space_overrides(sources):
             else:
                 continue
             found.extend((node.name, name) for name in names
-                         if name in SPACE_METHODS)
+                         if name in methods)
     return sorted(found)
 
 
@@ -197,3 +197,25 @@ def test_guard_sees_a_space_override():
 
 def test_only_sparse_sum_owns_the_space():
     assert space_overrides([p.read_text() for p in LIBRARY]) == []
+
+
+# ExpSum defines these once for MultiPoly and FreqExp; LinComb keeps a
+# __mul__ of its own, by scalars only
+PRODUCT_METHODS = {"_coerce", "__mul__", "__rmul__"}
+
+
+def test_guard_sees_a_product_override():
+    sources = ["class SparseSum:\n    def __rmul__(self, other): pass\n",
+               "class ExpSum(SparseSum):\n    def __mul__(self, o): pass\n"
+               "class A(ExpSum):\n    def _coerce(self, other): pass\n"
+               "    __rmul__ = ExpSum.__mul__\n"
+               "class C:\n    def __mul__(self, other): pass\n"]
+    assert space_overrides(sources, PRODUCT_METHODS) == [
+        ("A", "__rmul__"), ("A", "_coerce"), ("ExpSum", "__mul__")]
+
+
+def test_only_exp_sum_owns_the_product():
+    assert space_overrides([p.read_text() for p in LIBRARY],
+                           PRODUCT_METHODS) == [
+        ("ExpSum", "__mul__"), ("ExpSum", "__rmul__"), ("ExpSum", "_coerce"),
+        ("LinComb", "__mul__")]
