@@ -111,6 +111,8 @@ class PolyPath(Path):
     """Derivative components of a polynomial path, one per letter;
     component lines read 'i: polynomial in x'."""
 
+    __slots__ = ()
+
     @staticmethod
     def _parse_body(text):
         """One polynomial in x with rational coefficients, e.g.
@@ -185,8 +187,8 @@ def iter_int_word(path, word):
 
     Innermost letter is the last one; each step multiplies by the
     derivative of the next component outward and integrates from s.
-    Memoized per (path components, word)."""
-    key = (path.components, word)
+    Memoized per (path, word)."""
+    key = (path, word)
     cached = _WORD_INTEGRAL_MEMO.get(key)
     if cached is not None:
         return cached

@@ -22,8 +22,7 @@ one trusted constructor, _ordered(parent, dec), which checks nothing:
 parent must already be a tuple of ints in 0..n, acyclic and with no
 self-parent, and dec a tuple of n positive ints.  Products, cut parts,
 relabelings, heap lifts and the enumerations are forests by
-construction, so they are built through _ordered.  OrderedForest,
-PlainTree and PlainForest store their hash once, in a slot.
+construction, so they are built through _ordered.
 
 PlainTree and PlainForest likewise keep validating public constructors,
 which sort their trees, and have trusted ones that check and sort
@@ -32,13 +31,14 @@ PlainTrees already sorted by key, _plain_forest(trees) a tuple of
 PlainTrees sorted by key.  to_plain and the product of plain forests,
 whose trees are canonical by construction, build through them.
 
-The three trusted constructors return one shared instance per shape:
-each looks its arguments up in its memo (_ORDERED_MEMO,
-_PLAIN_TREE_MEMO, _PLAIN_FOREST_MEMO) and builds a forest only on a
-miss, so a dict lookup of an equal
-forest mostly meets the same object and compares nothing.  Equality and
-hashing stay structural: the public constructors, and the trusted ones
-after an eviction, may build equal forests that are not identical.
+At most one instance of each forest is alive.  Each trusted constructor
+looks its arguments up in its memo.Intern table (_ORDERED_INTERN,
+_PLAIN_TREE_INTERN, _PLAIN_FOREST_INTERN) and builds a forest only when
+no live one exists; a public constructor validates and then returns the
+trusted constructor's result.  So equal forests are identical, and
+equality and hashing are those of object identity, done in C.  A table
+holds no forest alive and loses an entry when its forest dies, so it
+needs no cap.
 
 Cuts are enumerated once per shape: _cut_shapes(parent) takes the
 parent tuple of a valid forest (as for _ordered) and gives its cuts as
@@ -52,7 +52,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ParseError
-from .memo import Memo
+from .memo import DEAD, Intern
 from .perms import _perm
 
 
@@ -61,22 +61,16 @@ from .perms import _perm
 # ---------------------------------------------------------------------------
 
 class PlainTree:
-    __slots__ = ("dec", "children", "n", "key", "_hash")
+    __slots__ = ("dec", "children", "n", "key", "__weakref__")
 
-    def __init__(self, dec, children=()):
+    def __new__(cls, dec, children=()):
         dec = int(dec)
         if dec < 1:
             raise ValueError("decoration out of range")
-        _fill_tree(self, dec, tuple(sorted(children, key=_by_key)))
+        return _plain_tree(dec, tuple(sorted(children, key=_by_key)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlainTree is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, PlainTree) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         if not self.children:
@@ -90,10 +84,10 @@ class PlainTree:
 class PlainForest:
     """Canonical multiset of decorated rooted trees; the H^d basis."""
 
-    __slots__ = ("trees", "n", "key", "_hash")
+    __slots__ = ("trees", "n", "key", "__weakref__")
 
-    def __init__(self, trees=()):
-        _fill_forest(self, tuple(sorted(trees, key=_by_key)))
+    def __new__(cls, trees=()):
+        return _plain_forest(tuple(sorted(trees, key=_by_key)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlainForest is immutable")
@@ -120,12 +114,6 @@ class PlainForest:
         return _plain_forest(tuple(sorted(self.trees + other.trees,
                                           key=_by_key)))
 
-    def __eq__(self, other):
-        return isinstance(other, PlainForest) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
-
     def sort_key(self):
         return (self.n, str(self))
 
@@ -144,32 +132,9 @@ _set_tree_dec = PlainTree.dec.__set__
 _set_tree_children = PlainTree.children.__set__
 _set_tree_n = PlainTree.n.__set__
 _set_tree_key = PlainTree.key.__set__
-_set_tree_hash = PlainTree._hash.__set__
 _set_forest_trees = PlainForest.trees.__set__
 _set_forest_n = PlainForest.n.__set__
 _set_forest_key = PlainForest.key.__set__
-_set_forest_hash = PlainForest._hash.__set__
-
-
-def _fill_tree(tree, dec, children):
-    """Set the slots of a PlainTree from a positive int and its
-    children, already sorted by key."""
-    key = (dec, tuple([c.key for c in children]))
-    _set_tree_dec(tree, dec)
-    _set_tree_children(tree, children)
-    _set_tree_n(tree, 1 + sum([c.n for c in children]))
-    _set_tree_key(tree, key)
-    _set_tree_hash(tree, hash(("PlainTree", key)))
-
-
-def _fill_forest(forest, trees):
-    """Set the slots of a PlainForest from its trees, already sorted by
-    key."""
-    key = tuple([t.key for t in trees])
-    _set_forest_trees(forest, trees)
-    _set_forest_n(forest, sum([t.n for t in trees]))
-    _set_forest_key(forest, key)
-    _set_forest_hash(forest, hash(("PlainForest", key)))
 
 
 def _canonical(trees):
@@ -179,29 +144,33 @@ def _canonical(trees):
     return tuple(trees)
 
 
-# Memos of the trusted constructors, each capped like _ORDERED_MEMO.
-_PLAIN_TREE_MEMO = Memo(1 << 14)
-_PLAIN_FOREST_MEMO = Memo(1 << 14)
+_PLAIN_TREE_INTERN = Intern()
+_PLAIN_FOREST_INTERN = Intern()
 
 
 def _plain_tree(dec, children):
     """Trusted constructor (see the module docstring)."""
     key = (dec, children)
-    tree = _PLAIN_TREE_MEMO.get(key)
+    tree = _PLAIN_TREE_INTERN.get(key, DEAD)()
     if tree is None:
         tree = _new(PlainTree)
-        _fill_tree(tree, dec, children)
-        _PLAIN_TREE_MEMO[key] = tree
+        _set_tree_dec(tree, dec)
+        _set_tree_children(tree, children)
+        _set_tree_n(tree, 1 + sum([c.n for c in children]))
+        _set_tree_key(tree, (dec, tuple([c.key for c in children])))
+        _PLAIN_TREE_INTERN.add(key, tree)
     return tree
 
 
 def _plain_forest(trees):
     """Trusted constructor (see the module docstring)."""
-    forest = _PLAIN_FOREST_MEMO.get(trees)
+    forest = _PLAIN_FOREST_INTERN.get(trees, DEAD)()
     if forest is None:
         forest = _new(PlainForest)
-        _fill_forest(forest, trees)
-        _PLAIN_FOREST_MEMO[trees] = forest
+        _set_forest_trees(forest, trees)
+        _set_forest_n(forest, sum([t.n for t in trees]))
+        _set_forest_key(forest, tuple([t.key for t in trees]))
+        _PLAIN_FOREST_INTERN.add(trees, forest)
     return forest
 
 
@@ -297,9 +266,9 @@ class OrderedForest:
     decoration.  Equality is literal: the order matters.
     """
 
-    __slots__ = ("parent", "dec", "n", "_hash")
+    __slots__ = ("parent", "dec", "n", "__weakref__")
 
-    def __init__(self, parent, dec=None):
+    def __new__(cls, parent, dec=None):
         parent = tuple(int(p) for p in parent)
         n = len(parent)
         if dec is None:
@@ -315,7 +284,7 @@ class OrderedForest:
         cycle_at = _cycle_start(parent)
         if cycle_at:
             raise ValueError(f"parent relation has a cycle at {cycle_at}")
-        _fill(self, parent, dec)
+        return _ordered(parent, dec)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrderedForest is immutable")
@@ -397,15 +366,6 @@ class OrderedForest:
                 _plain_tree(dec[v - 1], _canonical(trees[v])))
         return _plain_forest(_canonical(trees[0]))
 
-    # -- identity -----------------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, OrderedForest)
-                and self.parent == other.parent and self.dec == other.dec)
-
-    def __hash__(self):
-        return self._hash
-
     def sort_key(self):
         return (self.n, str(self))
 
@@ -430,34 +390,21 @@ class OrderedForest:
 _set_parent = OrderedForest.parent.__set__
 _set_dec = OrderedForest.dec.__set__
 _set_n = OrderedForest.n.__set__
-_set_hash = OrderedForest._hash.__set__
 
-
-def _fill(forest, parent, dec):
-    """Set the slots of an OrderedForest from valid parent and dec
-    tuples, the hash derived here."""
-    _set_parent(forest, parent)
-    _set_dec(forest, dec)
-    _set_n(forest, len(parent))
-    _set_hash(forest, hash(("OrderedForest", parent, dec)))
-
-
-# The two-letter ck sweep to degree 6, the largest of the tests, stores
-# 3,174 ordered forests, 1,202 plain trees and 2,659 plain forests; at
-# about 0.4 kB a degree-6 ordered forest with its key, the cap keeps the
-# memo near 7 MB.
-_ORDERED_MEMO = Memo(1 << 14)
+_ORDERED_INTERN = Intern()
 
 
 def _ordered(parent, dec):
     """Trusted constructor: parent and dec are already the tuples of a
     valid forest (see the module docstring)."""
     key = (parent, dec)
-    forest = _ORDERED_MEMO.get(key)
+    forest = _ORDERED_INTERN.get(key, DEAD)()
     if forest is None:
         forest = _new(OrderedForest)
-        _fill(forest, parent, dec)
-        _ORDERED_MEMO[key] = forest
+        _set_parent(forest, parent)
+        _set_dec(forest, dec)
+        _set_n(forest, len(parent))
+        _ORDERED_INTERN.add(key, forest)
     return forest
 
 

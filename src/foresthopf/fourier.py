@@ -56,6 +56,8 @@ class TrigPath(Path):
     """Derivative components as finite frequency/amplitude sums;
     component lines read 'i: amp@freq, amp@freq, ...'."""
 
+    __slots__ = ()
+
     def __init__(self, components):
         comps = []
         for comp in components:
@@ -332,10 +334,10 @@ _CHI_MEMO = Memo(1 << 12)
 def chi(path, word, var="t", bound=DEFAULT_BOUND):
     """The degree-n character of the path along a word.
 
-    Memoized per (path components, word, variable).  A word longer than
+    Memoized per (path, word, variable).  A word longer than
     the bound never reads the memo: it goes through the computation,
     which refuses it as it would without a memo."""
-    key = (path.components, word, var)
+    key = (path, word, var)
     if len(word) <= bound:
         cached = _CHI_MEMO.get(key)
         if cached is not None:

@@ -11,7 +11,7 @@ the rows travel together through both operations.
 from __future__ import annotations
 
 from .coeffs import _unit_sum
-from .perms import DecoratedPerm, _perm, standardize, interleavings
+from .perms import _decorated, _perm, standardize, interleavings
 
 
 def fq_product(p1, p2):
@@ -32,15 +32,15 @@ def fq_product_dec(p1, p2):
     k = p1.n
     left = tuple(zip(p1.perm.word, p1.bottom))
     right = tuple((v + k, b) for v, b in zip(p2.perm.word, p2.bottom))
-    return _unit_sum(DecoratedPerm(_perm(tuple([v for v, _ in merged])),
-                                   tuple([b for _, b in merged]))
+    return _unit_sum(_decorated(_perm(tuple([v for v, _ in merged])),
+                                tuple([b for _, b in merged]))
                      for merged in interleavings(left, right))
 
 
 def fq_coproduct_dec(p):
     word = p.perm.word
-    return _unit_sum((DecoratedPerm(standardize(word[:i]), p.bottom[:i]),
-                      DecoratedPerm(standardize(word[i:]), p.bottom[i:]))
+    return _unit_sum((_decorated(standardize(word[:i]), p.bottom[:i]),
+                      _decorated(standardize(word[i:]), p.bottom[i:]))
                      for i in range(p.n + 1))
 
 

@@ -31,7 +31,7 @@ from .coeffs import (LinComb, Accumulator, _lincomb, _nonzero_lincomb,
 from .errors import StructureMismatchError
 from .memo import Memo
 from .words import _word, EMPTY_WORD, all_words
-from .perms import Perm, DecoratedPerm, all_perms, interleavings
+from .perms import Perm, DecoratedPerm, _decorated, all_perms, interleavings
 from . import fqsym
 from .forests import (
     EMPTY_PLAIN, EMPTY_ORDERED, ordered_cuts, plain_cuts,
@@ -245,7 +245,7 @@ class FQSymDec(HopfStructure):
         out = []
         for p in all_perms(n):
             for w in all_words(n, self.d):
-                out.append(DecoratedPerm(p, w.letters))
+                out.append(_decorated(p, w.letters))
         return out
 
 

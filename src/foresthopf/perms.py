@@ -11,8 +11,18 @@ and public boundaries, and one trusted constructor, _perm(word), which
 checks nothing: its argument must already be a tuple of ints that is a
 permutation of 1..n.  Inverses, compositions, block sums, shuffles,
 standardizations and the enumerations are permutations by
-construction, so they are built through _perm.  Both constructors store
-the hash once, in a slot.
+construction, so they are built through _perm.  DecoratedPerm likewise
+has a trusted constructor, _decorated(perm, bottom), for a Perm and a
+tuple of as many positive ints; the FQSym operations and from_ell build
+through it.
+
+At most one instance of each permutation and of each decorated
+permutation is alive.  _perm and _decorated look their arguments up in
+a memo.Intern table (_PERM_INTERN, _DECORATED_INTERN) and build only
+when no live instance exists; a public constructor validates and then
+returns the trusted constructor's result.  So equal permutations are
+identical, and equality and hashing are those of object identity, done
+in C.  A table holds nothing alive, so it needs no cap.
 """
 
 from __future__ import annotations
@@ -20,18 +30,18 @@ from __future__ import annotations
 from itertools import combinations, permutations as _itertools_permutations
 
 from .errors import ParseError
+from .memo import DEAD, Intern
 from .words import parse_letters, render_letters
 
 
 class Perm:
-    __slots__ = ("word", "_hash")
+    __slots__ = ("word", "__weakref__")
 
-    def __init__(self, word):
+    def __new__(cls, word):
         word = tuple(int(v) for v in word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation word: {word}")
-        _set_word(self, word)
-        _set_hash(self, hash(("Perm", word)))
+        return _perm(word)
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -88,12 +98,6 @@ class Perm:
         return all(a < b for a, b in zip(left, left[1:])) and \
             all(a < b for a, b in zip(right, right[1:]))
 
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.word == other.word
-
-    def __hash__(self):
-        return self._hash
-
     def sort_key(self):
         return (len(self.word), self.word)
 
@@ -110,15 +114,17 @@ class Perm:
 
 _new = object.__new__
 _set_word = Perm.word.__set__
-_set_hash = Perm._hash.__set__
+_PERM_INTERN = Intern()
 
 
 def _perm(word):
     """Trusted constructor: word is a tuple of ints that is already a
     permutation of 1..n."""
-    p = _new(Perm)
-    _set_word(p, word)
-    _set_hash(p, hash(("Perm", word)))
+    p = _PERM_INTERN.get(word, DEAD)()
+    if p is None:
+        p = _new(Perm)
+        _set_word(p, word)
+        _PERM_INTERN.add(word, p)
     return p
 
 
@@ -172,9 +178,9 @@ class DecoratedPerm:
     display entry at v's position.
     """
 
-    __slots__ = ("perm", "bottom")
+    __slots__ = ("perm", "bottom", "__weakref__")
 
-    def __init__(self, perm, bottom):
+    def __new__(cls, perm, bottom):
         if not isinstance(perm, Perm):
             perm = Perm(perm)
         bottom = tuple(int(v) for v in bottom)
@@ -182,19 +188,18 @@ class DecoratedPerm:
             raise ValueError("decoration row length mismatch")
         if any(v < 1 for v in bottom):
             raise ValueError("letters must be positive")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "bottom", bottom)
+        return _decorated(perm, bottom)
 
     def __setattr__(self, name, value):
         raise AttributeError("DecoratedPerm is immutable")
 
     @classmethod
     def from_ell(cls, perm, ell):
-        """Build from the letter-on-value map, ell[v-1] for value v."""
+        """Build from the letter-on-value map, ell[v-1] for value v, a
+        positive int; the letters are not checked."""
         if not isinstance(perm, Perm):
             perm = Perm(perm)
-        ell = tuple(ell)
-        return cls(perm, tuple(ell[v - 1] for v in perm.word))
+        return _decorated(perm, tuple([ell[v - 1] for v in perm.word]))
 
     @classmethod
     def parse(cls, text):
@@ -217,13 +222,6 @@ class DecoratedPerm:
         """Letter attached to the value v."""
         return self.bottom[self.perm.inverse()(v) - 1]
 
-    def __eq__(self, other):
-        return (isinstance(other, DecoratedPerm)
-                and self.perm == other.perm and self.bottom == other.bottom)
-
-    def __hash__(self):
-        return hash(("DecoratedPerm", self.perm.word, self.bottom))
-
     def sort_key(self):
         return (self.n, self.perm.word, self.bottom)
 
@@ -234,3 +232,20 @@ class DecoratedPerm:
     def __repr__(self):
         return f"DecoratedPerm({self.perm!r}, {self.bottom!r})"
 
+
+_set_perm = DecoratedPerm.perm.__set__
+_set_bottom = DecoratedPerm.bottom.__set__
+_DECORATED_INTERN = Intern()
+
+
+def _decorated(perm, bottom):
+    """Trusted constructor: perm is a Perm and bottom a tuple of as many
+    positive ints."""
+    key = (perm, bottom)
+    p = _DECORATED_INTERN.get(key, DEAD)()
+    if p is None:
+        p = _new(DecoratedPerm)
+        _set_perm(p, perm)
+        _set_bottom(p, bottom)
+        _DECORATED_INTERN.add(key, p)
+    return p

@@ -9,13 +9,23 @@ Word has one validating public constructor, Word(letters), used at
 parse and public boundaries, and one trusted constructor,
 _word(letters), which checks nothing: its argument must already be a
 tuple of positive ints.  Concatenations, reversals, the enumeration and
-the shuffle-algebra operations are built through _word.  Both
-constructors store the hash once, in a slot.
+the shuffle-algebra operations are built through _word.
+
+At most one instance of each word is alive: _word looks its letters up
+in a memo.Intern table, _WORD_INTERN, and builds a word only when no
+live one exists, and Word(letters) validates and then returns _word's
+result.  So equal words are identical, and equality and hashing are
+those of object identity, done in C.  The table holds no word alive, so
+it needs no cap.
+
+A Path is immutable and compares by its type and components; its hash
+is computed once, so memos key on the path itself.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
+from .memo import DEAD, Intern
 
 
 def parse_letters(text):
@@ -68,12 +78,27 @@ class Path:
     """Derivative components of a driving path, one per letter 1..d.
 
     A subclass names the parser of one component body as _parse_body.
+    Equal paths are those of one type with equal components.
     """
 
+    __slots__ = ("components", "_hash")
+
     def __init__(self, components):
-        self.components = tuple(components)
-        if not self.components:
+        components = tuple(components)
+        if not components:
             raise ParseError("a path needs at least one component")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_hash", hash((type(self), components)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a path is immutable")
+
+    def __eq__(self, other):
+        return type(self) is type(other) \
+            and self.components == other.components
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def d(self):
@@ -114,14 +139,13 @@ class Path:
 class Word:
     """A finite sequence of letters in {1..d}; the shuffle-algebra basis."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ("letters", "__weakref__")
 
-    def __init__(self, letters=()):
+    def __new__(cls, letters=()):
         letters = tuple(int(v) for v in letters)
         if any(v < 1 for v in letters):
             raise ValueError("letters must be positive")
-        _set_letters(self, letters)
-        _set_hash(self, hash(("Word", letters)))
+        return _word(letters)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -152,12 +176,6 @@ class Word:
     def reverse(self):
         return _word(self.letters[::-1])
 
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return self._hash
-
     def sort_key(self):
         return (len(self.letters), self.letters)
 
@@ -170,14 +188,16 @@ class Word:
 
 _new = object.__new__
 _set_letters = Word.letters.__set__
-_set_hash = Word._hash.__set__
+_WORD_INTERN = Intern()
 
 
 def _word(letters):
     """Trusted constructor: letters is already a tuple of positive ints."""
-    w = _new(Word)
-    _set_letters(w, letters)
-    _set_hash(w, hash(("Word", letters)))
+    w = _WORD_INTERN.get(letters, DEAD)()
+    if w is None:
+        w = _new(Word)
+        _set_letters(w, letters)
+        _WORD_INTERN.add(letters, w)
     return w
 
 

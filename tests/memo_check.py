@@ -1,8 +1,10 @@
-"""Shared check that a memo stays within its cap.
+"""Shared checks that a memo stays within its cap and that an intern
+table keeps nothing alive.
 
 A memo is a ``foresthopf.memo.Memo`` held as an attribute of a module or
 of an instance; it is emptied before an insertion would take it past its
-cap."""
+cap.  An intern table is a ``foresthopf.memo.Intern``; its entry for an
+object goes when the object goes."""
 
 from foresthopf.memo import Memo
 
@@ -37,3 +39,18 @@ def check_bounded_memo(monkeypatch, owner, name, compute, inputs):
     assert [compute(x) for x in inputs] == expected
     assert memo.peak == 5
     assert memo.clears > 0
+
+
+def check_entry_goes_with_its_object(table, build, fields):
+    """build() makes an object that nothing else holds and that table
+    interns: the table's entry for it is dropped with the last reference
+    to it, and a rebuilt object has the same fields."""
+    obj = build()
+    entry = next(ref for ref in table.values() if ref() is obj)
+    before = fields(obj)
+    del obj
+    assert entry() is None
+    assert entry.key not in table
+    again = build()
+    assert fields(again) == before
+    assert table[entry.key]() is again

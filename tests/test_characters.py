@@ -10,6 +10,7 @@ import pytest
 from memo_check import check_bounded_memo
 from foresthopf import characters
 from foresthopf.coeffs import MultiPoly, LinComb
+from foresthopf.memo import Memo
 from foresthopf.errors import ParseError
 from foresthopf.words import Word, all_words
 from foresthopf.perms import Perm, all_perms
@@ -212,6 +213,23 @@ class TestCharacterPlumbing:
         words = [w for n in range(0, 4) for w in all_words(n, 2)]
         check_bounded_memo(monkeypatch, characters, "_WORD_INTEGRAL_MEMO",
                            lambda w: iter_int_word(path, w), words)
+
+    def test_equal_paths_share_memo_entries(self, monkeypatch):
+        monkeypatch.setattr(characters, "_WORD_INTEGRAL_MEMO",
+                            Memo(characters._WORD_INTEGRAL_MEMO.cap))
+        first, second = PolyPath.parse(PATH_TEXT), PolyPath.parse(PATH_TEXT)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        w = Word((1, 2))
+        value = iter_int_word(first, w)
+        assert iter_int_word(second, w) is value
+        assert len(characters._WORD_INTEGRAL_MEMO) == 1
+
+    def test_path_is_immutable(self, path):
+        with pytest.raises(AttributeError):
+            path.components = ()
+        with pytest.raises(AttributeError):
+            path.extra = 1
 
     def test_mismatched_convolution(self, path):
         from foresthopf.errors import StructureMismatchError

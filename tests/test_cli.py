@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +241,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.mark.parametrize("argv", [["hopf-check", "ck"],
+                                  ["hopf-check", "fqsym-dec"],
+                                  ["hopf-check", "shuffle"],
+                                  ["tsigma", "2413"]], ids=" ".join)
+def test_a_real_exit_is_clean(argv):
+    # interned forests, permutations and words die at interpreter exit,
+    # and their intern tables' weak-reference callbacks run then; an
+    # error there only shows on the stderr of a separate process
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-m", "foresthopf.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")

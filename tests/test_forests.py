@@ -1,14 +1,14 @@
 from collections import Counter
 from itertools import combinations, permutations
 from math import factorial
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memo_check import check_bounded_memo
+from memo_check import check_entry_goes_with_its_object
 from foresthopf import forests
 from foresthopf.errors import ParseError
-from foresthopf.memo import Memo
 from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import (
     _ordered, _plain_tree, _plain_forest, _cut_shapes,
@@ -465,23 +465,10 @@ def fresh(t):
 
 
 class TestSharedInstances:
-    """The trusted constructors return one shared instance per shape;
-    equality and hashing stay structural."""
+    """At most one instance of each forest is alive: the public, parsed
+    and trusted constructions of one forest are the same object."""
 
     ORDERED = [f for n in range(4) for f in ORDERED_2[n]]
-    PLAIN = [f for n in range(4) for f in enumerate_plain_forests(n, 2)]
-
-    def test_ordered_memo_is_bounded(self, monkeypatch):
-        check_bounded_memo(monkeypatch, forests, "_ORDERED_MEMO",
-                           ordered_cuts, self.ORDERED)
-
-    def test_plain_tree_memo_is_bounded(self, monkeypatch):
-        check_bounded_memo(monkeypatch, forests, "_PLAIN_TREE_MEMO",
-                           OrderedForest.to_plain, self.ORDERED)
-
-    def test_plain_forest_memo_is_bounded(self, monkeypatch):
-        check_bounded_memo(monkeypatch, forests, "_PLAIN_FOREST_MEMO",
-                           plain_cuts, self.PLAIN)
 
     def test_equal_arguments_share_one_instance(self):
         for f in self.ORDERED:
@@ -496,28 +483,32 @@ class TestSharedInstances:
             assert heap_order_lift(plain) is heap_order_lift(plain)
             assert plain * plain is plain * plain
 
-    def test_public_and_evicted_forests_stay_equal(self, monkeypatch):
-        shared = [(_ordered(f.parent, f.dec), f.to_plain())
-                  for f in self.ORDERED]
-        for ordered, plain in shared:
-            public = OrderedForest(ordered.parent, ordered.dec)
-            parsed = PlainForest.parse(str(plain))
-            assert public is not ordered and parsed is not plain
-            assert public == ordered and hash(public) == hash(ordered)
-            assert parsed == plain and hash(parsed) == hash(plain)
-            assert {ordered: 1, plain: 2}[public] == 1
-            assert {ordered: 1, plain: 2}[parsed] == 2
-        for name in ("_ORDERED_MEMO", "_PLAIN_TREE_MEMO",
-                     "_PLAIN_FOREST_MEMO"):
-            monkeypatch.setattr(forests, name,
-                                Memo(getattr(forests, name).cap))
-        for ordered, plain in shared:
-            again = _ordered(ordered.parent, ordered.dec)
-            replain = again.to_plain()
-            assert again is not ordered and replain is not plain
-            assert again == ordered and hash(again) == hash(ordered)
-            assert replain == plain and hash(replain) == hash(plain)
-            assert replain.trees == plain.trees
+    @pytest.mark.parametrize("n", range(5))
+    def test_public_parsed_and_trusted_are_identical(self, n):
+        for f in ORDERED_2[n]:
+            trusted = _ordered(fresh(f.parent), fresh(f.dec))
+            assert trusted is f
+            assert OrderedForest(list(f.parent), list(f.dec)) is trusted
+            assert OrderedForest.parse(str(f)) is trusted
+        for f in enumerate_plain_forests(n, 2):
+            assert _plain_forest(fresh(f.trees)) is f
+            assert PlainForest(reversed(f.trees)) is f
+            assert PlainForest.parse(str(f)) is f
+            for tree in f.trees:
+                assert _plain_tree(tree.dec, fresh(tree.children)) is tree
+                assert PlainTree(tree.dec, reversed(tree.children)) is tree
+
+    @pytest.mark.parametrize("name,build,fields", [
+        ("_ORDERED_INTERN", lambda: OrderedForest.parse("1:9[2:9[3:8]]|4:9"),
+         attrgetter("parent", "dec", "n")),
+        ("_PLAIN_TREE_INTERN", lambda: PlainTree(9, [PlainTree(8)] * 2),
+         attrgetter("dec", "children", "n", "key")),
+        ("_PLAIN_FOREST_INTERN", lambda: PlainForest.parse("9[8,9]|9"),
+         attrgetter("trees", "n", "key")),
+    ], ids=["ordered", "plain-tree", "plain-forest"])
+    def test_entry_goes_with_its_forest(self, name, build, fields):
+        check_entry_goes_with_its_object(getattr(forests, name), build,
+                                         fields)
 
 
 class TestPublicConstructorRejects:

@@ -467,6 +467,23 @@ class TestJ:
         with pytest.raises(BoundExceededError):
             chi(path, w, bound=2)
 
+    def test_equal_paths_share_memo_entries(self, monkeypatch):
+        monkeypatch.setattr(fourier, "_CHI_MEMO",
+                            Memo(fourier._CHI_MEMO.cap))
+        first, second = TrigPath.parse(PATH_TEXT), TrigPath.parse(PATH_TEXT)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        w = Word((1, 2))
+        value = chi(first, w)
+        assert chi(second, w) is value
+        assert len(fourier._CHI_MEMO) == 1
+
+    def test_path_is_immutable(self, path):
+        with pytest.raises(AttributeError):
+            path.components = ()
+        with pytest.raises(AttributeError):
+            path.extra = 1
+
     def test_bounded_sbar_memo(self, monkeypatch):
         p = TrigPath.parse("1: 1@1, 1/2@-7/11\n2: 1@2, -i@5")
         words = [w for n in range(1, 4) for w in all_words(n, 2)]

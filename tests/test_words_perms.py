@@ -1,11 +1,16 @@
 from itertools import permutations
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from foresthopf.words import Word, EMPTY_WORD, all_words, parse_letters
-from foresthopf.perms import (Perm, DecoratedPerm, all_perms, standardize,
-                              shuffles)
+from memo_check import check_entry_goes_with_its_object
+from test_forests import fresh
+from foresthopf import perms, words
+from foresthopf.words import (Word, EMPTY_WORD, _word, all_words,
+                              parse_letters)
+from foresthopf.perms import (Perm, DecoratedPerm, _decorated, _perm,
+                              all_perms, standardize, shuffles)
 from foresthopf.forests import enumerate_ordered, linear_extensions
 from foresthopf.errors import ParseError
 
@@ -152,6 +157,47 @@ class TestTrustedConstructors:
                 for m in range(5 - n):
                     for v in layers[m]:
                         assert_word_as_public(w + v)
+
+
+class TestSharedInstances:
+    """At most one instance of each permutation, decorated permutation
+    and word is alive: the public, parsed and trusted constructions of
+    one are the same object."""
+
+    def test_perms(self):
+        for n in range(6):
+            for p in all_perms(n):
+                assert _perm(fresh(p.word)) is p
+                assert Perm(list(p.word)) is p
+                assert Perm.parse(str(p)) is p
+
+    def test_decorated_perms(self):
+        for n in range(4):
+            for p in all_perms(n):
+                for w in all_words(n, 2):
+                    dp = _decorated(p, fresh(w.letters))
+                    assert DecoratedPerm(p.word, list(w.letters)) is dp
+                    assert DecoratedPerm.parse(str(dp)) is dp
+                    ell = [dp.ell(v) for v in range(1, n + 1)]
+                    assert DecoratedPerm.from_ell(p, ell) is dp
+
+    def test_words(self):
+        for n in range(5):
+            for w in all_words(n, 3):
+                assert _word(fresh(w.letters)) is w
+                assert Word(list(w.letters)) is w
+                assert Word.parse(str(w)) is w
+
+    @pytest.mark.parametrize("owner,name,build,fields", [
+        (perms, "_PERM_INTERN", lambda: Perm((3, 1, 2, 5, 4, 6, 7, 8, 9, 10)),
+         attrgetter("word")),
+        (perms, "_DECORATED_INTERN",
+         lambda: DecoratedPerm.parse("(21;zy)"), attrgetter("perm", "bottom")),
+        (words, "_WORD_INTERN", lambda: Word((9, 9, 8, 7)),
+         attrgetter("letters")),
+    ], ids=["perm", "decorated-perm", "word"])
+    def test_entry_goes_with_its_object(self, owner, name, build, fields):
+        check_entry_goes_with_its_object(getattr(owner, name), build, fields)
 
 
 class TestPublicConstructorsReject:
