@@ -25,21 +25,17 @@ from .morphisms import (theta_small, _simplex_expansion, t_sigma_by_matrix,
 class Character:
     """Linear character of a Hopf structure with values in a
     commutative algebra of MultiPoly or FreqExp values; fn maps basis
-    elements to values."""
+    elements to values, and each value is memoized."""
 
     def __init__(self, structure, fn, one, name="chi"):
         self.structure = structure
-        self.fn = fn
         self.one = one
         self.zero = one - one
         self.name = name
-        self._cache = Memo(STRUCTURE_MEMO_CAP)
+        self._cache = Memo(STRUCTURE_MEMO_CAP, fn)
 
     def __call__(self, b):
-        value = self._cache.get(b)
-        if value is None:
-            value = self._cache[b] = self.fn(b)
-        return value
+        return self._cache[b]
 
     def eval_lin(self, lc):
         total = Accumulator(self.zero)
@@ -48,7 +44,7 @@ class Character:
         return total.value()
 
 
-def convolve(phi, psi, name=None):
+def convolve(phi, psi):
     """(phi * psi)(x) = sum phi(x') psi(x'') over the coproduct."""
     if not phi.structure.same_structure(psi.structure):
         raise StructureMismatchError(
@@ -61,18 +57,17 @@ def convolve(phi, psi, name=None):
             total.add(phi(x) * psi(y), c)
         return total.value()
 
-    return Character(H, fn, phi.one,
-                     name=name or f"{phi.name}*{psi.name}")
+    return Character(H, fn, phi.one, name=f"{phi.name}*{psi.name}")
 
 
-def char_inverse(phi, name=None):
+def char_inverse(phi):
     """Convolution inverse phi o S."""
     H = phi.structure
 
     def fn(b):
         return phi.eval_lin(H.antipode(b))
 
-    return Character(H, fn, phi.one, name=name or f"{phi.name}^-1")
+    return Character(H, fn, phi.one, name=f"{phi.name}^-1")
 
 
 def validate_character(phi, max_degree):
@@ -177,26 +172,25 @@ def _integral_from_s(gamma, inner):
     return _poly(("t", "s"), out)
 
 
-# Memo of iter_int_word: at about 1.2 kB an entry (words up to length 6
-# over the path (1, 2x)) the cap keeps it near 5 MB.
-_WORD_INTEGRAL_MEMO = Memo(1 << 12)
-
-
-def iter_int_word(path, word):
-    """Iterated integral of the path along a word, in variables (t, s).
-
-    Innermost letter is the last one; each step multiplies by the
-    derivative of the next component outward and integrates from s.
-    Memoized per (path, word)."""
-    key = (path, word)
-    cached = _WORD_INTEGRAL_MEMO.get(key)
-    if cached is not None:
-        return cached
+def _word_integral(key):
+    """Innermost letter is the last one; each step multiplies by the
+    derivative of the next component outward and integrates from s."""
+    path, word = key
     value = MultiPoly.one(("t", "s"))
     for letter in reversed(word.letters):
         value = _integral_from_s(path.component(letter), value)
-    _WORD_INTEGRAL_MEMO[key] = value
     return value
+
+
+# Memo of iter_int_word: at about 1.2 kB an entry (words up to length 6
+# over the path (1, 2x)) the cap keeps it near 5 MB.
+_WORD_INTEGRAL_MEMO = Memo(1 << 12, _word_integral)
+
+
+def iter_int_word(path, word):
+    """Iterated integral of the path along a word, in variables (t, s),
+    memoized per (path, word)."""
+    return _WORD_INTEGRAL_MEMO[path, word]
 
 
 def iter_int_tree(path, forest):

@@ -281,11 +281,11 @@ def build_parser():
 
 
 # (argument, its name on the command line, least value it may take):
-# degrees and lengths count from 0; alphabets need at least one letter,
+# degrees, bounds and lengths count from 0; alphabets need at least one letter,
 # and a sweep over no random case would pass without checking anything
 _LOWER_LIMITS = (("degree", "--degree", 0), ("n", "n", 0),
                  ("jlen", "--jlen", 0), ("cases", "--cases", 1),
-                 ("d", "--d", 1))
+                 ("d", "--d", 1), ("bound", "--bound", 0))
 
 
 def _check_limits(args):

@@ -272,21 +272,28 @@ def phi_lin(lc, measure, var="t"):
 # Sector tables
 # ---------------------------------------------------------------------------
 
+def _build_sector_table(sigma):
+    """The table of _sector_table, whose caller checked the bound."""
+    forests = tuple([(f.parent, c)
+                     for f, c in t_sigma(sigma, sigma.n).items()])
+    merged = {}
+    for parent, c in forests:
+        for cut in _cuts(parent):
+            merged[cut] = merged.get(cut, 0) + c
+    return (forests, tuple([cut + (c,) for cut, c in merged.items() if c]))
+
+
 # Memos of the table of each sigma and of the cuts of each forest shape:
 # every permutation and every shape up to degree 6 fits (874 of each),
 # in about 13 MB.
-_SECTOR_MEMO = Memo(1 << 10)
-_CUTS_MEMO = Memo(1 << 12)
+_SECTOR_MEMO = Memo(1 << 10, _build_sector_table)
+_CUTS_MEMO = Memo(1 << 12, lambda parent: tuple(_cut_shapes(parent)))
 
 
 def _cuts(parent):
     """The cuts of the forest shape with these parents, as (roo
     parent, roo_at, lea parent, lea_at) tuples from _cut_shapes."""
-    cuts = _CUTS_MEMO.get(parent)
-    if cuts is None:
-        cuts = tuple(_cut_shapes(parent))
-        _CUTS_MEMO[parent] = cuts
-    return cuts
+    return _CUTS_MEMO[parent]
 
 
 def _sector_table(sigma, bound):
@@ -295,18 +302,7 @@ def _sector_table(sigma, bound):
     order first met, cancelled ones left out.  The bound is checked on
     every call."""
     _check_bound(sigma.n, bound)
-    table = _SECTOR_MEMO.get(sigma)
-    if table is None:
-        forests = tuple([(f.parent, c)
-                         for f, c in t_sigma(sigma, bound).items()])
-        merged = {}
-        for parent, c in forests:
-            for cut in _cuts(parent):
-                merged[cut] = merged.get(cut, 0) + c
-        table = (forests,
-                 tuple([cut + (c,) for cut, c in merged.items() if c]))
-        _SECTOR_MEMO[sigma] = table
-    return table
+    return _SECTOR_MEMO[sigma]
 
 
 # ---------------------------------------------------------------------------
@@ -325,32 +321,47 @@ def chi_measure(nu, var="t", bound=DEFAULT_BOUND):
     return total.value()
 
 
+def _chi_value(key):
+    """chi of a (path, word, variable) key, whose caller checked the
+    bound."""
+    path, word, var = key
+    return chi_measure(word_measure(path, word), var, len(word))
+
+
 # Memo of chi: at about 3 kB an entry the cap keeps it near 12 MB.  J
 # by characters of every word up to length 5 over two frequencies per
 # letter stores 126 entries.
-_CHI_MEMO = Memo(1 << 12)
+_CHI_MEMO = Memo(1 << 12, _chi_value)
 
 
 def chi(path, word, var="t", bound=DEFAULT_BOUND):
     """The degree-n character of the path along a word.
 
-    Memoized per (path, word, variable).  A word longer than
-    the bound never reads the memo: it goes through the computation,
-    which refuses it as it would without a memo."""
-    key = (path, word, var)
-    if len(word) <= bound:
-        cached = _CHI_MEMO.get(key)
-        if cached is not None:
-            return cached
-    value = chi_measure(word_measure(path, word), var, bound)
-    _CHI_MEMO[key] = value
-    return value
+    Memoized per (path, word, variable).  The bound is checked on every
+    call, so a memoized word still refuses a lower bound."""
+    _check_bound(len(word), bound)
+    return _CHI_MEMO[path, word, var]
+
+
+def _sbar_value(key):
+    """sbar_eval of a nonempty (parent, freq) key."""
+    parent, freq = key
+    den, _ = _xi_product(parent, freq)
+    num = 1
+    for roo, roo_at, lea, lea_at in _cuts(parent):
+        if roo and lea:
+            product, _ = _xi_product(roo, [freq[i] for i in roo_at])
+            r = sbar_eval(lea, [freq[i] for i in lea_at])
+            product *= r.denominator
+            num = num * product + r.numerator * den
+            den *= product
+    return Fraction(-num, den)
 
 
 # Memo of sbar_eval: at about 0.3 kB an entry (one Fraction and a key of
 # two int tuples) the cap keeps it near 5 MB.  J of every word up to
 # length 6 over two frequencies per letter stores 11,564 entries.
-_SBAR_MEMO = Memo(1 << 14)
+_SBAR_MEMO = Memo(1 << 14, _sbar_value)
 
 
 def sbar_eval(parent, freq):
@@ -364,23 +375,7 @@ def sbar_eval(parent, freq):
     coordinates."""
     if not parent:
         return _ONE
-    freq = tuple(freq)
-    key = (parent, freq)
-    cached = _SBAR_MEMO.get(key)
-    if cached is not None:
-        return cached
-    den, _ = _xi_product(parent, freq)
-    num = 1
-    for roo, roo_at, lea, lea_at in _cuts(parent):
-        if roo and lea:
-            product, _ = _xi_product(roo, [freq[i] for i in roo_at])
-            r = sbar_eval(lea, [freq[i] for i in lea_at])
-            product *= r.denominator
-            num = num * product + r.numerator * den
-            den *= product
-    value = Fraction(-num, den)
-    _SBAR_MEMO[key] = value
-    return value
+    return _SBAR_MEMO[parent, tuple(freq)]
 
 
 def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):

@@ -70,8 +70,8 @@ class HopfStructure:
 
     def __init__(self, d=1):
         self.d = d
-        self._antipode_memo = Memo(STRUCTURE_MEMO_CAP)
-        self._coproduct_memo = Memo(STRUCTURE_MEMO_CAP)
+        self._antipode_memo = Memo(STRUCTURE_MEMO_CAP, self._antipode)
+        self._coproduct_memo = Memo(STRUCTURE_MEMO_CAP, self._coproduct)
 
     def unit(self):
         raise NotImplementedError
@@ -87,10 +87,7 @@ class HopfStructure:
         raise NotImplementedError
 
     def coproduct(self, b):
-        cached = self._coproduct_memo.get(b)
-        if cached is None:
-            cached = self._coproduct_memo[b] = self._coproduct(b)
-        return cached
+        return self._coproduct_memo[b]
 
     def basis(self, n):
         raise NotImplementedError
@@ -102,17 +99,17 @@ class HopfStructure:
         """Generic graded-connected recursion, memoized per structure."""
         if self.degree(b) == 0:
             return LinComb.of(b)
-        cached = self._antipode_memo.get(b)
-        if cached is not None:
-            return cached
+        return self._antipode_memo[b]
+
+    def _antipode(self, b):
+        """S(b) = -b - sum S(x')x'' over the proper coproduct terms."""
         total = Accumulator(LinComb.of(b, -1))
         for (x1, x2), c in self.coproduct(b).items():
             if self.degree(x1) == 0 or self.degree(x2) == 0:
                 continue
             for y, cy in self.antipode(x1).items():
                 total.add(self.product(y, x2), -c * cy)
-        value = self._antipode_memo[b] = total.value()
-        return value
+        return total.value()
 
     # -- linear extensions of the basis maps ---------------------------------
 

@@ -1,7 +1,19 @@
 """The one bounded memo and the one intern table of the library.
 
-A Memo is a dict with a cap: an insertion into a memo that holds cap
-entries empties it first.  Lookups are plain dict reads.
+A Memo is a dict with a cap and a compute function, and it owns the
+whole miss protocol: a value is read as ``MEMO[key]``, and on a miss
+``__missing__`` calls ``compute(key)``, empties the memo if it already
+holds cap entries, stores the value and returns it.  It is the only code
+that writes into a memo.  The cap is checked right before the store, so
+the memo never holds more than cap entries, also when compute reads the
+memo again for smaller keys.  A compute that raises stores nothing.
+
+What compute references, the memo keeps alive.  A structure's memos hold
+its bound methods, a reference cycle that only the garbage collector
+frees; a structure is small and long-lived, so that costs little.  A
+``ThetaMatrix`` (about 10.8 MB at degree 6) must not cycle: its column
+memo closes over the back-substitution order alone, so an evicted matrix
+is freed by reference counting as soon as it is dropped.
 
 An Intern maps the key of a structure to a weak reference to the one
 live object with that structure, so a trusted constructor that finds a
@@ -18,16 +30,19 @@ DEAD = ref(set())
 
 
 class Memo(dict):
-    __slots__ = ("cap",)
+    __slots__ = ("cap", "compute")
 
-    def __init__(self, cap):
+    def __init__(self, cap, compute):
         super().__init__()
         self.cap = cap
+        self.compute = compute
 
-    def __setitem__(self, key, value):
+    def __missing__(self, key):
+        value = self.compute(key)
         if len(self) >= self.cap:
             self.clear()
-        dict.__setitem__(self, key, value)
+        self[key] = value
+        return value
 
 
 class Intern(dict):

@@ -91,12 +91,29 @@ class ThetaMatrix:
             raise AssertionError(f"max extension not bijective at n={n}")
         # back substitution visits the words from the largest down, each
         # with its forest and that forest's other extensions
-        self._descending = []
+        descending = []
         for word in sorted(by_max, reverse=True):
             f = by_max[word]
             lower = [e.word for e in self._extensions[f] if e.word != word]
-            self._descending.append((word, f, lower))
-        self._inverse_columns = {}
+            descending.append((word, f, lower))
+
+        # closes over the order alone, so the memo holds no reference
+        # back to the matrix
+        def solve(sigma):
+            residual = {sigma.word: 1}
+            result = {}
+            for word, f, lower in descending:
+                c = residual.pop(word, 0)
+                if not c:
+                    continue
+                result[f] = c
+                for other in lower:
+                    residual[other] = residual.get(other, 0) - c
+            if any(residual.values()):
+                raise AssertionError("back substitution left a residual")
+            return _lincomb(result)
+
+        self._inverse_columns = Memo(factorial(n), solve)
 
     def extensions(self, forest):
         return self._extensions[forest]
@@ -112,23 +129,7 @@ class ThetaMatrix:
 
     def inverse_column(self, sigma):
         """theta^{-1}(sigma) as a LinComb of heap-ordered forests."""
-        cached = self._inverse_columns.get(sigma)
-        if cached is not None:
-            return cached
-        residual = {sigma.word: 1}
-        result = {}
-        for word, f, lower in self._descending:
-            c = residual.pop(word, 0)
-            if not c:
-                continue
-            result[f] = c
-            for other in lower:
-                residual[other] = residual.get(other, 0) - c
-        if any(residual.values()):
-            raise AssertionError("back substitution left a residual")
-        lc = _lincomb(result)
-        self._inverse_columns[sigma] = lc
-        return lc
+        return self._inverse_columns[sigma]
 
     def inverse_matrix(self):
         """Row F, column sigma: coefficient of F in theta^{-1}(sigma)."""
@@ -170,7 +171,7 @@ def _json_rows(rows):
 
 # The last ThetaMatrix built, keyed by its degree: at most one entry,
 # since ThetaMatrix(7) alone peaks at about 265 MB.
-_MATRIX_CACHE = Memo(1)
+_MATRIX_CACHE = Memo(1, ThetaMatrix)
 
 
 def _check_bound(n, bound):
@@ -181,10 +182,7 @@ def _check_bound(n, bound):
 
 def theta_inverse_table(n, bound=DEFAULT_BOUND):
     _check_bound(n, bound)
-    table = _MATRIX_CACHE.get(n)
-    if table is None:
-        table = _MATRIX_CACHE[n] = ThetaMatrix(n)
-    return table
+    return _MATRIX_CACHE[n]
 
 
 def _simplex_expansion(sigma):

@@ -2,9 +2,10 @@
 table keeps nothing alive.
 
 A memo is a ``foresthopf.memo.Memo`` held as an attribute of a module or
-of an instance; it is emptied before an insertion would take it past its
-cap.  An intern table is a ``foresthopf.memo.Intern``; its entry for an
-object goes when the object goes."""
+of an instance; it computes its own misses and is emptied before a store
+would take it past its cap.  An intern table is a
+``foresthopf.memo.Intern``; its entry for an object goes when the object
+goes."""
 
 from foresthopf.memo import Memo
 
@@ -13,14 +14,15 @@ class MemoRecorder(Memo):
     """A memo that records its largest size and how often it was
     emptied."""
 
-    def __init__(self, cap):
-        super().__init__(cap)
+    def __init__(self, cap, compute):
+        super().__init__(cap, compute)
         self.peak = 0
         self.clears = 0
 
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
+    def __missing__(self, key):
+        value = super().__missing__(key)
         self.peak = max(self.peak, len(self))
+        return value
 
     def clear(self):
         self.clears += 1
@@ -32,9 +34,10 @@ def check_bounded_memo(monkeypatch, owner, name, compute, inputs):
     for a recorder of cap 5, compute gives the same values on inputs as
     with an empty memo at the full cap, the memo reaches 5 entries and
     never more, and it is emptied at least once."""
-    monkeypatch.setattr(owner, name, Memo(getattr(owner, name).cap))
+    old = getattr(owner, name)
+    monkeypatch.setattr(owner, name, Memo(old.cap, old.compute))
     expected = [compute(x) for x in inputs]
-    memo = MemoRecorder(5)
+    memo = MemoRecorder(5, old.compute)
     monkeypatch.setattr(owner, name, memo)
     assert [compute(x) for x in inputs] == expected
     assert memo.peak == 5

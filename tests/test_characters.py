@@ -215,8 +215,9 @@ class TestCharacterPlumbing:
                            lambda w: iter_int_word(path, w), words)
 
     def test_equal_paths_share_memo_entries(self, monkeypatch):
+        old = characters._WORD_INTEGRAL_MEMO
         monkeypatch.setattr(characters, "_WORD_INTEGRAL_MEMO",
-                            Memo(characters._WORD_INTEGRAL_MEMO.cap))
+                            Memo(old.cap, old.compute))
         first, second = PolyPath.parse(PATH_TEXT), PolyPath.parse(PATH_TEXT)
         assert first is not second
         assert first == second and hash(first) == hash(second)

@@ -216,6 +216,9 @@ class TestExitCodes:
         ["fno", "verify", "--path", TRIG_FILE, "--degree", "1", "--jlen", "0",
          "--cases", "0"],
         ["hopf-check", "fqsym", "--d", "5", "--degree", "3"],
+        ["fno", "chi", "", "--path", TRIG_FILE, "--bound", "-1"],
+        ["fno", "j", "", "--path", TRIG_FILE, "--bound", "-1"],
+        ["tsigma", "", "--bound", "-1"],
     ])
     def test_bad_value_exits_2(self, capsys, trig_file, argv):
         argv = [trig_file if a is TRIG_FILE else a for a in argv]

@@ -468,8 +468,8 @@ class TestJ:
             chi(path, w, bound=2)
 
     def test_equal_paths_share_memo_entries(self, monkeypatch):
-        monkeypatch.setattr(fourier, "_CHI_MEMO",
-                            Memo(fourier._CHI_MEMO.cap))
+        old = fourier._CHI_MEMO
+        monkeypatch.setattr(fourier, "_CHI_MEMO", Memo(old.cap, old.compute))
         first, second = TrigPath.parse(PATH_TEXT), TrigPath.parse(PATH_TEXT)
         assert first is not second
         assert first == second and hash(first) == hash(second)
@@ -520,8 +520,8 @@ class TestSectorTable:
         p = TrigPath.parse("1: 1@1\n2: 1@2")
         w = Word((1, 2, 1, 1, 2, 2))
         with monkeypatch.context() as m:
-            m.setattr(fourier, "_SECTOR_MEMO",
-                      Memo(fourier._SECTOR_MEMO.cap))
+            old = fourier._SECTOR_MEMO
+            m.setattr(fourier, "_SECTOR_MEMO", Memo(old.cap, old.compute))
             with pytest.raises(BoundExceededError) as cold:
                 j_convolution(p, w, bound=4)
         j_convolution(p, w)

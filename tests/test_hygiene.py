@@ -9,8 +9,9 @@ import to re-export; ``from __future__`` imports are compiler
 directives.  A memo is any dict held by a library module or by a fresh
 structure or character, or any attribute named ``*_MEMO`` or ``*_CACHE``;
 it is bounded when it is a ``foresthopf.memo.Memo`` with an int cap of
-at least 1, or a ``foresthopf.memo.Intern``, whose entries go with their
-objects.  The one exempt dict is the registry ``hopf.STRUCTURES``.
+at least 1 and a callable compute, or a ``foresthopf.memo.Intern``,
+whose entries go with their objects.  The one exempt dict is the
+registry ``hopf.STRUCTURES``.
 """
 
 import ast
@@ -68,14 +69,14 @@ def _bounded(value):
     if isinstance(value, Intern):
         return True
     return isinstance(value, Memo) and type(value.cap) is int \
-        and value.cap >= 1
+        and value.cap >= 1 and callable(value.compute)
 
 
 def unbounded_memos(namespace, exempt=()):
     """The names in namespace, the attributes of a module or of an
     instance, that hold a dict, or are named as a memo or cache, and are
-    neither a Memo with an int cap of at least 1 nor an Intern.  Dunder
-    names and the objects in exempt are skipped."""
+    neither a Memo with an int cap of at least 1 and a callable compute
+    nor an Intern.  Dunder names and the objects in exempt are skipped."""
     return sorted(
         name for name, value in namespace.items()
         if not (name.startswith("__") and name.endswith("__"))
@@ -86,14 +87,15 @@ def unbounded_memos(namespace, exempt=()):
 
 
 def test_guard_sees_an_unbounded_memo():
-    namespace = {"_A_MEMO": Memo(1 << 4), "_B_MEMO": {}, "_X_CACHE": {},
-                 "_C_MEMO": Memo(0), "_D_MEMO": Memo("9"),
-                 "_E_MEMO": Memo(True), "_f_cache": [], "TABLE": {1: 2},
+    namespace = {"_A_MEMO": Memo(1 << 4, len), "_B_MEMO": {}, "_X_CACHE": {},
+                 "_C_MEMO": Memo(0, len), "_D_MEMO": Memo("9", len),
+                 "_E_MEMO": Memo(True, len), "_f_cache": [], "TABLE": {1: 2},
                  "_G_INTERN": Intern(), "_H_INTERN": {}, "_I_MEMO": Intern(),
+                 "_J_MEMO": Memo(5, None),
                  "REGISTRY": {"a": 1}, "LIMIT": 4, "__builtins__": {}}
     assert unbounded_memos(namespace, exempt=[namespace["REGISTRY"]]) \
         == ["TABLE", "_B_MEMO", "_C_MEMO", "_D_MEMO", "_E_MEMO", "_H_INTERN",
-            "_X_CACHE", "_f_cache"]
+            "_J_MEMO", "_X_CACHE", "_f_cache"]
 
 
 def test_guard_sees_the_library_memos():
