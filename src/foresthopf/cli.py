@@ -60,13 +60,9 @@ def cmd_theta(args):
 
 def cmd_theta_inv(args):
     if args.matrix:
-        if args.degree is None:
-            raise ParseError("--matrix requires --degree")
         table = theta_inverse_table(args.degree, args.bound)
         print(table.to_json())
         return 0
-    if args.perm is None:
-        raise ParseError("give a permutation or --matrix")
     sigma = Perm.parse(args.perm)
     value = t_sigma(sigma.inverse(), args.bound)
     _emit_value(args, str(value), {"command": "theta-inv",
@@ -295,14 +291,30 @@ def _check_limits(args):
             raise ParseError(f"{name} must be at least {least}, got {value}")
 
 
+def _check_arguments(args):
+    """Refuse a missing argument, and one the command would ignore."""
+    if args.command == "fno":
+        if args.mode != "verify" and args.word is None:
+            raise ParseError(f"fno {args.mode} needs a word")
+        if args.mode == "verify" and args.word is not None:
+            raise ParseError("fno verify takes no word")
+    if args.command == "theta-inv":
+        if args.matrix and args.degree is None:
+            raise ParseError("--matrix requires --degree")
+        if args.matrix and args.perm is not None:
+            raise ParseError("--matrix takes no permutation")
+        if not args.matrix and args.perm is None:
+            raise ParseError("give a permutation or --matrix")
+        if not args.matrix and args.degree is not None:
+            raise ParseError("--degree needs --matrix")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_limits(args)
-        if args.command == "fno" and args.mode in ("chi", "j") \
-                and args.word is None:
-            raise ParseError(f"fno {args.mode} needs a word")
+        _check_arguments(args)
         return args.fn(args)
     except (ParseError, BoundExceededError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,6 +47,7 @@ from functools import partial
 from operator import add
 
 from .errors import ParseError
+from .memo import Immutable
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -81,7 +82,7 @@ def _as_coeff(x):
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
-class GaussianRational:
+class GaussianRational(Immutable):
     """A complex number re + im*i with rational re, im.
 
     Immutable; supports +, -, *, /, == with other GaussianRational values
@@ -95,9 +96,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
@@ -264,7 +262,7 @@ def parse_gaussian(text):
 # Sparse sums
 # ---------------------------------------------------------------------------
 
-class SparseSum:
+class SparseSum(Immutable):
     """A finite sum: ``terms`` maps keys to nonzero coefficients, over a
     ``space``: the variable tuple of a MultiPoly, the arity of a
     fourier.AtomMeasure, None for FreqExp and LinComb.
@@ -281,9 +279,6 @@ class SparseSum:
     """
 
     __slots__ = ("space", "terms")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check(self, other):
         if not isinstance(other, type(self)):

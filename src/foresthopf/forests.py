@@ -12,9 +12,12 @@ Conventions used throughout:
 
 Text grammar (whitespace-insensitive):
     plain tree   := DEC [ '[' tree (',' tree)* ']' ]      e.g. "1[2,3]"
-    ordered tree := ORD ':' DEC [ '[' ... ']' ]           e.g. "1:5[3:2,2:7]"
+    ordered tree := ORD [':' DEC] [ '[' ... ']' ]         e.g. "1:5[3:2,2:7]"
     forest       := tree ('|' tree)*                      empty forest: "e"
-DEC accepts an integer or a letter (a = 1).
+ORD and DEC accept an integer of at least 1 or a letter (a = 1), and DEC
+defaults to 1.  "e" is the empty forest only as the whole text; inside
+a forest it is the letter e = 5, so "e|1" reads as 1|5.  Both parsers
+read the grammar with one reader, _read_forest, in one pass.
 
 OrderedForest has one validating public constructor,
 OrderedForest(parent, dec), used at parse and public boundaries, and
@@ -52,7 +55,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ParseError
-from .memo import DEAD, Intern
+from .memo import DEAD, Immutable, Intern
 from .perms import _perm
 
 
@@ -60,7 +63,7 @@ from .perms import _perm
 # Plain forests (canonical decorated rooted forests)
 # ---------------------------------------------------------------------------
 
-class PlainTree:
+class PlainTree(Immutable):
     __slots__ = ("dec", "children", "n", "key", "__weakref__")
 
     def __new__(cls, dec, children=()):
@@ -68,9 +71,6 @@ class PlainTree:
         if dec < 1:
             raise ValueError("decoration out of range")
         return _plain_tree(dec, tuple(sorted(children, key=_by_key)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlainTree is immutable")
 
     def __str__(self):
         if not self.children:
@@ -81,7 +81,7 @@ class PlainTree:
         return f"PlainForest.parse({str(self)!r}).trees[0]"
 
 
-class PlainForest:
+class PlainForest(Immutable):
     """Canonical multiset of decorated rooted trees; the H^d basis."""
 
     __slots__ = ("trees", "n", "key", "__weakref__")
@@ -89,21 +89,9 @@ class PlainForest:
     def __new__(cls, trees=()):
         return _plain_forest(tuple(sorted(trees, key=_by_key)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PlainForest is immutable")
-
     @classmethod
     def parse(cls, text):
-        text = "".join(text.split())
-        if text in ("", "e"):
-            return cls(())
-        trees = []
-        for part in _split_top(text, "|"):
-            tree, rest = _parse_plain_tree(part)
-            if rest:
-                raise ParseError(f"trailing input {rest!r} in {text!r}")
-            trees.append(tree)
-        return cls(trees)
+        return cls(map(_plain_of, _read_forest(text, False)))
 
     def __mul__(self, other):
         if not other.trees:
@@ -177,68 +165,72 @@ def _plain_forest(trees):
 EMPTY_PLAIN = PlainForest(())
 
 
-def _split_top(text, sep):
-    """Split on sep outside brackets."""
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced ']' in {text!r}")
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    if depth:
-        raise ParseError(f"unbalanced '[' in {text!r}")
-    parts.append(text[start:])
-    return parts
+def _read_forest(text, ordered):
+    """The trees of a forest text, read in one pass: one position moves
+    through the text less its whitespace, each character is read once,
+    and a nesting level costs one frame.  A tree is (head, children),
+    children a list of trees; head is the decoration, or (order index,
+    decoration) when ordered, the decoration 1 where none is given."""
+    text = "".join(text.split())
+    if text in ("", "e"):
+        return []
+    end = len(text)
+    pos = 0
+
+    def token():
+        nonlocal pos
+        start = pos
+        while pos < end and text[pos].isdecimal():
+            pos += 1
+        if pos > start:
+            value = int(text[start:pos])
+            if value < 1:
+                raise ParseError(f"value must be >= 1 in {text!r}")
+            return value
+        if pos < end and "a" <= text[pos] <= "z":
+            pos += 1
+            return ord(text[start]) - ord("a") + 1
+        raise ParseError(f"expected number or letter at {text[pos:]!r}")
+
+    def tree():
+        nonlocal pos
+        head = token()
+        if ordered:
+            dec = 1
+            if text.startswith(":", pos):
+                pos += 1
+                dec = token()
+            head = (head, dec)
+        children = []
+        if text.startswith("[", pos):
+            # each pass steps over the '[' or ',' before a child
+            mark = ","
+            while mark == ",":
+                pos += 1
+                children.append(tree())
+                mark = text[pos:pos + 1]
+            if mark != "]":
+                raise ParseError(f"expected ',' or ']' at {text[pos:]!r}")
+            pos += 1
+        return head, children
+
+    trees = [tree()]
+    while text.startswith("|", pos):
+        pos += 1
+        trees.append(tree())
+    if pos < end:
+        raise ParseError(f"trailing input {text[pos:]!r} in {text!r}")
+    return trees
 
 
-def _parse_token(text):
-    """Read one integer or letter token; returns (value, rest)."""
-    if not text:
-        raise ParseError("empty token")
-    if text[0].isdigit():
-        i = 0
-        while i < len(text) and text[i].isdigit():
-            i += 1
-        v = int(text[:i])
-        if v < 1:
-            raise ParseError(f"value must be >= 1 in {text!r}")
-        return v, text[i:]
-    if "a" <= text[0] <= "z":
-        return ord(text[0]) - ord("a") + 1, text[1:]
-    raise ParseError(f"expected number or letter at {text!r}")
-
-
-def _parse_plain_tree(text):
-    dec, rest = _parse_token(text)
-    children = []
-    if rest.startswith("["):
-        body, rest = _take_bracketed(rest)
-        for part in _split_top(body, ","):
-            child, tail = _parse_plain_tree(part)
-            if tail:
-                raise ParseError(f"trailing input {tail!r}")
-            children.append(child)
-    return PlainTree(dec, children), rest
-
-
-def _take_bracketed(text):
-    """text starts with '['; return (inside, rest-after-matching-bracket)."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                return text[1:i], text[i + 1:]
-    raise ParseError(f"unbalanced '[' in {text!r}")
+def _plain_of(node):
+    """The PlainTree of a node of _read_forest, with a plain loop: a
+    comprehension would cost a second frame per level."""
+    dec, children = node
+    trees = []
+    for child in children:
+        trees.append(_plain_of(child))
+    return _plain_tree(dec, _canonical(trees))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +251,7 @@ def _cycle_start(parent):
     return 0
 
 
-class OrderedForest:
+class OrderedForest(Immutable):
     """A rooted forest whose vertex set is {1..n}, the total order.
 
     parent[i-1] is the parent of vertex i (0 for roots); dec[i-1] its
@@ -286,37 +278,15 @@ class OrderedForest:
             raise ValueError(f"parent relation has a cycle at {cycle_at}")
         return _ordered(parent, dec)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderedForest is immutable")
-
     @classmethod
     def parse(cls, text):
-        text = "".join(text.split())
-        if text in ("", "e"):
-            return cls((), ())
         nodes = {}
-
-        def walk(part, par):
-            ordv, rest = _parse_token(part)
-            if rest.startswith(":"):
-                decv, rest = _parse_token(rest[1:])
-            else:
-                decv = 1
-            if ordv in nodes:
-                raise ParseError(f"duplicate order index {ordv}")
-            nodes[ordv] = (par, decv)
-            if rest.startswith("["):
-                body, rest = _take_bracketed(rest)
-                for sub in _split_top(body, ","):
-                    tail = walk(sub, ordv)
-                    if tail:
-                        raise ParseError(f"trailing input {tail!r}")
-            return rest
-
-        for part in _split_top(text, "|"):
-            tail = walk(part, 0)
-            if tail:
-                raise ParseError(f"trailing input {tail!r} in {text!r}")
+        todo = [(0, tree) for tree in _read_forest(text, True)]
+        for par, ((v, dec), children) in todo:
+            if v in nodes:
+                raise ParseError(f"duplicate order index {v}")
+            nodes[v] = (par, dec)
+            todo.extend([(v, child) for child in children])
         n = len(nodes)
         if sorted(nodes) != list(range(1, n + 1)):
             raise ParseError(f"order indices must be 1..{n} in {text!r}")
@@ -463,18 +433,18 @@ def _cut_shapes(parent):
     n = len(parent)
     children = _children(parent)
 
-    def walk(vertices):
+    def trees_on(vertices):
         # (the vertices of the trees on these roots, their Leas)
         whole, leas = (), [()]
         for v in vertices:
-            above, own = walk(children[v])
+            above, own = trees_on(children[v])
             tree = (v,) + above
             whole += tree
             leas = [a + b for a in leas for b in [tree] + own]
         return whole, leas
 
     cuts = []
-    for lea in walk(children[0])[1]:
+    for lea in trees_on(children[0])[1]:
         in_lea = [False] * (n + 1)
         for v in lea:
             in_lea[v] = True
@@ -557,15 +527,15 @@ def heap_order_lift(forest):
     parent = []
     dec = []
 
-    def walk(tree, par):
+    def visit(tree, par):
         parent.append(par)
         dec.append(tree.dec)
         idx = len(parent)
         for child in tree.children:
-            walk(child, idx)
+            visit(child, idx)
 
     for tree in forest.trees:
-        walk(tree, 0)
+        visit(tree, 0)
     return _ordered(tuple(parent), tuple(dec))
 
 

@@ -64,7 +64,8 @@ STRUCTURE_MEMO_CAP = 1 << 16
 
 
 class HopfStructure:
-    """Product/coproduct/antipode bundle over one basis type."""
+    """Product/coproduct/antipode bundle over one basis type.  The
+    degree of a basis element is its n: letters, vertices or points."""
 
     name = "?"
 
@@ -75,10 +76,6 @@ class HopfStructure:
 
     def unit(self):
         raise NotImplementedError
-
-    def degree(self, b):
-        """Every basis type counts its letters, vertices or points as n."""
-        return b.n
 
     def product(self, b1, b2):
         raise NotImplementedError
@@ -93,11 +90,11 @@ class HopfStructure:
         raise NotImplementedError
 
     def counit(self, b):
-        return 1 if self.degree(b) == 0 else 0
+        return 1 if b.n == 0 else 0
 
     def antipode(self, b):
         """Generic graded-connected recursion, memoized per structure."""
-        if self.degree(b) == 0:
+        if b.n == 0:
             return LinComb.of(b)
         return self._antipode_memo[b]
 
@@ -105,7 +102,7 @@ class HopfStructure:
         """S(b) = -b - sum S(x')x'' over the proper coproduct terms."""
         total = Accumulator(LinComb.of(b, -1))
         for (x1, x2), c in self.coproduct(b).items():
-            if self.degree(x1) == 0 or self.degree(x2) == 0:
+            if x1.n == 0 or x2.n == 0:
                 continue
             for y, cy in self.antipode(x1).items():
                 total.add(self.product(y, x2), -c * cy)

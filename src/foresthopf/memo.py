@@ -1,4 +1,5 @@
-"""The one bounded memo and the one intern table of the library.
+"""The one bounded memo, the one intern table and the one immutability
+rule of the library.
 
 A Memo is a dict with a cap and a compute function, and it owns the
 whole miss protocol: a value is read as ``MEMO[key]``, and on a miss
@@ -21,7 +22,11 @@ live object returns it instead of building an equal one.  The table
 keeps nothing alive: an entry goes when its object goes, so the table
 holds as many entries as there are live objects and needs no cap.  A
 constructor reads the table inline, as ``TABLE.get(key, DEAD)()``, which
-gives the live object or None, and calls ``add`` only on a miss."""
+gives the live object or None, and calls ``add`` only on a miss.
+
+An Immutable refuses every attribute write.  It is the base of the
+coefficient, sum, basis and path types; their constructors fill the
+slots through ``object.__setattr__`` or the slot descriptors."""
 
 from weakref import KeyedRef, ref
 
@@ -66,3 +71,10 @@ class Intern(dict):
         """Record obj as the live object of key; returns obj."""
         self[key] = KeyedRef(obj, self._drop, key)
         return obj
+
+
+class Immutable:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")

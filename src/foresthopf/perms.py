@@ -30,11 +30,11 @@ from __future__ import annotations
 from itertools import combinations, permutations as _itertools_permutations
 
 from .errors import ParseError
-from .memo import DEAD, Intern
-from .words import parse_letters, render_letters
+from .memo import DEAD, Immutable, Intern
+from .words import _unwrap, parse_letters, render_letters
 
 
-class Perm:
+class Perm(Immutable):
     __slots__ = ("word", "__weakref__")
 
     def __new__(cls, word):
@@ -43,18 +43,13 @@ class Perm:
             raise ValueError(f"not a permutation word: {word}")
         return _perm(word)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
-
     @classmethod
     def identity(cls, n):
         return cls(range(1, n + 1))
 
     @classmethod
     def parse(cls, text):
-        text = text.strip()
-        if text.startswith("(") and text.endswith(")"):
-            text = text[1:-1]
+        text = _unwrap(text)
         try:
             return cls(parse_letters(text))
         except (ValueError, ParseError) as exc:
@@ -69,9 +64,6 @@ class Perm:
 
     def __call__(self, i):
         return self.word[i - 1]
-
-    def __iter__(self):
-        return iter(self.word)
 
     def inverse(self):
         inv = [0] * len(self.word)
@@ -170,7 +162,7 @@ def shuffles(k, l):
                                                     range(k + 1, k + l + 1))]
 
 
-class DecoratedPerm:
+class DecoratedPerm(Immutable):
     """A permutation with a letter attached to every value.
 
     Stored as the word plus the bottom display row (bottom[i-1] is the
@@ -190,9 +182,6 @@ class DecoratedPerm:
             raise ValueError("letters must be positive")
         return _decorated(perm, bottom)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DecoratedPerm is immutable")
-
     @classmethod
     def from_ell(cls, perm, ell):
         """Build from the letter-on-value map, ell[v-1] for value v, a
@@ -203,9 +192,7 @@ class DecoratedPerm:
 
     @classmethod
     def parse(cls, text):
-        text = text.strip()
-        if text.startswith("(") and text.endswith(")"):
-            text = text[1:-1]
+        text = _unwrap(text)
         if ";" not in text:
             raise ParseError(f"expected 'perm;letters', got {text!r}")
         top, bottom = text.split(";", 1)

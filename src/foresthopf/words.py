@@ -25,7 +25,7 @@ is computed once, so memos key on the path itself.
 from __future__ import annotations
 
 from .errors import ParseError
-from .memo import DEAD, Intern
+from .memo import DEAD, Immutable, Intern
 
 
 def parse_letters(text):
@@ -65,6 +65,14 @@ def parse_letters(text):
     return tuple(out)
 
 
+def _unwrap(text):
+    """text stripped, less one pair of enclosing parentheses."""
+    text = text.strip()
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1]
+    return text
+
+
 def render_letters(letters):
     """Inverse of parse_letters, preferring "abc" over comma lists."""
     if not letters:
@@ -74,7 +82,7 @@ def render_letters(letters):
     return ",".join(str(v) for v in letters)
 
 
-class Path:
+class Path(Immutable):
     """Derivative components of a driving path, one per letter 1..d.
 
     A subclass names the parser of one component body as _parse_body.
@@ -89,9 +97,6 @@ class Path:
             raise ParseError("a path needs at least one component")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "_hash", hash((type(self), components)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("a path is immutable")
 
     def __eq__(self, other):
         return type(self) is type(other) \
@@ -136,7 +141,7 @@ class Path:
         return cls([found[i] for i in range(1, len(found) + 1)])
 
 
-class Word:
+class Word(Immutable):
     """A finite sequence of letters in {1..d}; the shuffle-algebra basis."""
 
     __slots__ = ("letters", "__weakref__")
@@ -147,15 +152,9 @@ class Word:
             raise ValueError("letters must be positive")
         return _word(letters)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
     @classmethod
     def parse(cls, text):
-        text = text.strip()
-        if text.startswith("(") and text.endswith(")"):
-            text = text[1:-1]
-        return cls(parse_letters(text))
+        return cls(parse_letters(_unwrap(text)))
 
     @property
     def n(self):
@@ -163,12 +162,6 @@ class Word:
 
     def __len__(self):
         return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
 
     def __add__(self, other):
         return _word(self.letters + other.letters)

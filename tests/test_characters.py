@@ -26,7 +26,7 @@ from foresthopf.characters import (
 
 def unit_character(structure, one, name="eta"):
     def fn(b):
-        if structure.degree(b) == 0:
+        if b.n == 0:
             return one
         return one - one
     return Character(structure, fn, one, name=name)
@@ -238,3 +238,44 @@ class TestCharacterPlumbing:
         b = iter_int_char(path, Shuffle(3))
         with pytest.raises(StructureMismatchError):
             convolve(a, b)
+
+
+class TestChecksNameTheFailure:
+    """Each check against a mutant of one of its inputs: the exact
+    message, and None (or []) without the mutant."""
+
+    def test_unit_not_sent_to_one(self, path, monkeypatch):
+        assert validate_character(iter_int_char(path, Shuffle(2)), 2) == []
+        original = characters.iter_int_word
+        # doubled on the empty word alone, where the law holds otherwise
+        monkeypatch.setattr(characters, "iter_int_word",
+                            lambda p, w: 2 * original(p, w) if not w.n
+                            else original(p, w))
+        assert validate_character(iter_int_char(path, Shuffle(2)), 2) \
+            == ["unit is not sent to 1"]
+
+    def test_tree_integral_factorization(self, path, monkeypatch):
+        f = PlainForest.parse("1[2]")
+        assert tree_integral_factorization_check(path, f) is None
+        original = characters.theta_small
+        monkeypatch.setattr(characters, "theta_small",
+                            lambda forest: -original(forest))
+        assert tree_integral_factorization_check(path, f) \
+            == "tree integral does not factor through words on 1[2]"
+
+    def test_chen(self, path, monkeypatch):
+        w = Word.parse("ab")
+        assert chen_check(path, w) is None
+        original = characters.iter_int_word
+        monkeypatch.setattr(characters, "iter_int_word",
+                            lambda *args: 2 * original(*args))
+        assert chen_check(path, w) == "Chen identity fails on (ab)"
+
+    def test_fubini(self, monkeypatch):
+        sigma = Perm.parse("231")
+        assert fubini_matches_t_sigma(sigma, (1, 2, 3)) is None
+        original = characters.t_sigma_by_matrix
+        monkeypatch.setattr(characters, "t_sigma_by_matrix",
+                            lambda s: -original(s))
+        assert fubini_matches_t_sigma(sigma, (1, 2, 3)) \
+            == "Fubini expansion disagrees with T^(231) on (1, 2, 3)"

@@ -219,6 +219,11 @@ class TestExitCodes:
         ["fno", "chi", "", "--path", TRIG_FILE, "--bound", "-1"],
         ["fno", "j", "", "--path", TRIG_FILE, "--bound", "-1"],
         ["tsigma", "", "--bound", "-1"],
+        ["theta-inv", "21", "--matrix", "--degree", "2"],
+        ["theta-inv", "21", "--degree", "5"],
+        ["fno", "verify", "ab", "--path", TRIG_FILE],
+        ["theta-inv", "--matrix"],
+        ["theta-inv"],
     ])
     def test_bad_value_exits_2(self, capsys, trig_file, argv):
         argv = [trig_file if a is TRIG_FILE else a for a in argv]

@@ -102,6 +102,37 @@ class TestParsing:
         with pytest.raises(ParseError):
             PlainForest.parse("1[2")
 
+    def test_every_small_forest_reads_back(self):
+        for n in range(6):
+            for f in enumerate_plain_forests(n, 2):
+                assert PlainForest.parse(str(f)) == f
+        for n in range(5):
+            for f in enumerate_ordered(n, 2):
+                assert OrderedForest.parse(str(f)) == f
+
+    def test_letter_decorations(self):
+        assert PlainForest.parse("a[b]") == PlainForest.parse("1[2]")
+        assert OrderedForest.parse("a:b[b:z]") \
+            == OrderedForest.parse("1:2[2:26]")
+        # e is the empty forest only as the whole text
+        assert str(PlainForest.parse("e|1")) == "1|5"
+
+    @pytest.mark.parametrize("parse", [PlainForest.parse,
+                                       OrderedForest.parse],
+                             ids=["plain", "ordered"])
+    @pytest.mark.parametrize("text", ["1[]", "1[2,]", "1||2", "|", "1[2]3",
+                                      "1[[2]]", "1[2]]", "[1]", "1[2", "0",
+                                      "1:1|1:2", "2:1[3:1]"])
+    def test_rejected(self, parse, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+    def test_rejected_by_one_parser(self):
+        with pytest.raises(ParseError):
+            PlainForest.parse("1:1")
+        with pytest.raises(ParseError):
+            OrderedForest.parse("12")
+
 
 class TestEnumeration:
     def test_heap_ordered_counts(self):

@@ -593,3 +593,77 @@ class TestIdentities:
             for freq in mu.terms:
                 mags = [abs(x) for x in freq]
                 assert len(set(mags)) == len(mags)
+
+
+def _drop_first_shuffle(monkeypatch):
+    original = fourier.shuffles
+    monkeypatch.setattr(fourier, "shuffles", lambda k, l: original(k, l)[1:])
+
+
+def _forget_compose(monkeypatch):
+    monkeypatch.setattr(AtomMeasure, "compose", lambda self, eps: self)
+
+
+class TestChecksNameTheFailure:
+    """Each identity against a mutant of one of its inputs: the exact
+    message, and None (or []) without the mutant."""
+
+    MU1, MU2 = TestIdentities.MU1, TestIdentities.MU2
+
+    def test_phi_multiplicative(self, monkeypatch):
+        f1, f2 = OrderedForest.parse("1"), OrderedForest.parse("1[2]")
+        assert phi_multiplicativity_check(f1, self.MU1, f2, self.MU2) is None
+        original = fourier.phi_lin
+        monkeypatch.setattr(fourier, "phi_lin",
+                            lambda *args: 2 * original(*args))
+        assert phi_multiplicativity_check(f1, self.MU1, f2, self.MU2) \
+            == "phi not multiplicative on 1:1, 1:1[2:1]"
+
+    def test_e28(self, monkeypatch):
+        f = OrderedForest.parse("1:1[2:2]|3:1")
+        mu = AtomMeasure(3, {(1, 2, 4): 1})
+        sigma = Perm.parse("132")
+        assert e28_check(f, mu, sigma) is None
+        # the relabeling of the forest dropped
+        monkeypatch.setattr(fourier, "act", lambda s, forest: forest)
+        assert e28_check(f, mu, sigma) \
+            == "relabeling invariance fails on 1:1[2:2]|3:1 with (132)"
+
+    def test_e22(self, monkeypatch):
+        eps = Perm.parse("21")
+        assert e22_check(self.MU2, eps) is None
+        _forget_compose(monkeypatch)
+        assert e22_check(self.MU2, eps) \
+            == "sector identity fails at sigma=(12), eps=(21)"
+
+    def test_musigma(self, monkeypatch):
+        assert musigma_check(self.MU1, self.MU2) is None
+        _drop_first_shuffle(monkeypatch)
+        assert musigma_check(self.MU1, self.MU2) \
+            == "tensor sector identity fails at (1), (21)"
+
+    def test_converse_shuffled_route(self, monkeypatch):
+        assert converse_check(self.MU1, self.MU2) is None
+        _drop_first_shuffle(monkeypatch)
+        assert converse_check(self.MU1, self.MU2) \
+            == "chi extension fails on the shuffled tensor measure"
+
+    def test_converse_product_route(self, monkeypatch):
+        original = fourier.phi_lin
+        monkeypatch.setattr(fourier, "phi_lin",
+                            lambda *args: 2 * original(*args))
+        assert converse_check(self.MU1, self.MU2) \
+            == "product reading disagrees with the sector expansion"
+
+    def test_sweep_reassembly_and_sectors(self, monkeypatch):
+        assert sector_sweep(cases=1, max_n=3, seed=6) == []
+        _forget_compose(monkeypatch)
+        assert sector_sweep(cases=1, max_n=3, seed=6) == [
+            "case 0: reassembly fails",
+            "case 0: sector identity fails at sigma=(312), eps=(213)"]
+
+    def test_sweep_tensor_sectors(self, monkeypatch):
+        assert sector_sweep(cases=1, max_n=3, seed=1) == []
+        _drop_first_shuffle(monkeypatch)
+        assert sector_sweep(cases=1, max_n=3, seed=1) \
+            == ["case 0: tensor sector identity fails at (1), (1)"]

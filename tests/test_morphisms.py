@@ -315,3 +315,59 @@ class TestSquare:
         from foresthopf.perms import DecoratedPerm
         dp = DecoratedPerm.parse("(213;bac)")
         assert pi_sigma(dp) == Word((2, 1, 3))
+
+
+class TestChecksNameTheFailure:
+    """Each identity against a mutant of one of its inputs: the exact
+    message, and None without the mutant."""
+
+    def test_product_identity(self, monkeypatch):
+        s, t = Perm.parse("21"), Perm.parse("1")
+        assert t_sigma_product_identity(s, t) is None
+        original = morphisms.shuffles
+        # the first shuffle dropped
+        monkeypatch.setattr(morphisms, "shuffles",
+                            lambda k, l: original(k, l)[1:])
+        assert t_sigma_product_identity(s, t) \
+            == "product identity fails for (21), (1)"
+
+    def test_coproduct_identity(self, monkeypatch):
+        s = Perm.parse("21")
+        assert t_sigma_coproduct_identity(s) is None
+        original = morphisms.t_sigma
+        monkeypatch.setattr(morphisms, "t_sigma",
+                            lambda *args: -original(*args))
+        assert t_sigma_coproduct_identity(s) \
+            == "coproduct identity fails for (21)"
+
+    def test_twisted_product_identity(self, monkeypatch):
+        s, t, eps = Perm.parse("21"), Perm.parse("1"), Perm.parse("132")
+        assert twisted_product_identity(s, t, eps) is None
+        original = morphisms.shuffles
+        monkeypatch.setattr(morphisms, "shuffles",
+                            lambda k, l: original(k, l)[1:])
+        assert twisted_product_identity(s, t, eps) \
+            == "twisted product identity fails for (21), (1), (132)"
+
+    def test_theta_product(self, monkeypatch):
+        f, g = OrderedForest.parse("1:1[2:1]"), OrderedForest.parse("1:1")
+        assert theta_morphism_product_check(f, g) is None
+        original = morphisms.theta
+        monkeypatch.setattr(morphisms, "theta", lambda h: -original(h))
+        assert theta_morphism_product_check(f, g) \
+            == "theta not multiplicative on 1:1[2:1], 1:1"
+
+    def test_theta_coproduct(self, monkeypatch):
+        f = OrderedForest.parse("1:1[2:1,3:1]")
+        assert theta_morphism_coproduct_check(f) is None
+        original = morphisms.theta
+        monkeypatch.setattr(morphisms, "theta", lambda h: -original(h))
+        assert theta_morphism_coproduct_check(f) \
+            == "theta not comultiplicative on 1:1[2:1,3:1]"
+
+    def test_square(self, monkeypatch):
+        f = OrderedForest.parse("1:1[2:2]")
+        assert square_check(f) is None
+        original = morphisms.theta_dec
+        monkeypatch.setattr(morphisms, "theta_dec", lambda h: -original(h))
+        assert square_check(f) == "square fails on 1:1[2:2]"
