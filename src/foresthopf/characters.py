@@ -16,7 +16,6 @@ from fractions import Fraction
 from .coeffs import MultiPoly, Accumulator, _poly
 from .errors import ParseError, StructureMismatchError
 from .words import Word, Path
-from .hopf import STRUCTURE_MEMO_CAP
 from .memo import Memo
 from .morphisms import (theta_small, _simplex_expansion, t_sigma_by_matrix,
                         decorate_by_order)
@@ -25,17 +24,17 @@ from .morphisms import (theta_small, _simplex_expansion, t_sigma_by_matrix,
 class Character:
     """Linear character of a Hopf structure with values in a
     commutative algebra of MultiPoly or FreqExp values; fn maps basis
-    elements to values, and each value is memoized."""
+    elements to values and is called on every evaluation."""
 
     def __init__(self, structure, fn, one, name="chi"):
         self.structure = structure
+        self.fn = fn
         self.one = one
         self.zero = one - one
         self.name = name
-        self._cache = Memo(STRUCTURE_MEMO_CAP, fn)
 
     def __call__(self, b):
-        return self._cache[b]
+        return self.fn(b)
 
     def eval_lin(self, lc):
         total = Accumulator(self.zero)

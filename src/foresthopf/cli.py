@@ -156,7 +156,17 @@ def cmd_fno(args):
     return _fno_verify(args, path)
 
 
+# (name, default, help) of each option that only fno verify reads
+_VERIFY_OPTIONS = (("degree", 4, "total length for the character check"),
+                   ("jlen", 3, "max length for J"),
+                   ("cases", 100, "random sector measures"),
+                   ("seed", 20260816, "seed of the sector measures"))
+
+
 def _fno_verify(args, path):
+    for name, default, _ in _VERIFY_OPTIONS:
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     report = RunReport("fno verify")
 
     def j_routes(w):
@@ -258,11 +268,9 @@ def build_parser():
     p.add_argument("mode", choices=("chi", "j", "verify"))
     p.add_argument("word", nargs="?", help="word for chi / j")
     p.add_argument("--path", required=True, help="trigonometric path file")
-    p.add_argument("--degree", type=int, default=4,
-                   help="total length for the character check")
-    p.add_argument("--jlen", type=int, default=3, help="max length for J")
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--seed", type=int, default=20260816)
+    for name, default, text in _VERIFY_OPTIONS:
+        p.add_argument(f"--{name}", type=int,
+                       help=f"verify: {text} (default {default})")
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     add_json(p)
     p.set_defaults(fn=cmd_fno)
@@ -298,6 +306,9 @@ def _check_arguments(args):
             raise ParseError(f"fno {args.mode} needs a word")
         if args.mode == "verify" and args.word is not None:
             raise ParseError("fno verify takes no word")
+        for name, _, _ in _VERIFY_OPTIONS:
+            if args.mode != "verify" and getattr(args, name) is not None:
+                raise ParseError(f"fno {args.mode} takes no --{name}")
     if args.command == "theta-inv":
         if args.matrix and args.degree is None:
             raise ParseError("--matrix requires --degree")

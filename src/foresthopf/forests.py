@@ -237,18 +237,24 @@ def _plain_of(node):
 # Ordered forests
 # ---------------------------------------------------------------------------
 
-def _cycle_start(parent):
-    """The first vertex whose walk down the parent relation never
-    reaches a root (0), or 0 when every walk does."""
-    for i in range(1, len(parent) + 1):
-        seen = set()
-        v = i
-        while v:
-            if v in seen:
-                return i
-            seen.add(v)
-            v = parent[v - 1]
-    return 0
+def _children(parent):
+    """children[v], for the forest with these parents, lists the
+    children of vertex v in increasing order, children[0] the roots."""
+    children = [[] for _ in range(len(parent) + 1)]
+    for v, p in enumerate(parent, start=1):
+        children[p].append(v)
+    return children
+
+
+def _root_order(parent):
+    """The vertices that the parent relation links to a root,
+    breadth-first: the roots, then their children.  A vertex on or
+    above a cycle is missing."""
+    children = _children(parent)
+    order = children[0]
+    for v in order:
+        order.extend(children[v])
+    return order
 
 
 class OrderedForest(Immutable):
@@ -273,9 +279,9 @@ class OrderedForest(Immutable):
         for i, p in enumerate(parent, start=1):
             if p < 0 or p > n or p == i:
                 raise ValueError(f"bad parent {p} for vertex {i}")
-        cycle_at = _cycle_start(parent)
-        if cycle_at:
-            raise ValueError(f"parent relation has a cycle at {cycle_at}")
+        missed = set(range(1, n + 1)).difference(_root_order(parent))
+        if missed:
+            raise ValueError(f"parent relation has a cycle at {min(missed)}")
         return _ordered(parent, dec)
 
     @classmethod
@@ -292,10 +298,7 @@ class OrderedForest(Immutable):
             raise ParseError(f"order indices must be 1..{n} in {text!r}")
         parent = [nodes[i][0] for i in range(1, n + 1)]
         dec = [nodes[i][1] for i in range(1, n + 1)]
-        try:
-            return cls(parent, dec)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        return cls(parent, dec)
 
     # -- structure ----------------------------------------------------------
 
@@ -324,12 +327,8 @@ class OrderedForest(Immutable):
         lists every vertex after its parent; any other forest is put in
         breadth-first order first."""
         parent, dec = self.parent, self.dec
-        order = range(1, self.n + 1)
-        if not self.is_heap_ordered():
-            children = self.children
-            order = list(children[0])
-            for v in order:
-                order.extend(children[v])
+        order = range(1, self.n + 1) if self.is_heap_ordered() \
+            else _root_order(parent)
         trees = [[] for _ in range(self.n + 1)]
         for v in reversed(order):
             trees[parent[v - 1]].append(
@@ -407,15 +406,6 @@ class Cut(NamedTuple):
     roo_at: tuple
     lea: object
     lea_at: tuple
-
-
-def _children(parent):
-    """children[v], for the forest with these parents, lists the
-    children of vertex v in increasing order, children[0] the roots."""
-    children = [[] for _ in range(len(parent) + 1)]
-    for v, p in enumerate(parent, start=1):
-        children[p].append(v)
-    return children
 
 
 def _cut_shapes(parent):
@@ -565,7 +555,7 @@ def enumerate_ordered(n, d=1):
     out = []
     for parent in _iproduct(*[[p for p in range(n + 1) if p != i]
                               for i in range(1, n + 1)]):
-        if _cycle_start(parent):
+        if len(_root_order(parent)) < n:
             continue
         for dec in _iproduct(*[range(1, d + 1)] * n):
             out.append(_ordered(parent, dec))

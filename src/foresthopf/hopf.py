@@ -56,10 +56,10 @@ def tensor(a, b):
 # Structure objects
 # ---------------------------------------------------------------------------
 
-# The cap of each structure's coproduct and antipode memos and of each
-# character's values: a sweep to degree n fills them with at most its
-# basis up to degree n (18,249 ordered forests up to degree 6), so no
-# sweep of the tests or of the benchmark empties them.
+# The cap of each structure's coproduct and antipode memos: a sweep to
+# degree n fills them with at most its basis up to degree n (18,249
+# ordered forests up to degree 6), so no sweep of the tests or of the
+# benchmark empties them.
 STRUCTURE_MEMO_CAP = 1 << 16
 
 

@@ -11,10 +11,10 @@ memo again for smaller keys.  A compute that raises stores nothing.
 
 What compute references, the memo keeps alive.  A structure's memos hold
 its bound methods, a reference cycle that only the garbage collector
-frees; a structure is small and long-lived, so that costs little.  A
-``ThetaMatrix`` (about 10.8 MB at degree 6) must not cycle: its column
-memo closes over the back-substitution order alone, so an evicted matrix
-is freed by reference counting as soon as it is dropped.
+frees.  Not every structure lives long: the identity checks of
+``morphisms`` build a ``HeapOrdered()`` or ``FQSym()`` per call, and
+``fourier.chi_character`` a ``Shuffle(path.d)``, so each of those stays
+in memory, with what its memos hold, until the collector next runs.
 
 An Intern maps the key of a structure to a weak reference to the one
 live object with that structure, so a trusted constructor that finds a

@@ -91,29 +91,11 @@ class ThetaMatrix:
             raise AssertionError(f"max extension not bijective at n={n}")
         # back substitution visits the words from the largest down, each
         # with its forest and that forest's other extensions
-        descending = []
+        self._descending = []
         for word in sorted(by_max, reverse=True):
             f = by_max[word]
             lower = [e.word for e in self._extensions[f] if e.word != word]
-            descending.append((word, f, lower))
-
-        # closes over the order alone, so the memo holds no reference
-        # back to the matrix
-        def solve(sigma):
-            residual = {sigma.word: 1}
-            result = {}
-            for word, f, lower in descending:
-                c = residual.pop(word, 0)
-                if not c:
-                    continue
-                result[f] = c
-                for other in lower:
-                    residual[other] = residual.get(other, 0) - c
-            if any(residual.values()):
-                raise AssertionError("back substitution left a residual")
-            return _lincomb(result)
-
-        self._inverse_columns = Memo(factorial(n), solve)
+            self._descending.append((word, f, lower))
 
     def extensions(self, forest):
         return self._extensions[forest]
@@ -129,7 +111,18 @@ class ThetaMatrix:
 
     def inverse_column(self, sigma):
         """theta^{-1}(sigma) as a LinComb of heap-ordered forests."""
-        return self._inverse_columns[sigma]
+        residual = {sigma.word: 1}
+        result = {}
+        for word, f, lower in self._descending:
+            c = residual.pop(word, 0)
+            if not c:
+                continue
+            result[f] = c
+            for other in lower:
+                residual[other] = residual.get(other, 0) - c
+        if any(residual.values()):
+            raise AssertionError("back substitution left a residual")
+        return _lincomb(result)
 
     def inverse_matrix(self):
         """Row F, column sigma: coefficient of F in theta^{-1}(sigma)."""

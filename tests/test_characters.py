@@ -179,31 +179,6 @@ class TestFubini:
 
 
 class TestCharacterPlumbing:
-    def test_cache(self, path):
-        calls = []
-
-        def fn(w):
-            calls.append(w)
-            return iter_int_word(path, w)
-
-        phi = Character(Shuffle(2), fn, MultiPoly.one(("t", "s")))
-        w = Word((1, 2))
-        phi(w)
-        phi(w)
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("doubled", [(), ((1, 2),)],
-                             ids=["law-holds", "ab-doubled"])
-    def test_bounded_cache(self, monkeypatch, path, doubled):
-        # doubling the value on a word breaks the character law there
-        def fn(w):
-            value = iter_int_word(path, w)
-            return value + value if w.letters in doubled else value
-
-        phi = Character(Shuffle(2), fn, MultiPoly.one(("t", "s")))
-        check_bounded_memo(monkeypatch, phi, "_cache",
-                           lambda n: validate_character(phi, n), range(4))
-
     def test_eval_lin(self, path):
         I = iter_int_char(path, Shuffle(2))
         lc = LinComb([(Word((1,)), 2), (Word((2,)), -1)])
@@ -253,6 +228,19 @@ class TestChecksNameTheFailure:
                             else original(p, w))
         assert validate_character(iter_int_char(path, Shuffle(2)), 2) \
             == ["unit is not sent to 1"]
+
+    def test_product_law(self, path, monkeypatch):
+        assert validate_character(iter_int_char(path, Shuffle(2)), 3) == []
+        original = characters.iter_int_word
+        # doubled on the word ab alone, which breaks the law where ab is
+        # a factor or a term of the shuffle
+        monkeypatch.setattr(characters, "iter_int_word",
+                            lambda p, w: 2 * original(p, w)
+                            if w.letters == (1, 2) else original(p, w))
+        assert validate_character(iter_int_char(path, Shuffle(2)), 3) == [
+            "I((a))I((b)) != I((a).(b))", "I((b))I((a)) != I((b).(a))",
+            "I((a))I((ab)) != I((a).(ab))", "I((b))I((ab)) != I((b).(ab))",
+            "I((ab))I((a)) != I((ab).(a))", "I((ab))I((b)) != I((ab).(b))"]
 
     def test_tree_integral_factorization(self, path, monkeypatch):
         f = PlainForest.parse("1[2]")

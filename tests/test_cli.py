@@ -224,6 +224,12 @@ class TestExitCodes:
         ["fno", "verify", "ab", "--path", TRIG_FILE],
         ["theta-inv", "--matrix"],
         ["theta-inv"],
+        ["fno", "chi", "ab", "--path", TRIG_FILE, "--cases", "5", "--jlen",
+         "9", "--seed", "3"],
+        ["fno", "chi", "ab", "--path", TRIG_FILE, "--degree", "4"],
+        ["fno", "j", "ab", "--path", TRIG_FILE, "--jlen", "3"],
+        ["fno", "j", "ab", "--path", TRIG_FILE, "--cases", "100"],
+        ["fno", "j", "ab", "--path", TRIG_FILE, "--seed", "20260816"],
     ])
     def test_bad_value_exits_2(self, capsys, trig_file, argv):
         argv = [trig_file if a is TRIG_FILE else a for a in argv]

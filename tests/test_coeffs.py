@@ -60,6 +60,9 @@ class TestGaussianRational:
             assert str(parse_gaussian(text)) == text
         with pytest.raises(ParseError):
             parse_gaussian("1+j")
+        with pytest.raises(ParseError) as exc:
+            parse_gaussian("")
+        assert str(exc.value) == "empty Gaussian rational"
 
     def test_int_coercion(self):
         assert 2 * GR_I == GaussianRational(0, 2)
@@ -80,6 +83,7 @@ class TestMultiPoly:
         p = (t - s) ** 2
         assert p == t * t - 2 * t * s + s * s
         assert str(p) == "t^2-2*t*s+s^2"
+        assert str(MultiPoly.zero(("t",))) == "0"
 
     def test_mismatched_vars(self):
         t = MultiPoly.var(("t",), "t")
@@ -355,6 +359,7 @@ class TestLinComb:
         b = a - LinComb.of("y")
         assert b.coeff("y") == 1
         assert (0 * a) == LinComb.zero()
+        assert str(LinComb.zero()) == "0"
 
     def test_render(self):
         from foresthopf.perms import Perm

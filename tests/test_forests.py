@@ -551,6 +551,8 @@ class TestPublicConstructorRejects:
         ((-1,), None, "bad parent -1 for vertex 1"),
         ((0,), (0,), "decoration out of range"),
         ((0,), (1, 2), "decoration length mismatch"),
+        # the walk from 2 enters the cycle 3 -> 4 -> 3, which misses 2
+        ((0, 3, 4, 3), None, "parent relation has a cycle at 2"),
     ])
     def test_bad_fields(self, parent, dec, message):
         with pytest.raises(ValueError) as exc:

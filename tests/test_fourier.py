@@ -67,6 +67,16 @@ class TestTrigPath:
         with pytest.raises(ParseError):
             TrigPath.parse("1: 1")
 
+    def test_no_component_line(self):
+        with pytest.raises(ParseError) as exc:
+            TrigPath.parse("# a comment\n\n")
+        assert str(exc.value) == "a path needs at least one component"
+
+    def test_line_without_colon(self):
+        with pytest.raises(ParseError) as exc:
+            TrigPath.parse("1 1@1")
+        assert str(exc.value) == "missing ':' in path line '1 1@1'"
+
     def test_bad_indices(self):
         with pytest.raises(ParseError):
             TrigPath.parse("2: 1@1")

@@ -75,6 +75,14 @@ class TestDecorated:
         tops = {str(t) for t, _ in prod.items()}
         assert tops == {"(213;xyz)", "(231;xzy)", "(321;zxy)"}
 
+    def test_sum_prints_sorted(self):
+        # by degree, then top row, then bottom row, whatever the order
+        # in which the terms were added
+        a = DecoratedPerm.parse("(1;b)")
+        b = DecoratedPerm.parse("(1;a)")
+        total = fq_product_dec(a, b) + fq_product_dec(b, a)
+        assert str(total) == "(12;ab)+(12;ba)+(21;ab)+(21;ba)"
+
     def test_coproduct_rows_ride_positions(self):
         # splits mirror the undecorated worked example: display word is
         # cut, each side standardized, decoration rows cut at the same spot

@@ -7,11 +7,12 @@ its own equality or hash.
 Package ``__init__`` modules are skipped by the import check, since they
 import to re-export; ``from __future__`` imports are compiler
 directives.  A memo is any dict held by a library module or by a fresh
-structure or character, or any attribute named ``*_MEMO`` or ``*_CACHE``;
-it is bounded when it is a ``foresthopf.memo.Memo`` with an int cap of
-at least 1 and a callable compute, or a ``foresthopf.memo.Intern``,
-whose entries go with their objects.  The one exempt dict is the
-registry ``hopf.STRUCTURES``.
+structure, or any attribute named ``*_MEMO`` or ``*_CACHE``; it is
+bounded when it is a ``foresthopf.memo.Memo`` with an int cap of at
+least 1 and a callable compute, or a ``foresthopf.memo.Intern``, whose
+entries go with their objects.  The one exempt dict is the registry
+``hopf.STRUCTURES``.  A character holds no dict at all: it calls the
+function it was built from on every evaluation.
 """
 
 import ast
@@ -122,18 +123,21 @@ def test_every_memo_is_bounded(path):
                            exempt=[hopf.STRUCTURES]) == []
 
 
-def _fresh_instances():
-    yield from (make() for make in hopf.STRUCTURES.values())
-    one = MultiPoly.one(("t",))
-    yield Character(hopf.Shuffle(), lambda b: one, one)
-
-
-@pytest.mark.parametrize("instance", _fresh_instances(),
+@pytest.mark.parametrize("instance",
+                         [make() for make in hopf.STRUCTURES.values()],
                          ids=lambda obj: type(obj).__name__)
 def test_every_instance_memo_is_bounded(instance):
     memos = [name for name, value in vars(instance).items()
              if isinstance(value, dict)]
     assert memos and unbounded_memos(vars(instance)) == []
+
+
+def test_character_holds_no_dict():
+    one = MultiPoly.one(("t",))
+    phi = Character(hopf.Shuffle(), lambda b: one, one)
+    phi(hopf.Shuffle().unit())
+    assert [name for name, value in vars(phi).items()
+            if isinstance(value, dict)] == []
 
 
 # The names perfbench/tracing.py still lists although the library no

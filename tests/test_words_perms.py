@@ -25,6 +25,21 @@ class TestWords:
         with pytest.raises(ParseError):
             parse_letters("x!")
 
+    @pytest.mark.parametrize("text,message", [
+        ("1,x", "bad letter 'x' in '1,x'"),
+        ("1,0", "letters must be >= 1, got 0"),
+    ])
+    def test_comma_list_names_the_bad_letter(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_letters(text)
+        assert str(exc.value) == message
+
+    def test_space_inside_letters(self):
+        assert Word.parse("a b") is Word.parse("ab")
+
+    def test_letters_past_26_print_as_a_list(self):
+        assert str(Word((1, 27))) == "(1,27)"
+
     def test_word_basics(self):
         w = Word.parse("(abc)")
         assert w == Word((1, 2, 3))
@@ -101,6 +116,9 @@ class TestDecoratedPerm:
         assert dp.bottom == (2, 1, 3)
         with pytest.raises(ParseError):
             DecoratedPerm.parse("(21;abc)")
+        with pytest.raises(ParseError) as exc:
+            DecoratedPerm.parse("213")
+        assert str(exc.value) == "expected 'perm;letters', got '213'"
 
 
 def assert_perm_as_public(p):
