@@ -133,13 +133,15 @@ def _canonical(trees):
 
 
 _PLAIN_TREE_INTERN = Intern()
+_plain_tree_get = _PLAIN_TREE_INTERN.get
 _PLAIN_FOREST_INTERN = Intern()
+_plain_forest_get = _PLAIN_FOREST_INTERN.get
 
 
 def _plain_tree(dec, children):
     """Trusted constructor (see the module docstring)."""
     key = (dec, children)
-    tree = _PLAIN_TREE_INTERN.get(key, DEAD)()
+    tree = _plain_tree_get(key, DEAD)()
     if tree is None:
         tree = _new(PlainTree)
         _set_tree_dec(tree, dec)
@@ -152,7 +154,7 @@ def _plain_tree(dec, children):
 
 def _plain_forest(trees):
     """Trusted constructor (see the module docstring)."""
-    forest = _PLAIN_FOREST_INTERN.get(trees, DEAD)()
+    forest = _plain_forest_get(trees, DEAD)()
     if forest is None:
         forest = _new(PlainForest)
         _set_forest_trees(forest, trees)
@@ -361,13 +363,14 @@ _set_dec = OrderedForest.dec.__set__
 _set_n = OrderedForest.n.__set__
 
 _ORDERED_INTERN = Intern()
+_ordered_get = _ORDERED_INTERN.get
 
 
 def _ordered(parent, dec):
     """Trusted constructor: parent and dec are already the tuples of a
     valid forest (see the module docstring)."""
     key = (parent, dec)
-    forest = _ORDERED_INTERN.get(key, DEAD)()
+    forest = _ordered_get(key, DEAD)()
     if forest is None:
         forest = _new(OrderedForest)
         _set_parent(forest, parent)

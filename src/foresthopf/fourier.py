@@ -38,8 +38,8 @@ from .errors import ParseError, SingularAtomError, MagnitudeTieError
 from .words import Word, Path
 from .perms import Perm, _perm, all_perms, shuffles
 from .forests import _ordered, _cut_shapes, act
-from .morphisms import t_sigma, _check_bound, DEFAULT_BOUND
-from .hopf import Shuffle, HeapOrdered
+from .morphisms import t_sigma, _check_bound, _HEAP, DEFAULT_BOUND
+from .hopf import Shuffle
 from .memo import Memo
 from .characters import Character, convolve, char_inverse
 
@@ -521,12 +521,11 @@ def converse_check(mu1, mu2, var="t"):
         shuffled.add(chi_measure(nu.compose(zeta), var))
     if direct != shuffled.value():
         return "chi extension fails on the shuffled tensor measure"
-    H = HeapOrdered()
     product = Accumulator(FreqExp.zero())
     pieces2 = split_measure(mu2).items()
     for s1, p1 in split_measure(mu1).items():
         for s2, p2 in pieces2:
-            product.add(phi_lin(H.product_lin(t_sigma(s1), t_sigma(s2)),
+            product.add(phi_lin(_HEAP.product_lin(t_sigma(s1), t_sigma(s2)),
                                 p1.tensor(p2), var))
     if direct != product.value():
         return "product reading disagrees with the sector expansion"

@@ -204,10 +204,18 @@ def _simplex_expansion(sigma):
                              for picked in _iproduct(*choices)})
 
 
+# Memo of T^sigma per permutation: every permutation up to degree 6
+# fits (874 of them), in about 0.9 MB.
+_T_SIGMA_MEMO = Memo(1 << 12, _simplex_expansion)
+
+
 def t_sigma(sigma, bound=DEFAULT_BOUND):
-    """T^sigma = theta^{-1}(sigma^{-1}), a LinComb of heap forests."""
+    """T^sigma = theta^{-1}(sigma^{-1}), a LinComb of heap forests.
+
+    Memoized per permutation.  The bound is checked on every call, so a
+    memoized sigma still refuses a lower bound."""
     _check_bound(sigma.n, bound)
-    return _simplex_expansion(sigma)
+    return _T_SIGMA_MEMO[sigma]
 
 
 def t_sigma_by_matrix(sigma):
@@ -244,9 +252,15 @@ def t_sigma_decorated(sigma, letters, bound=DEFAULT_BOUND):
 # Identities around theta (each returns None or a counterexample string)
 # ---------------------------------------------------------------------------
 
+# The one structure of each family that the identities multiply and
+# co-multiply in, so the coproducts it memoizes serve every call.
+_HEAP = HeapOrdered()
+_FQSYM = FQSym()
+
+
 def t_sigma_product_identity(sigma, tau):
     """T^sigma T^tau = sum over (k,l)-shuffles zeta of T^{zeta^{-1}(sigma x tau)}."""
-    lhs = HeapOrdered().product_lin(t_sigma(sigma), t_sigma(tau))
+    lhs = _HEAP.product_lin(t_sigma(sigma), t_sigma(tau))
     rhs = Accumulator(LinComb.zero())
     st = sigma.tensor(tau)
     for zeta in shuffles(sigma.n, tau.n):
@@ -259,7 +273,7 @@ def t_sigma_product_identity(sigma, tau):
 def t_sigma_coproduct_identity(sigma):
     """Delta T^sigma = sum_k T^{sigma_1} x T^{sigma_2} along the
     factorizations of sigma^{-1}."""
-    lhs = HeapOrdered().coproduct_lin(t_sigma(sigma))
+    lhs = _HEAP.coproduct_lin(t_sigma(sigma))
     inv = sigma.inverse()
     rhs = Accumulator(LinComb.zero())
     for k in range(sigma.n + 1):
@@ -277,7 +291,7 @@ def twisted_product_identity(sigma, tau, eps):
     if eps.n != k + l or not eps.is_shuffle(k):
         raise ValueError(f"{eps} is not a ({k},{l})-shuffle")
     eps_inv = eps.inverse()
-    product = HeapOrdered().product_lin(t_sigma(sigma), t_sigma(tau))
+    product = _HEAP.product_lin(t_sigma(sigma), t_sigma(tau))
     lhs = LinComb((act(eps_inv, f), c) for f, c in product.items())
     rhs = Accumulator(LinComb.zero())
     st = sigma.tensor(tau)
@@ -291,7 +305,7 @@ def twisted_product_identity(sigma, tau, eps):
 def theta_morphism_product_check(f1, f2):
     """theta(F G) = theta(F) theta(G) in FQSym."""
     lhs = theta(f1 * f2)
-    rhs = FQSym().product_lin(theta(f1), theta(f2))
+    rhs = _FQSYM.product_lin(theta(f1), theta(f2))
     if lhs != rhs:
         return f"theta not multiplicative on {f1}, {f2}"
     return None
@@ -300,9 +314,9 @@ def theta_morphism_product_check(f1, f2):
 def theta_morphism_coproduct_check(f):
     """(theta x theta) Delta = Delta theta."""
     lhs = Accumulator(LinComb.zero())
-    for (roo, lea), c in HeapOrdered().coproduct(f).items():
+    for (roo, lea), c in _HEAP.coproduct(f).items():
         lhs.add(tensor(theta(roo), theta(lea)), c)
-    rhs = FQSym().coproduct_lin(theta(f))
+    rhs = _FQSYM.coproduct_lin(theta(f))
     if lhs.value() != rhs:
         return f"theta not comultiplicative on {f}"
     return None

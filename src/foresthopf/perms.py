@@ -107,12 +107,13 @@ class Perm(Immutable):
 _new = object.__new__
 _set_word = Perm.word.__set__
 _PERM_INTERN = Intern()
+_perm_get = _PERM_INTERN.get
 
 
 def _perm(word):
     """Trusted constructor: word is a tuple of ints that is already a
     permutation of 1..n."""
-    p = _PERM_INTERN.get(word, DEAD)()
+    p = _perm_get(word, DEAD)()
     if p is None:
         p = _new(Perm)
         _set_word(p, word)
@@ -223,13 +224,14 @@ class DecoratedPerm(Immutable):
 _set_perm = DecoratedPerm.perm.__set__
 _set_bottom = DecoratedPerm.bottom.__set__
 _DECORATED_INTERN = Intern()
+_decorated_get = _DECORATED_INTERN.get
 
 
 def _decorated(perm, bottom):
     """Trusted constructor: perm is a Perm and bottom a tuple of as many
     positive ints."""
     key = (perm, bottom)
-    p = _DECORATED_INTERN.get(key, DEAD)()
+    p = _decorated_get(key, DEAD)()
     if p is None:
         p = _new(DecoratedPerm)
         _set_perm(p, perm)

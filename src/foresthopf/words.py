@@ -182,11 +182,12 @@ class Word(Immutable):
 _new = object.__new__
 _set_letters = Word.letters.__set__
 _WORD_INTERN = Intern()
+_word_get = _WORD_INTERN.get
 
 
 def _word(letters):
     """Trusted constructor: letters is already a tuple of positive ints."""
-    w = _WORD_INTERN.get(letters, DEAD)()
+    w = _word_get(letters, DEAD)()
     if w is None:
         w = _new(Word)
         _set_letters(w, letters)

@@ -154,8 +154,8 @@ def test_criterion_4_theta_morphism_and_inverse():
             if t_sigma(tau.inverse()) != table.inverse_column(tau):
                 failures.append(f"closed-form T^{tau.inverse()} differs "
                                 f"from the matrix column")
-    for k in range(1, 5):
-        for l in range(1, 6 - k):
+    for k in range(1, 6):
+        for l in range(1, 7 - k):
             for sigma in all_perms(k):
                 for tau in all_perms(l):
                     bad = t_sigma_product_identity(sigma, tau)
@@ -165,13 +165,13 @@ def test_criterion_4_theta_morphism_and_inverse():
                         bad = twisted_product_identity(sigma, tau, eps)
                         if bad:
                             failures.append(bad)
-    for n in range(1, 6):
+    for n in range(1, 7):
         for sigma in all_perms(n):
             bad = t_sigma_coproduct_identity(sigma)
             if bad:
                 failures.append(bad)
     _verdict(4, "theta is a Hopf morphism, inverts up to degree 6, and "
-             "the inverse-element identities hold up to degree 5", failures)
+             "the inverse-element identities hold up to degree 6", failures)
 
 
 def test_criterion_5_commuting_square():

@@ -109,6 +109,7 @@ def test_guard_sees_the_library_memos():
             ("fourier", "_CUTS_MEMO"),
             ("characters", "_WORD_INTEGRAL_MEMO"),
             ("morphisms", "_MATRIX_CACHE"),
+            ("morphisms", "_T_SIGMA_MEMO"),
             ("forests", "_ORDERED_INTERN"),
             ("forests", "_PLAIN_TREE_INTERN"),
             ("forests", "_PLAIN_FOREST_INTERN"),

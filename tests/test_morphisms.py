@@ -12,14 +12,16 @@ from fractions import Fraction
 
 import pytest
 
-from foresthopf.coeffs import LinComb
+from foresthopf.coeffs import GR_I, LinComb
 from foresthopf.errors import BoundExceededError
 from foresthopf.perms import Perm, all_perms
 from foresthopf.forests import (OrderedForest, PlainForest,
                                 enumerate_heap_ordered,
                                 enumerate_plain_forests,
                                 heap_order_lift)
-from foresthopf.hopf import HeapOrdered, CKForests, tensor
+from foresthopf.hopf import HeapOrdered, HopfStructure, CKForests, tensor
+from foresthopf.fourier import AtomMeasure, converse_check
+from foresthopf.memo import Memo
 from foresthopf import morphisms
 from foresthopf.morphisms import (
     theta, theta_dec, pi_ho, pi_sigma, theta_small,
@@ -31,6 +33,7 @@ from foresthopf.morphisms import (
 )
 
 
+from memo_check import check_bounded_memo
 from frozen_tables import (THETA_TABLE, TSIGMA_TABLE, THETA_DEC_TABLE,
                            TSIGMA_DEC_TABLE, forest_comb, plain_comb)
 from test_forests import heap_order_lifts
@@ -167,6 +170,69 @@ class TestTSigma:
         lc = t_sigma(big, bound=7)
         assert lc.coeff(OrderedForest.parse(
             "1:1[2:1[3:1[4:1[5:1[6:1[7:1]]]]]]")) == 1
+
+
+class TestTSigmaMemo:
+    """T^sigma is expanded once per permutation, into a bounded memo
+    that the bound check comes before."""
+
+    def test_bounded_memo(self, monkeypatch):
+        perms = [sigma for n in range(6) for sigma in all_perms(n)]
+        check_bounded_memo(monkeypatch, morphisms, "_T_SIGMA_MEMO",
+                           t_sigma, perms)
+
+    def test_same_object(self):
+        sigma = Perm.parse("2413")
+        assert t_sigma(sigma) is t_sigma(sigma)
+
+    def test_memoized_sigma_keeps_its_bound(self, monkeypatch):
+        monkeypatch.setattr(morphisms, "_T_SIGMA_MEMO",
+                            Memo(1 << 12, morphisms._simplex_expansion))
+        sigma = Perm.parse("615243")
+        t_sigma(sigma)
+        assert sigma in morphisms._T_SIGMA_MEMO
+        with pytest.raises(BoundExceededError) as refused:
+            t_sigma(sigma, bound=5)
+        assert str(refused.value) \
+            == "degree 6 exceeds bound 5; raise the bound explicitly"
+        # a refused permutation is not expanded
+        big = Perm.parse("7162534")
+        with pytest.raises(BoundExceededError):
+            t_sigma(big)
+        assert big not in morphisms._T_SIGMA_MEMO
+
+
+class TestIdentitiesShareTheirStructures:
+    """The identity checks multiply and co-multiply in the module's one
+    HeapOrdered and one FQSym: a call builds no structure."""
+
+    CALLS = {
+        "product": lambda: t_sigma_product_identity(Perm.parse("21"),
+                                                    Perm.parse("1")),
+        "coproduct": lambda: t_sigma_coproduct_identity(Perm.parse("2413")),
+        "twisted": lambda: twisted_product_identity(
+            Perm.parse("21"), Perm.parse("1"), Perm.parse("132")),
+        "theta-product": lambda: theta_morphism_product_check(
+            OrderedForest.parse("1:1[2:1]"), OrderedForest.parse("1:1")),
+        "theta-coproduct": lambda: theta_morphism_coproduct_check(
+            OrderedForest.parse("1:1[2:1,3:1]")),
+        "converse": lambda: converse_check(
+            AtomMeasure(1, {(2,): 1}),
+            AtomMeasure(2, {(1, 3): 1, (7, 5): GR_I})),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_no_structure_built(self, monkeypatch, name):
+        built = []
+        init = HopfStructure.__init__
+
+        def counted(self, d=1):
+            built.append(type(self).__name__)
+            init(self, d)
+
+        monkeypatch.setattr(HopfStructure, "__init__", counted)
+        assert self.CALLS[name]() is None
+        assert built == []
 
 
 class TestClosedFormAgainstMatrix:
