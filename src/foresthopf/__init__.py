@@ -27,7 +27,7 @@ from .morphisms import (theta, theta_dec, pi_ho, pi_sigma, theta_small,
 from .characters import (Character, convolve, char_inverse,
                          validate_character, PolyPath, iter_int_word,
                          iter_int_tree, iter_int_char, chen_check,
-                         fubini_tsigma, fubini_matches_t_sigma)
+                         fubini_matches_t_sigma)
 from .fourier import (TrigPath, AtomMeasure, sector_of, split_measure,
                       word_measure, chi, chi_character, chi_measure,
                       rough_path_J, j_convolution, j_character, j_chen_check,

@@ -17,7 +17,7 @@ from .coeffs import MultiPoly, Accumulator, _poly
 from .errors import ParseError, StructureMismatchError
 from .words import Word, Path
 from .memo import Memo
-from .morphisms import (theta_small, _simplex_expansion, t_sigma_by_matrix,
+from .morphisms import (theta_small, t_sigma_decorated, t_sigma_by_matrix,
                         decorate_by_order)
 
 
@@ -246,21 +246,11 @@ def chen_check(path, word):
 # The Fubini rewriting of a simplex integral into trees
 # ---------------------------------------------------------------------------
 
-def fubini_tsigma(sigma, letters):
-    """Expand the simplex integral along sigma into decorated forests.
-
-    Integration goes from the outermost variable inward; the domain of
-    variable x_i is bounded by the already placed variables closest in
-    the order sigma, and each lower bound above s splits the integral
-    into two. Choices of upper bounds are exactly parent assignments,
-    enumerated by morphisms._simplex_expansion.
-    """
-    return decorate_by_order(_simplex_expansion(sigma), letters, sigma.n)
-
-
 def fubini_matches_t_sigma(sigma, letters):
-    """The expansion against T^sigma by back substitution in ThetaMatrix."""
-    lhs = fubini_tsigma(sigma, letters)
+    """The simplex integral along sigma, expanded into decorated forests
+    (t_sigma_decorated: each choice of upper bounds is a choice of
+    parents), against T^sigma by back substitution in ThetaMatrix."""
+    lhs = t_sigma_decorated(sigma, letters, sigma.n)
     rhs = decorate_by_order(t_sigma_by_matrix(sigma), letters, sigma.n)
     if lhs != rhs:
         return f"Fubini expansion disagrees with T^{sigma} on {letters}"

@@ -15,8 +15,9 @@ out of the sector decomposition through the inverse elements T^sigma,
 and the two-endpoint object J is assembled either from chi by
 convolution or directly from the forest antipode; both routes agree.
 
-chi and the forest route read one table per sector sigma, built once:
-T^sigma and its merged cuts as flat tuples of parent tuples, so no
+chi reads T^sigma through morphisms.t_sigma, whose memo is its one
+store.  The forest route reads one table per sector sigma, built once:
+the merged cuts of T^sigma as flat tuples of parent tuples, so no
 forest is built per atom.  Atoms are scaled by L, the least common
 multiple of the frequency denominators, so every Xi_v is an int.  The
 weights c / prod Xi_v and sbar_eval are homogeneous of degree -n in
@@ -240,7 +241,7 @@ def _integer_atoms(mu):
 
 
 def _phi(forests, measure, var):
-    """phi^var of the combination of (parent, coefficient) pairs, all of
+    """phi^var of the combination of (forest, coefficient) pairs, all of
     the measure's degree n and at least one, against the measure.
 
     Against one atom every forest has the same phase, so its value is
@@ -250,8 +251,8 @@ def _phi(forests, measure, var):
     total = Accumulator(FreqExp.zero())
     for freq, amp, scale in _integer_atoms(measure):
         num, den = 0, 1
-        for parent, c in forests:
-            product, xi = _xi_product(parent, freq)
+        for f, c in forests:
+            product, xi = _xi_product(f.parent, freq)
             num = num * product + c * den
             den *= product
         total.add(_skeleton_term(n, Fraction(num * scale ** n, den),
@@ -265,28 +266,26 @@ def phi_lin(lc, measure, var="t"):
         return FreqExp.zero()
     if any(f.n != measure.n for f in lc.terms):
         raise ValueError("frequency vector must match the forest size")
-    return _phi([(f.parent, c) for f, c in lc.items()], measure, var)
+    return _phi(lc.items(), measure, var)
 
 
 # ---------------------------------------------------------------------------
 # Sector tables
 # ---------------------------------------------------------------------------
 
-def _build_sector_table(sigma):
-    """The table of _sector_table, whose caller checked the bound."""
-    forests = tuple([(f.parent, c)
-                     for f, c in t_sigma(sigma, sigma.n).items()])
+def _build_sector_cuts(sigma):
+    """The cuts of _sector_cuts, whose caller checked the bound."""
     merged = {}
-    for parent, c in forests:
-        for cut in _cuts(parent):
+    for f, c in t_sigma(sigma, sigma.n).items():
+        for cut in _cuts(f.parent):
             merged[cut] = merged.get(cut, 0) + c
-    return (forests, tuple([cut + (c,) for cut, c in merged.items() if c]))
+    return tuple([cut + (c,) for cut, c in merged.items() if c])
 
 
-# Memos of the table of each sigma and of the cuts of each forest shape:
-# every permutation and every shape up to degree 6 fits (874 of each),
-# in about 13 MB.
-_SECTOR_MEMO = Memo(1 << 10, _build_sector_table)
+# Memos of the merged cuts of each sigma and of the cuts of each forest
+# shape: every permutation and every shape up to degree 6 fits (874 of
+# each), in about 11 MB.
+_SECTOR_MEMO = Memo(1 << 10, _build_sector_cuts)
 _CUTS_MEMO = Memo(1 << 12, lambda parent: tuple(_cut_shapes(parent)))
 
 
@@ -296,11 +295,10 @@ def _cuts(parent):
     return _CUTS_MEMO[parent]
 
 
-def _sector_table(sigma, bound):
-    """T^sigma as (parent, coefficient) pairs, and its cuts merged into
-    (roo parent, roo_at, lea parent, lea_at, coefficient) tuples in the
-    order first met, cancelled ones left out.  The bound is checked on
-    every call."""
+def _sector_cuts(sigma, bound):
+    """The cuts of T^sigma merged into (roo parent, roo_at, lea parent,
+    lea_at, coefficient) tuples in the order first met, cancelled ones
+    left out.  The bound is checked on every call."""
     _check_bound(sigma.n, bound)
     return _SECTOR_MEMO[sigma]
 
@@ -317,7 +315,7 @@ def chi_measure(nu, var="t", bound=DEFAULT_BOUND):
             total.add(FreqExp.one(), amp)
         return total.value()
     for sigma, piece in split_measure(nu).items():
-        total.add(_phi(_sector_table(sigma, bound)[0], piece, var))
+        total.add(_phi(t_sigma(sigma, bound).items(), piece, var))
     return total.value()
 
 
@@ -395,7 +393,7 @@ def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
     out = {}
     get = out.get
     for sigma, piece in split_measure(word_measure(path, word)).items():
-        _, cuts = _sector_table(sigma, bound)
+        cuts = _sector_cuts(sigma, bound)
         for freq, amp, scale in _integer_atoms(piece):
             by_roo = {}
             for roo, roo_at, lea, lea_at, c in cuts:

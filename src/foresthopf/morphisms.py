@@ -204,17 +204,21 @@ def _simplex_expansion(sigma):
                              for picked in _iproduct(*choices)})
 
 
-# Memo of T^sigma per permutation: every permutation up to degree 6
-# fits (874 of them), in about 0.9 MB.
+# Memo of T^sigma per permutation up to the default degree: all 874
+# permutations up to degree 6 fit, in about 0.9 MB.
 _T_SIGMA_MEMO = Memo(1 << 12, _simplex_expansion)
 
 
 def t_sigma(sigma, bound=DEFAULT_BOUND):
     """T^sigma = theta^{-1}(sigma^{-1}), a LinComb of heap forests.
 
-    Memoized per permutation.  The bound is checked on every call, so a
-    memoized sigma still refuses a lower bound."""
+    Memoized per permutation up to DEFAULT_BOUND; a sigma of a higher
+    degree, admitted by a raised bound, is expanded on every call and
+    not stored.  The bound is checked on every call, so a memoized
+    sigma still refuses a lower bound."""
     _check_bound(sigma.n, bound)
+    if sigma.n > DEFAULT_BOUND:
+        return _simplex_expansion(sigma)
     return _T_SIGMA_MEMO[sigma]
 
 

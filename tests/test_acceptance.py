@@ -17,7 +17,6 @@ from foresthopf.characters import (
     PolyPath,
     chen_check,
     fubini_matches_t_sigma,
-    fubini_tsigma,
     iter_int_char,
     tree_integral_factorization_check,
     validate_character,
@@ -202,7 +201,7 @@ def test_criterion_6_iterated_integrals():
         bad = fubini_matches_t_sigma(sigma, (1, 2, 3))
         if bad:
             failures.append(bad)
-    worked = str(fubini_tsigma(Perm.parse("231"), (1, 2, 3)))
+    worked = str(t_sigma_decorated(Perm.parse("231"), (1, 2, 3)))
     if worked != "-1[2,3]+1[2]|3":
         failures.append(f"Fubini expansion of (231) renders {worked!r}")
     _verdict(6, "exact iterated integrals of (1, 2x): character law, "

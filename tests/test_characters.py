@@ -19,8 +19,7 @@ from foresthopf.hopf import Shuffle, CKForests
 from foresthopf.characters import (
     Character, convolve, char_inverse, validate_character,
     PolyPath, iter_int_word, iter_int_tree, iter_int_char,
-    tree_integral_factorization_check, chen_check,
-    fubini_tsigma, fubini_matches_t_sigma,
+    tree_integral_factorization_check, chen_check, fubini_matches_t_sigma,
 )
 
 
@@ -160,10 +159,6 @@ class PlainForestPool:
 
 
 class TestFubini:
-    def test_worked_example(self):
-        lc = fubini_tsigma(Perm.parse("231"), (1, 2, 3))
-        assert str(lc) == "-1[2,3]+1[2]|3"
-
     def test_matches_inverse_elements(self):
         for sigma in all_perms(3):
             assert fubini_matches_t_sigma(sigma, (1, 2, 3)) is None
@@ -172,10 +167,6 @@ class TestFubini:
     def test_spot_degree_four(self):
         sigma = Perm.parse("2413")
         assert fubini_matches_t_sigma(sigma, (1, 2, 1, 2)) is None
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            fubini_tsigma(Perm.parse("21"), (1,))
 
 
 class TestCharacterPlumbing:

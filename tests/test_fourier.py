@@ -19,7 +19,7 @@ from foresthopf.errors import (ParseError, MagnitudeTieError,
                                SingularAtomError, BoundExceededError)
 from foresthopf.words import Word, all_words
 from foresthopf.perms import Perm, all_perms
-from foresthopf import fourier
+from foresthopf import fourier, morphisms
 from foresthopf.forests import (_ordered, OrderedForest, linear_extensions,
                                 enumerate_heap_ordered, ordered_cuts)
 from foresthopf.hopf import Shuffle
@@ -508,9 +508,9 @@ class TestJ:
 
 
 class TestSectorTable:
-    """The per-permutation tables of T^sigma and its cuts, the per-shape
-    cuts, and the integer rescaling that chi and the forest route apply
-    to each atom."""
+    """The per-permutation merged cuts of T^sigma, the per-shape cuts,
+    and the integer rescaling that chi and the forest route apply to
+    each atom."""
 
     FRACTIONAL = "1: 1@1/3, 1@-7/11\n2: 1@5/2"
 
@@ -540,6 +540,28 @@ class TestSectorTable:
             j_convolution(p, w, bound=4)
         assert str(warm.value) == str(cold.value) \
             == "degree 6 exceeds bound 4; raise the bound explicitly"
+
+    def test_t_sigma_has_one_store(self, monkeypatch):
+        # chi reads T^sigma from morphisms' memo alone, and the forest
+        # route's table per sigma holds only merged cuts
+        for owner, name in [(fourier, "_CHI_MEMO"), (fourier, "_SECTOR_MEMO"),
+                            (morphisms, "_T_SIGMA_MEMO")]:
+            old = getattr(owner, name)
+            monkeypatch.setattr(owner, name, Memo(old.cap, old.compute))
+        p = TrigPath.parse(self.FRACTIONAL)
+        w = Word((1, 2, 1))
+        sectors = set(split_measure(word_measure(p, w)))
+        assert len(sectors) > 1
+        chi(p, w)
+        assert fourier._SECTOR_MEMO == {}
+        assert set(morphisms._T_SIGMA_MEMO) == sectors
+        j_convolution(p, w)
+        assert set(fourier._SECTOR_MEMO) == sectors
+        for cuts in fourier._SECTOR_MEMO.values():
+            assert type(cuts) is tuple and cuts
+            for cut in cuts:
+                assert type(cut) is tuple and len(cut) == 5
+                assert type(cut[0]) is tuple and type(cut[4]) is int
 
     def test_routes_agree_with_fraction_frequencies(self):
         p = TrigPath.parse(self.FRACTIONAL)

@@ -1,8 +1,9 @@
 """Source hygiene: every module uses each name it imports, every
 library memo is bounded, every name the benchmark traces exists, only
-coeffs.SparseSum decides which sparse sums may be added and compared,
-only coeffs.ExpSum multiplies two sums, and no Hopf basis class defines
-its own equality or hash.
+morphisms expands and stores T^sigma, only coeffs.SparseSum decides
+which sparse sums may be added and compared, only coeffs.ExpSum
+multiplies two sums, and no Hopf basis class defines its own equality
+or hash.
 
 Package ``__init__`` modules are skipped by the import check, since they
 import to re-export; ``from __future__`` imports are compiler
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import foresthopf
-from foresthopf import hopf
+from foresthopf import hopf, morphisms
 from foresthopf.characters import Character
 from foresthopf.coeffs import MultiPoly
 from foresthopf.memo import Intern, Memo
@@ -145,7 +146,8 @@ def test_character_holds_no_dict():
 # longer has them: the one list of names a traced run may miss.  The two
 # __init__ names counted validations, which the public constructors of
 # the interned basis classes now do in __new__.
-PINNED_MISSING = ["forests.OrderedForest.__init__", "forests.antichains",
+PINNED_MISSING = ["characters.fubini_tsigma",
+                  "forests.OrderedForest.__init__", "forests.antichains",
                   "forests.heap_order_lifts", "fourier.skeleton_value",
                   "hopf.CKForests.antipode", "perms.Perm.__init__"]
 
@@ -164,6 +166,44 @@ def test_traced_names_resolve():
     finally:
         tracer.uninstall()
     assert tracer.missing() == PINNED_MISSING
+
+
+def modules_naming(sources, name):
+    """The modules, given as a dict from stem to source, whose code
+    names ``name``: as a name, an attribute, an imported name or a
+    definition.  Strings and comments do not count."""
+    found = set()
+    for stem, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            named = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.name if isinstance(
+                         node, (ast.alias, ast.FunctionDef, ast.ClassDef))
+                     else None)
+            if named == name:
+                found.add(stem)
+    return sorted(found)
+
+
+def test_guard_sees_a_module_naming_the_expansion():
+    sources = {"a": "from .morphisms import _simplex_expansion\n",
+               "b": "import morphisms\nmorphisms._simplex_expansion(s)\n",
+               "c": "def _simplex_expansion(sigma): pass\n",
+               "d": '"""_simplex_expansion"""\n# _simplex_expansion\n',
+               "e": "from .morphisms import t_sigma\nt_sigma(s)\n"}
+    assert modules_naming(sources, "_simplex_expansion") == ["a", "b", "c"]
+
+
+def test_one_route_to_t_sigma():
+    # T^sigma is expanded only inside morphisms, and stored only in its
+    # memo; every other module reads it through t_sigma
+    sources = {path.stem: path.read_text() for path in LIBRARY}
+    assert modules_naming(sources, "_simplex_expansion") == ["morphisms"]
+    assert [(path.stem, name) for path in LIBRARY
+            for name, value in vars(library_module(path)).items()
+            if isinstance(value, Memo)
+            and value.compute is morphisms._simplex_expansion] \
+        == [("morphisms", "_T_SIGMA_MEMO")]
 
 
 # SparseSum defines these once, over (space, terms); a sparse-sum type

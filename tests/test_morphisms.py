@@ -201,6 +201,14 @@ class TestTSigmaMemo:
             t_sigma(big)
         assert big not in morphisms._T_SIGMA_MEMO
 
+    def test_above_the_default_degree_is_not_stored(self, monkeypatch):
+        monkeypatch.setattr(morphisms, "_T_SIGMA_MEMO",
+                            Memo(1 << 12, morphisms._simplex_expansion))
+        big = Perm.parse("7162534")
+        first = t_sigma(big, bound=7)
+        assert t_sigma(big, bound=7) == first
+        assert morphisms._T_SIGMA_MEMO == {}
+
 
 class TestIdentitiesShareTheirStructures:
     """The identity checks multiply and co-multiply in the module's one
