@@ -18,7 +18,8 @@ from .perms import Perm
 from .forests import OrderedForest, PlainForest, enumerate_heap_ordered
 from .hopf import get_structure, hopf_axiom_sweep, STRUCTURES
 from .morphisms import (theta, theta_inverse_table, t_sigma,
-                        t_sigma_decorated, square_check, DEFAULT_BOUND)
+                        t_sigma_decorated, square_check, _check_bound,
+                        DEFAULT_BOUND)
 from .characters import (PolyPath, iter_int_word, iter_int_tree, chen_check,
                          validate_character)
 from .fourier import (TrigPath, chi, chi_character, rough_path_J,
@@ -86,6 +87,7 @@ def cmd_tsigma(args):
 
 
 def cmd_hopf_check(args):
+    _check_bound(args.degree, args.bound)
     H = get_structure(args.structure, args.d)
     report = RunReport(f"hopf-check {args.structure}")
     report.run(f"hopf axioms for {args.structure} up to degree {args.degree}"
@@ -239,6 +241,7 @@ def build_parser():
     p.add_argument("structure", choices=sorted(STRUCTURES))
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--d", type=int, default=1, help="number of decorations")
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     add_json(p)
     p.set_defaults(fn=cmd_hopf_check)
 

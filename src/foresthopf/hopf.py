@@ -18,6 +18,12 @@ coefficient 1, built by coeffs._unit_sum (a forest product, one basis
 object, directly by _nonzero_lincomb), so their coefficients are ints,
 as are the antipodes' and the counit's.
 
+Each structure keeps one bounded memo per basis map: products, keyed
+on the ordered pair of factors (the ordered and heap products do not
+commute), coproducts and antipodes.  Their computes are the
+structure's _product, _coproduct and _antipode; basis objects are
+interned and hash by identity, so a lookup hashes one key or pair.
+
 Antipodes: the shuffle algebra has its closed reversal formula; every
 other structure, the forest algebra included, uses the generic
 graded-connected recursion S(x) = -x - sum S(x')x'' over the proper
@@ -56,10 +62,14 @@ def tensor(a, b):
 # Structure objects
 # ---------------------------------------------------------------------------
 
-# The cap of each structure's coproduct and antipode memos: a sweep to
-# degree n fills them with at most its basis up to degree n (18,249
-# ordered forests up to degree 6), so no sweep of the tests or of the
-# benchmark empties them.
+# The cap of each structure's product, coproduct and antipode memos.  A
+# sweep to degree n fills the coproduct and antipode memos with at most
+# its basis up to degree n (18,249 ordered forests up to degree 6), and
+# the product memo with at most the ordered pairs of total degree up to
+# n: 11,161 in criterion 3's largest sweep (heap, two letters, degree
+# 5), 40,489 in `hopf-check ordered --degree 6`.  None of these sweeps,
+# and none of the benchmark's, empties a memo; a larger one empties it
+# and computes again, with the same results.
 STRUCTURE_MEMO_CAP = 1 << 16
 
 
@@ -73,12 +83,18 @@ class HopfStructure:
         self.d = d
         self._antipode_memo = Memo(STRUCTURE_MEMO_CAP, self._antipode)
         self._coproduct_memo = Memo(STRUCTURE_MEMO_CAP, self._coproduct)
+        self._product_memo = Memo(STRUCTURE_MEMO_CAP,
+                                  lambda pair: self._product(*pair))
 
     def unit(self):
         raise NotImplementedError
 
-    def product(self, b1, b2):
+    def _product(self, b1, b2):
         raise NotImplementedError
+
+    def product(self, b1, b2):
+        # the ordered pair: ordered and heap products do not commute
+        return self._product_memo[b1, b2]
 
     def _coproduct(self, b):
         raise NotImplementedError
@@ -137,7 +153,7 @@ class Shuffle(HopfStructure):
     def unit(self):
         return EMPTY_WORD
 
-    def product(self, b1, b2):
+    def _product(self, b1, b2):
         """Shuffle product: all interleavings, equal words merged."""
         return _unit_sum(_word(letters)
                          for letters in interleavings(b1.letters, b2.letters))
@@ -162,7 +178,7 @@ class CKForests(HopfStructure):
     def unit(self):
         return EMPTY_PLAIN
 
-    def product(self, b1, b2):
+    def _product(self, b1, b2):
         """Disjoint union of plain forests (canonical, commutative)."""
         return _nonzero_lincomb({b1 * b2: 1})
 
@@ -180,7 +196,7 @@ class Ordered(HopfStructure):
     def unit(self):
         return EMPTY_ORDERED
 
-    def product(self, b1, b2):
+    def _product(self, b1, b2):
         """Order-shifting concatenation of ordered forests."""
         return _nonzero_lincomb({b1 * b2: 1})
 
@@ -213,7 +229,7 @@ class FQSym(HopfStructure):
     def unit(self):
         return Perm(())
 
-    def product(self, b1, b2):
+    def _product(self, b1, b2):
         return fqsym.fq_product(b1, b2)
 
     def _coproduct(self, b):
@@ -229,7 +245,7 @@ class FQSymDec(HopfStructure):
     def unit(self):
         return DecoratedPerm((), ())
 
-    def product(self, b1, b2):
+    def _product(self, b1, b2):
         return fqsym.fq_product_dec(b1, b2)
 
     def _coproduct(self, b):

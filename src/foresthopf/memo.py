@@ -9,9 +9,11 @@ that writes into a memo.  The cap is checked right before the store, so
 the memo never holds more than cap entries, also when compute reads the
 memo again for smaller keys.  A compute that raises stores nothing.
 
-What compute references, the memo keeps alive.  A structure's memos hold
-its bound methods, a reference cycle that only the garbage collector
-frees.  ``fourier.chi_character`` builds a ``Shuffle(path.d)`` per call,
+What compute references, the memo keeps alive.  A structure's three
+memos hold computes that reference the structure: its bound methods
+``_coproduct`` and ``_antipode``, and a function that passes a pair of
+factors to ``_product``.  These are reference cycles that only the
+garbage collector frees.  ``fourier.chi_character`` builds a ``Shuffle(path.d)`` per call,
 which stays in memory, with what its memos hold, until the collector
 next runs; sharing one would buy nothing, since in a ``fourier-chen``
 benchmark round those shuffle memos hit 0 of their 22 reads.

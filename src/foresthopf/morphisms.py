@@ -257,7 +257,8 @@ def t_sigma_decorated(sigma, letters, bound=DEFAULT_BOUND):
 # ---------------------------------------------------------------------------
 
 # The one structure of each family that the identities multiply and
-# co-multiply in, so the coproducts it memoizes serve every call.
+# co-multiply in, so the products and coproducts it memoizes serve
+# every call.
 _HEAP = HeapOrdered()
 _FQSYM = FQSym()
 

@@ -108,7 +108,7 @@ def test_criterion_3_hopf_axioms():
     start = time.monotonic()
     cases = [
         ("shuffle", 1, 6), ("ck", 1, 7), ("ordered", 1, 5),
-        ("heap", 1, 5), ("fqsym", 1, 5),
+        ("heap", 1, 6), ("fqsym", 1, 6),
         ("shuffle", 2, 5), ("ck", 2, 6), ("ordered", 2, 4),
         ("heap", 2, 5), ("fqsym-dec", 2, 4),
     ]
@@ -117,9 +117,9 @@ def test_criterion_3_hopf_axioms():
         for bad in hopf_axiom_sweep(get_structure(name, d), degree):
             failures.append(f"{name} d={d}: {bad}")
     _verdict(3, "Hopf axioms for all five structures (deg <= 5, "
-             "and deg <= 4 with two letters; shuffle one degree higher, "
-             "ck two degrees higher with one letter and with two, heap "
-             "one degree higher with two letters)",
+             "and deg <= 4 with two letters; shuffle and heap one degree "
+             "higher with one letter and with two, fqsym one degree "
+             "higher, ck two degrees higher with one letter and with two)",
              failures, time.monotonic() - start, budget=60.0)
 
 

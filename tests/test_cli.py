@@ -158,6 +158,22 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    def test_hopf_check_bound(self, capsys):
+        # refused before any basis is built; --bound raises the limit
+        code, out, err = run(capsys, ["hopf-check", "ordered", "--degree",
+                                      "7"])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: degree 7 exceeds bound 6; "
+                       "raise the bound explicitly\n")
+        code, _, err = run(capsys, ["hopf-check", "ck", "--degree", "3",
+                                    "--bound", "2"])
+        assert code == 2
+        assert "exceeds bound 2" in err
+        code, _, _ = run(capsys, ["hopf-check", "shuffle", "--degree", "7",
+                                  "--bound", "7"])
+        assert code == 0
+
     def test_fno_verify_chi_check_keeps_bound(self, capsys, trig_file):
         # the J checks stay within the bound; the chi check needs
         # words of length 3 above it
@@ -210,6 +226,7 @@ class TestExitCodes:
         ["enumerate", "2", "--d", "0"],
         ["hopf-check", "ck", "--degree", "-2"],
         ["hopf-check", "ck", "--d", "0", "--degree", "2"],
+        ["hopf-check", "ck", "--bound", "-1"],
         ["square-check", "--degree", "-1"],
         ["fno", "verify", "--path", TRIG_FILE, "--degree", "1", "--jlen", "0",
          "--cases", "-3"],

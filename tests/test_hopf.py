@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
@@ -255,9 +257,23 @@ class TestAxiomSweeps:
             == "counit axiom fails on 1[1,1]"
 
 
+def _ordered_forests(n):
+    """Cayley's formula: (n+1)^(n-1) ordered forests of degree n, in a
+    form that also gives the empty forest's 1 at n = 0."""
+    return (n + 1) ** n // (n + 1)
+
+
+def _pairs_up_to(counts, n):
+    """Ordered pairs of basis elements of total degree at most n, from
+    the basis size of each degree."""
+    return sum(counts(a) * counts(b) for a in range(n + 1)
+               for b in range(n + 1 - a))
+
+
 class TestStructureMemos:
-    """The coproduct and antipode memos of a structure are bounded, and a
-    cap of 5 on one and then on both changes no result."""
+    """The product, coproduct and antipode memos of a structure are
+    bounded, and a cap of 5 on one, then on two, then on all three
+    changes no result."""
 
     @pytest.mark.parametrize("make,deg", [
         (lambda: CKForests(2), 4),
@@ -272,16 +288,56 @@ class TestStructureMemos:
             return (hopf_axiom_sweep(H, n),
                     [(H.coproduct(b), H.antipode(b)) for b in H.basis(n)])
 
-        # the coproduct memo keeps its recorder while the antipode memo
-        # is checked
-        for name in ("_coproduct_memo", "_antipode_memo"):
+        # each memo keeps its recorder while the next one is checked
+        for name in ("_coproduct_memo", "_antipode_memo", "_product_memo"):
             check_bounded_memo(monkeypatch, H, name, compute, range(deg + 1))
 
+    def test_product_is_read_from_the_memo(self):
+        H = Ordered()
+        assert len(H._product_memo) == 0
+        a, b = OrderedForest.parse("1[2]"), OrderedForest.parse("1")
+        first = H.product(a, b)
+        assert H.product(a, b) is first
+        assert len(Ordered()._product_memo) == 0
+
+    @pytest.mark.parametrize("name, d", [
+        ("shuffle", 2), ("ck", 2), ("ordered", 2), ("heap", 2),
+        ("fqsym", 1), ("fqsym-dec", 2),
+    ])
+    def test_memo_keys_the_ordered_pair(self, name, d):
+        # every ordered pair up to total degree 4, both orders of a pair
+        # read from one memo, so a key that forgets the order of the
+        # factors answers one of them with the other's product
+        H = get_structure(name, d)
+        basis = {n: H.basis(n) for n in range(5)}
+        for n1 in range(5):
+            for n2 in range(5 - n1):
+                for x in basis[n1]:
+                    for y in basis[n2]:
+                        assert H.product(x, y) == H._product(x, y)
+        if name == "ordered":
+            a, b = OrderedForest.parse("1:1[2:2]"), OrderedForest.parse("1:1")
+            assert H._product(a, b) != H._product(b, a)
+
+    def test_cayley_counts_the_ordered_forests(self):
+        assert [len(enumerate_ordered(n)) for n in range(5)] \
+            == [_ordered_forests(n) for n in range(5)]
+
+    def test_product_memo_holds_the_pairs_of_a_sweep(self):
+        H = Ordered()
+        hopf_axiom_sweep(H, 4)
+        assert len(H._product_memo) == _pairs_up_to(_ordered_forests, 4)
+
     def test_sweeps_fit_the_cap(self):
-        # the largest sweep of the tests and the benchmark memoizes at
-        # most the ordered forests up to degree 6
-        assert sum(len(enumerate_ordered(n)) for n in range(7)) \
-            < hopf.STRUCTURE_MEMO_CAP
+        # hopf-check ordered --degree 6, the largest one-letter sweep
+        # within the default bound, memoizes at most the ordered forests
+        # up to degree 6, and at most the ordered pairs of them of total
+        # degree up to 6; criterion 3's largest sweep, heap with two
+        # letters to degree 5, n! 2^n forests of degree n, fewer pairs
+        assert sum(_ordered_forests(n) for n in range(7)) == 18_249
+        assert _pairs_up_to(_ordered_forests, 6) == 40_489
+        assert _pairs_up_to(lambda n: factorial(n) * 2 ** n, 5) == 11_161
+        assert 40_489 < hopf.STRUCTURE_MEMO_CAP
 
 
 class DroppedCut(CKForests):
