@@ -16,13 +16,17 @@ and the two-endpoint object J is assembled either from chi by
 convolution or directly from the forest antipode; both routes agree.
 
 chi reads T^sigma through morphisms.t_sigma, whose memo is its one
-store.  The forest route reads one table per sector sigma, built once:
-the merged cuts of T^sigma as flat tuples of parent tuples, so no
-forest is built per atom.  Atoms are scaled by L, the least common
-multiple of the frequency denominators, so every Xi_v is an int.  The
-weights c / prod Xi_v and sbar_eval are homogeneous of degree -n in
-the frequencies, so their rationals are multiplied by L^n once, and
-each phase, linear in them, is divided by L.
+store, and expands sectors in t alone: chi in u or s is chi in t with
+each phase moved into that variable's slot.  The forest route reads
+one table per sector sigma, built once: the merged cuts of T^sigma as
+flat tuples of parent tuples, so no forest is built per atom.  Each
+measure is scaled by one L, the least common multiple of its frequency
+denominators (J takes the word measure's), so every Xi_v is an int.
+Values are summed per int phase, per Xi in phi and per (Xi_Roo,
+Xi - Xi_Roo) in J, until the result is built.  The weights
+c / prod Xi_v and sbar_eval are homogeneous of degree -n in the
+frequencies, so each sum is multiplied by L^n once, and each phase,
+linear in them, is divided by L once.
 """
 
 from __future__ import annotations
@@ -230,14 +234,19 @@ def _skeleton_term(n, q, xi, var):
                      _TURNS[n % 4] * q})
 
 
-def _integer_atoms(mu):
-    """The atoms of a measure as (frequencies times L, amplitude, L),
-    where L is the least common multiple of the frequency denominators:
-    the frequencies become ints."""
-    scale = lcm(*{f.denominator for freq in mu.terms for f in freq})
+def _scale(mu):
+    """L, the least common multiple of the frequency denominators of a
+    measure."""
+    return lcm(*{f.denominator for freq in mu.terms for f in freq})
+
+
+def _integer_atoms(mu, scale):
+    """The atoms of a measure as (frequencies times scale, amplitude),
+    for a scale that every frequency denominator divides: the
+    frequencies become ints."""
     for freq, amp in mu.terms.items():
         yield (tuple([f.numerator * (scale // f.denominator) for f in freq]),
-               amp, scale)
+               amp)
 
 
 def _phi(forests, measure, var):
@@ -246,17 +255,26 @@ def _phi(forests, measure, var):
 
     Against one atom every forest has the same phase, so its value is
     (-i)^n exp(i Xi var) times the sum of c / prod Xi_v over the
-    forests, found at the scaled atom as one integer fraction."""
+    forests, found at the scaled atom as one integer fraction.  The
+    atoms' values are summed per int Xi, and each distinct Xi gives one
+    term."""
     n = measure.n
-    total = Accumulator(FreqExp.zero())
-    for freq, amp, scale in _integer_atoms(measure):
+    scale = _scale(measure)
+    by_xi = {}
+    get = by_xi.get
+    for freq, amp in _integer_atoms(measure, scale):
         num, den = 0, 1
         for f, c in forests:
             product, xi = _xi_product(f.parent, freq)
             num = num * product + c * den
             den *= product
-        total.add(_skeleton_term(n, Fraction(num * scale ** n, den),
-                                 Fraction(xi, scale), var), amp)
+        q = amp * Fraction(num, den)
+        prev = get(xi)
+        by_xi[xi] = q if prev is None else prev + q
+    total = Accumulator(FreqExp.zero())
+    for xi, q in by_xi.items():
+        total.add(_skeleton_term(n, q * scale ** n, Fraction(xi, scale),
+                                 var))
     return total.value()
 
 
@@ -321,14 +339,20 @@ def chi_measure(nu, var="t", bound=DEFAULT_BOUND):
 
 def _chi_value(key):
     """chi of a (path, word, variable) key, whose caller checked the
-    bound."""
+    bound.  The sector expansion runs in t alone: in another variable
+    chi is chi in t with each phase moved into that variable's slot."""
     path, word, var = key
-    return chi_measure(word_measure(path, word), var, len(word))
+    if var == "t":
+        return chi_measure(word_measure(path, word), "t", len(word))
+    k = FREQ_VARS.index(var)
+    return _freqexp({FREQ_ZERO[:k] + phase[:1] + FREQ_ZERO[k + 1:]: c
+                     for phase, c in _CHI_MEMO[path, word, "t"].terms.items()})
 
 
 # Memo of chi: at about 3 kB an entry the cap keeps it near 12 MB.  J
 # by characters of every word up to length 5 over two frequencies per
-# letter stores 126 entries.
+# letter stores 126 entries, one sector expansion for each of the 63
+# words.
 _CHI_MEMO = Memo(1 << 12, _chi_value)
 
 
@@ -381,20 +405,23 @@ def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
     antipode evaluation phi^lo on Lea, summed over the merged cuts of
     T^sigma.
 
-    Against one atom, scaled to ints, every cut is (-i)^n times a
-    rational times exp(i(Xi_Roo hi + (Xi - Xi_Roo) lo)), so the
-    rationals are summed per Xi_Roo as integer fractions, and each
-    phase gives one term."""
+    Against one atom, scaled to ints by the word measure's L, every cut
+    is (-i)^n times a rational times exp(i(Xi_Roo hi + (Xi - Xi_Roo)
+    lo)), so the rationals are summed per Xi_Roo as integer fractions,
+    and the atoms' values per int pair (Xi_Roo, Xi - Xi_Roo).  Each
+    pair gives one term; when hi and lo are one variable, pairs of
+    equal Xi share a phase and merge."""
     n = len(word)
     if n == 0:
         return FreqExp.one()
     k_hi, k_lo = FREQ_VARS.index(hi), FREQ_VARS.index(lo)
-    turn = _TURNS[n % 4]
-    out = {}
-    get = out.get
-    for sigma, piece in split_measure(word_measure(path, word)).items():
+    mu = word_measure(path, word)
+    scale = _scale(mu)
+    sums = {}
+    get = sums.get
+    for sigma, piece in split_measure(mu).items():
         cuts = _sector_cuts(sigma, bound)
-        for freq, amp, scale in _integer_atoms(piece):
+        for freq, amp in _integer_atoms(piece, scale):
             by_roo = {}
             for roo, roo_at, lea, lea_at, c in cuts:
                 product, xi_roo = _xi_product(roo,
@@ -405,15 +432,21 @@ def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
                 by_roo[xi_roo] = (num * product + c * r.numerator * den,
                                   den * product)
             xi = sum(freq)
-            amp = amp * turn
             for xi_roo, (num, den) in by_roo.items():
-                phase = [_ZERO, _ZERO, _ZERO]
-                phase[k_hi] = Fraction(xi_roo, scale)
-                phase[k_lo] += Fraction(xi - xi_roo, scale)
-                phase = tuple(phase)
-                term = amp * Fraction(num * scale ** n, den)
-                prev = get(phase)
-                out[phase] = term if prev is None else prev + term
+                key = (xi_roo, xi - xi_roo)
+                term = amp * Fraction(num, den)
+                prev = get(key)
+                sums[key] = term if prev is None else prev + term
+    factor = _TURNS[n % 4] * scale ** n
+    out = {}
+    for (xi_hi, xi_lo), q in sums.items():
+        phase = [_ZERO, _ZERO, _ZERO]
+        phase[k_hi] = Fraction(xi_hi, scale)
+        phase[k_lo] += Fraction(xi_lo, scale)
+        phase = tuple(phase)
+        term = q * factor
+        prev = out.get(phase)
+        out[phase] = term if prev is None else prev + term
     return _freqexp(out)
 
 

@@ -14,7 +14,7 @@ from foresthopf.memo import Memo
 from foresthopf.errors import ParseError
 from foresthopf.words import Word, all_words
 from foresthopf.perms import Perm, all_perms
-from foresthopf.forests import PlainForest
+from foresthopf.forests import PlainForest, enumerate_plain_forests
 from foresthopf.hopf import Shuffle, CKForests
 from foresthopf.characters import (
     Character, convolve, char_inverse, validate_character,
@@ -153,9 +153,80 @@ class PlainForestPool:
     @classmethod
     def get(cls, n):
         if n not in cls._cache:
-            from foresthopf.forests import enumerate_plain_forests
             cls._cache[n] = enumerate_plain_forests(n, 2)
         return cls._cache[n]
+
+
+def _integral_reference(gamma, inner):
+    """The integral from s to t of gamma(x) inner(x, s) dx, monomial by
+    monomial: x^e t^i s^j with k = i + e + 1 gives
+    (t^k s^j - s^(k+j)) / k."""
+    pairs = []
+    for (e,), a in gamma.terms.items():
+        for (i, j), c in inner.terms.items():
+            k = i + e + 1
+            pairs += [((k, j), a * c / k), ((0, k + j), -a * c / k)]
+    return MultiPoly(("t", "s"), pairs)
+
+
+def tree_integral_reference(path, forest):
+    """iter_int_tree by plain recursion, with no memo: each tree is its
+    root's component integrated against its children as a forest."""
+    total = MultiPoly.one(("t", "s"))
+    for tree in forest.trees:
+        inner = tree_integral_reference(path, PlainForest(tree.children))
+        total = total * _integral_reference(path.component(tree.dec), inner)
+    return total
+
+
+@pytest.fixture
+def fresh_tree_memo(monkeypatch):
+    old = characters._TREE_INTEGRAL_MEMO
+    monkeypatch.setattr(characters, "_TREE_INTEGRAL_MEMO",
+                        Memo(old.cap, old.compute))
+
+
+THREE_LETTERS = "1: 1 - x^2\n2: 2x + 1/3*x^4\n3: -3/2 + x^3 - 5x^4"
+
+
+@pytest.mark.usefixtures("fresh_tree_memo")
+class TestTreeIntegralMemo:
+    def test_bounded(self, monkeypatch, path):
+        forests = [f for n in range(4) for f in PlainForestPool.get(n)]
+        check_bounded_memo(monkeypatch, characters, "_TREE_INTEGRAL_MEMO",
+                           lambda f: iter_int_tree(path, f), forests)
+
+    def test_equal_paths_share_entries(self):
+        first, second = PolyPath.parse(PATH_TEXT), PolyPath.parse(PATH_TEXT)
+        assert first is not second
+        f = PlainForest.parse("1[2]")
+        value = iter_int_tree(first, f)
+        assert iter_int_tree(second, f) is value
+        # the tree and its one child
+        assert len(characters._TREE_INTEGRAL_MEMO) == 2
+
+    def test_second_call_is_identical(self, path):
+        for text in ["1", "1[2,2]", "2[1[2],1]"]:
+            f = PlainForest.parse(text)
+            assert iter_int_tree(path, f) is iter_int_tree(path, f), text
+
+    @pytest.mark.parametrize("text, d", [(PATH_TEXT, 2), (THREE_LETTERS, 3)],
+                             ids=["two-letters", "three-letters"])
+    def test_matches_the_unmemoized_recursion(self, text, d):
+        p = PolyPath.parse(text)
+        for n in range(5):
+            for f in enumerate_plain_forests(n, d):
+                assert iter_int_tree(p, f) == tree_integral_reference(p, f), f
+
+    def test_keyed_on_the_path(self, path):
+        # a memo keyed on the tree alone would give the second path the
+        # first one's value
+        other = PolyPath.parse(THREE_LETTERS)
+        f = PlainForest.parse("1[2,1]")
+        first, second = iter_int_tree(path, f), iter_int_tree(other, f)
+        assert first != second
+        assert first == tree_integral_reference(path, f)
+        assert second == tree_integral_reference(other, f)
 
 
 class TestFubini:

@@ -35,6 +35,8 @@ from foresthopf.fourier import (
 
 
 PATH_TEXT = "1: 1@1\n2: 1@2"
+# two frequencies per letter, fractional ones and a Gaussian amplitude
+TWO_FREQUENCIES = "1: 1@1, 1/2@-7/11\n2: 1@2, -i@5"
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +381,37 @@ class TestChi:
         assert two == chi(path, Word((1,))) * chi(path, Word((1,)))
 
 
+    @pytest.mark.parametrize("var", ["s", "u"])
+    def test_other_variables_match_the_sector_expansion(self, var,
+                                                        monkeypatch):
+        # chi in s or u is read from chi in t; the reference expands the
+        # measure in that variable
+        old = fourier._CHI_MEMO
+        monkeypatch.setattr(fourier, "_CHI_MEMO", Memo(old.cap, old.compute))
+        p = TrigPath.parse(TWO_FREQUENCIES)
+        for n in range(5):
+            for w in all_words(n, 2):
+                assert chi(p, w, var) \
+                    == fourier.chi_measure(word_measure(p, w), var), w
+
+    def test_one_sector_expansion_per_word(self, path, monkeypatch):
+        old = fourier._CHI_MEMO
+        monkeypatch.setattr(fourier, "_CHI_MEMO", Memo(old.cap, old.compute))
+        original = fourier.chi_measure
+        calls = []
+        monkeypatch.setattr(fourier, "chi_measure",
+                            lambda nu, *args: calls.append(nu)
+                            or original(nu, *args))
+        for w in all_words(3, 2):
+            j_character(path, w)
+        # J reads chi in t on the prefixes and in s on the reversed
+        # suffixes, which together are the 15 words up to length 3
+        assert len(calls) == 15
+        assert {w for _, w, _ in fourier._CHI_MEMO} \
+            == {w for n in range(4) for w in all_words(n, 2)}
+        assert {var for _, _, var in fourier._CHI_MEMO} == {"t", "s"}
+
+
 class TestJ:
     def test_routes_agree(self, path):
         for text in ["a", "ab", "ba", "aab", "aba", "abb"]:
@@ -433,7 +466,7 @@ class TestJ:
 
     @pytest.mark.parametrize("hi, lo", [("t", "t"), ("u", "s"), ("s", "t")])
     def test_routes_agree_in_other_variables(self, hi, lo):
-        p = TrigPath.parse("1: 1@1, 1/2@-7/11\n2: 1@2, -i@5")
+        p = TrigPath.parse(TWO_FREQUENCIES)
         for n in range(1, 4):
             for w in all_words(n, 2):
                 assert j_convolution(p, w, hi, lo) \
@@ -495,13 +528,13 @@ class TestJ:
             path.extra = 1
 
     def test_bounded_sbar_memo(self, monkeypatch):
-        p = TrigPath.parse("1: 1@1, 1/2@-7/11\n2: 1@2, -i@5")
+        p = TrigPath.parse(TWO_FREQUENCIES)
         words = [w for n in range(1, 4) for w in all_words(n, 2)]
         check_bounded_memo(monkeypatch, fourier, "_SBAR_MEMO",
                            lambda w: j_convolution(p, w), words)
 
     def test_bounded_chi_memo(self, monkeypatch):
-        p = TrigPath.parse("1: 1@1, 1/2@-7/11\n2: 1@2, -i@5")
+        p = TrigPath.parse(TWO_FREQUENCIES)
         words = [w for n in range(1, 4) for w in all_words(n, 2)]
         check_bounded_memo(monkeypatch, fourier, "_CHI_MEMO",
                            lambda w: j_character(p, w), words)

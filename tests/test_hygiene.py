@@ -109,6 +109,7 @@ def test_guard_sees_the_library_memos():
             ("fourier", "_SECTOR_MEMO"),
             ("fourier", "_CUTS_MEMO"),
             ("characters", "_WORD_INTEGRAL_MEMO"),
+            ("characters", "_TREE_INTEGRAL_MEMO"),
             ("morphisms", "_MATRIX_CACHE"),
             ("morphisms", "_T_SIGMA_MEMO"),
             ("forests", "_ORDERED_INTERN"),
