@@ -21,12 +21,11 @@ each phase moved into that variable's slot.  The forest route reads
 one table per sector sigma, built once: the merged cuts of T^sigma as
 flat tuples of parent tuples, so no forest is built per atom.  Each
 measure is scaled by one L, the least common multiple of its frequency
-denominators (J takes the word measure's), so every Xi_v is an int.
-Values are summed per int phase, per Xi in phi and per (Xi_Roo,
-Xi - Xi_Roo) in J, until the result is built.  The weights
-c / prod Xi_v and sbar_eval are homogeneous of degree -n in the
-frequencies, so each sum is multiplied by L^n once, and each phase,
-linear in them, is divided by L once.
+denominators (J takes the word measure's), so every Xi_v is an int
+and each atom's rationals are summed as integer fractions.  The
+weights c / prod Xi_v and sbar_eval are homogeneous of degree -n in
+the frequencies, so each atom's sum is multiplied by L^n once, and
+each phase, linear in them, is divided by L.
 """
 
 from __future__ import annotations
@@ -255,26 +254,18 @@ def _phi(forests, measure, var):
 
     Against one atom every forest has the same phase, so its value is
     (-i)^n exp(i Xi var) times the sum of c / prod Xi_v over the
-    forests, found at the scaled atom as one integer fraction.  The
-    atoms' values are summed per int Xi, and each distinct Xi gives one
-    term."""
+    forests, found at the scaled atom as one integer fraction."""
     n = measure.n
     scale = _scale(measure)
-    by_xi = {}
-    get = by_xi.get
+    total = Accumulator(FreqExp.zero())
     for freq, amp in _integer_atoms(measure, scale):
         num, den = 0, 1
         for f, c in forests:
             product, xi = _xi_product(f.parent, freq)
             num = num * product + c * den
             den *= product
-        q = amp * Fraction(num, den)
-        prev = get(xi)
-        by_xi[xi] = q if prev is None else prev + q
-    total = Accumulator(FreqExp.zero())
-    for xi, q in by_xi.items():
-        total.add(_skeleton_term(n, q * scale ** n, Fraction(xi, scale),
-                                 var))
+        total.add(_skeleton_term(n, Fraction(num * scale ** n, den),
+                                 Fraction(xi, scale), var), amp)
     return total.value()
 
 
@@ -408,17 +399,16 @@ def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
     Against one atom, scaled to ints by the word measure's L, every cut
     is (-i)^n times a rational times exp(i(Xi_Roo hi + (Xi - Xi_Roo)
     lo)), so the rationals are summed per Xi_Roo as integer fractions,
-    and the atoms' values per int pair (Xi_Roo, Xi - Xi_Roo).  Each
-    pair gives one term; when hi and lo are one variable, pairs of
-    equal Xi share a phase and merge."""
+    and each phase gives one term."""
     n = len(word)
     if n == 0:
         return FreqExp.one()
     k_hi, k_lo = FREQ_VARS.index(hi), FREQ_VARS.index(lo)
+    turn = _TURNS[n % 4]
     mu = word_measure(path, word)
     scale = _scale(mu)
-    sums = {}
-    get = sums.get
+    out = {}
+    get = out.get
     for sigma, piece in split_measure(mu).items():
         cuts = _sector_cuts(sigma, bound)
         for freq, amp in _integer_atoms(piece, scale):
@@ -432,21 +422,15 @@ def j_convolution(path, word, hi="t", lo="s", bound=DEFAULT_BOUND):
                 by_roo[xi_roo] = (num * product + c * r.numerator * den,
                                   den * product)
             xi = sum(freq)
+            amp = amp * turn
             for xi_roo, (num, den) in by_roo.items():
-                key = (xi_roo, xi - xi_roo)
-                term = amp * Fraction(num, den)
-                prev = get(key)
-                sums[key] = term if prev is None else prev + term
-    factor = _TURNS[n % 4] * scale ** n
-    out = {}
-    for (xi_hi, xi_lo), q in sums.items():
-        phase = [_ZERO, _ZERO, _ZERO]
-        phase[k_hi] = Fraction(xi_hi, scale)
-        phase[k_lo] += Fraction(xi_lo, scale)
-        phase = tuple(phase)
-        term = q * factor
-        prev = out.get(phase)
-        out[phase] = term if prev is None else prev + term
+                phase = [_ZERO, _ZERO, _ZERO]
+                phase[k_hi] = Fraction(xi_roo, scale)
+                phase[k_lo] += Fraction(xi - xi_roo, scale)
+                phase = tuple(phase)
+                term = amp * Fraction(num * scale ** n, den)
+                prev = get(phase)
+                out[phase] = term if prev is None else prev + term
     return _freqexp(out)
 
 

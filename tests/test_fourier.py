@@ -466,7 +466,7 @@ class TestJ:
 
     @pytest.mark.parametrize("hi, lo", [("t", "t"), ("u", "s"), ("s", "t")])
     def test_routes_agree_in_other_variables(self, hi, lo):
-        p = TrigPath.parse(TWO_FREQUENCIES)
+        p = TrigPath.parse("1: 1@1, 1/2@-7/11\n2: 1@2, -i@5")
         for n in range(1, 4):
             for w in all_words(n, 2):
                 assert j_convolution(p, w, hi, lo) \
@@ -528,13 +528,13 @@ class TestJ:
             path.extra = 1
 
     def test_bounded_sbar_memo(self, monkeypatch):
-        p = TrigPath.parse(TWO_FREQUENCIES)
+        p = TrigPath.parse("1: 1@1, 1/2@-7/11\n2: 1@2, -i@5")
         words = [w for n in range(1, 4) for w in all_words(n, 2)]
         check_bounded_memo(monkeypatch, fourier, "_SBAR_MEMO",
                            lambda w: j_convolution(p, w), words)
 
     def test_bounded_chi_memo(self, monkeypatch):
-        p = TrigPath.parse(TWO_FREQUENCIES)
+        p = TrigPath.parse("1: 1@1, 1/2@-7/11\n2: 1@2, -i@5")
         words = [w for n in range(1, 4) for w in all_words(n, 2)]
         check_bounded_memo(monkeypatch, fourier, "_CHI_MEMO",
                            lambda w: j_character(p, w), words)
