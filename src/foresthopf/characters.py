@@ -10,11 +10,8 @@ the endpoint variables; the tree version integrates children jointly.
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
-
-from .coeffs import MultiPoly, Accumulator, _poly
-from .errors import ParseError, StructureMismatchError
+from .coeffs import MultiPoly, Accumulator, _poly, parse_power_sum
+from .errors import StructureMismatchError
 from .words import Word, Path
 from .memo import Memo
 from .morphisms import (theta_small, t_sigma_decorated, t_sigma_by_matrix,
@@ -84,7 +81,8 @@ def validate_character(phi, max_degree):
             for b1 in layers[n1]:
                 for b2 in layers[n2]:
                     lhs = phi(b1) * phi(b2)
-                    rhs = phi.eval_lin(H.product(b1, b2))
+                    # each pair is multiplied once: nothing to memoize
+                    rhs = phi.eval_lin(H._product(b1, b2))
                     if lhs != rhs:
                         failures.append(
                             f"{phi.name}({b1}){phi.name}({b2}) != "
@@ -96,11 +94,6 @@ def validate_character(phi, max_degree):
 # Polynomial driving paths
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"^(?P<coeff>[+-]?\d+(?:/\d+)?|[+-])?(?:(?<=\d)\*)?"
-    r"(?P<var>x(?:\^(?P<exp>\d+))?)?$")
-
-
 class PolyPath(Path):
     """Derivative components of a polynomial path, one per letter;
     component lines read 'i: polynomial in x'."""
@@ -110,27 +103,9 @@ class PolyPath(Path):
     @staticmethod
     def _parse_body(text):
         """One polynomial in x with rational coefficients, e.g.
-        1 - 2*x + x^2."""
-        chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
-        if not chunks:
-            raise ParseError(f"empty polynomial in {text!r}")
-        terms = []
-        for chunk in chunks:
-            m = _TERM_RE.match(chunk)
-            if not m or (m.group("coeff") is None and m.group("var") is None):
-                raise ParseError(f"bad polynomial term {chunk!r}")
-            coeff = m.group("coeff")
-            if coeff in (None, "+", "-"):
-                c = Fraction((coeff or "") + "1")
-            else:
-                try:
-                    c = Fraction(coeff)
-                except ZeroDivisionError:
-                    raise ParseError(
-                        f"zero denominator in {chunk!r}") from None
-            exp = int(m.group("exp") or 1) if m.group("var") else 0
-            terms.append(((exp,), c))
-        return MultiPoly(("x",), terms)
+        1 - 2*x + x^2, as coeffs.parse_power_sum reads it."""
+        sums = parse_power_sum(text, "x", "polynomial")
+        return MultiPoly(("x",), {(k,): c for k, c in sums.items()})
 
 
 def _retime(poly_ts, hi, lo, vars=("t", "s")):

@@ -8,7 +8,8 @@ so every value type here is built on fractions.Fraction:
 * FreqExp: finite sums of complex exponentials exp(i(xi_t*t+xi_u*u+xi_s*s)).
 * LinComb: rational linear combinations of hashable basis objects.
 
-Nothing here ever touches floating point.
+Nothing here ever touches floating point, and parse_power_sum and
+parse_rational are the one reader of the rationals in any input text.
 
 MultiPoly, FreqExp and LinComb are sparse sums: a terms dict from keys
 to coefficients with no stored zero, over a space.  They share one
@@ -42,6 +43,7 @@ coefficient 1: its coefficients are the ints that count the objects.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import partial
 from operator import add
@@ -68,7 +70,7 @@ def _as_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_rational(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -76,6 +78,58 @@ def _as_coeff(x):
     """A LinComb coefficient: an int stays an int, and anything else is
     made a Fraction as by _as_fraction."""
     return int(x) if isinstance(x, int) else _as_fraction(x)
+
+
+# ---------------------------------------------------------------------------
+# Reading exact rationals
+# ---------------------------------------------------------------------------
+
+# An unsigned rational: an integer, a decimal or p/q, in ASCII digits,
+# which Fraction reads alike on every Python version.
+_UNSIGNED = r"(?:[0-9]+(?:\.[0-9]*|/[0-9]+)?|\.[0-9]+)"
+_RATIONAL = re.compile(rf"[+-]?{_UNSIGNED}")
+# One term of a sum in a variable: a sign, a rational, an optional *,
+# then the variable with an optional power.
+_TERM = r"(?P<sign>[+-]?)(?P<coeff>{0})?(?P<star>\*)?" \
+        r"(?P<var>{1}(?:\^(?P<power>[0-9]+))?)?"
+
+
+def parse_rational(text):
+    """One signed rational: an integer, a decimal or p/q, e.g. -7/11.
+    Spaces are ignored."""
+    s = text.replace(" ", "")
+    if not _RATIONAL.fullmatch(s):
+        raise ParseError(f"bad rational {text!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
+
+
+def parse_power_sum(text, var, name):
+    """A signed sum of rational multiples of powers of var, e.g.
+    1/2*x^3 - x + 2 in x, as a dict from each power to its summed
+    coefficient; error messages call the sum a name.  A term is an
+    unsigned rational (as parse_rational reads it), an optional *, then
+    var with an optional ^k; one of the rational and var may be left
+    out, then with the *, and each term but the first starts with one
+    sign.  Spaces are ignored."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ParseError(f"empty {name}")
+    match = re.compile(_TERM.format(_UNSIGNED, re.escape(var))).match
+    sums = {}
+    pos = 0
+    while pos < len(s):
+        m = match(s, pos)
+        if (not (m["coeff"] or m["var"]) or (pos and not m["sign"])
+                or (m["star"] and not (m["coeff"] and m["var"]))):
+            raise ParseError(f"bad {name} term {s[pos:]!r} in {text!r}")
+        c = parse_rational(m["coeff"]) if m["coeff"] else _ONE
+        k = int(m["power"] or 1) if m["var"] else 0
+        sums[k] = sums.get(k, _ZERO) + (-c if m["sign"] == "-" else c)
+        pos = m.end()
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -225,37 +279,12 @@ GR_I = GaussianRational(0, 1)
 
 
 def parse_gaussian(text):
-    """Parse "p/q+r/s*i" (and the shortened forms "3", "i", "-i", "1/2*i")."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ParseError("empty Gaussian rational")
-    # Split into signed chunks at top level (no parentheses in this grammar).
-    chunks = []
-    start = 0
-    for k, ch in enumerate(s):
-        if ch in "+-" and k > start:
-            chunks.append(s[start:k])
-            start = k
-    chunks.append(s[start:])
-    re = Fraction(0)
-    im = Fraction(0)
-    for chunk in chunks:
-        try:
-            if chunk.endswith("i"):
-                body = chunk[:-1]
-                if body.endswith("*"):
-                    body = body[:-1]
-                if body in ("", "+"):
-                    im += 1
-                elif body == "-":
-                    im -= 1
-                else:
-                    im += Fraction(body)
-            else:
-                re += Fraction(chunk)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad Gaussian rational {text!r}") from exc
-    return GaussianRational(re, im)
+    """Parse "p/q+r/s*i" (and the shortened forms "3", "i", "-i", "1/2*i"):
+    a sum in i, as parse_power_sum reads it, of powers 0 and 1 only."""
+    sums = parse_power_sum(text, "i", "Gaussian rational")
+    if not sums.keys() <= {0, 1}:
+        raise ParseError(f"bad Gaussian rational {text!r}")
+    return GaussianRational(sums.get(0, _ZERO), sums.get(1, _ZERO))
 
 
 # ---------------------------------------------------------------------------

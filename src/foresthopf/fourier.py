@@ -35,8 +35,8 @@ from fractions import Fraction
 from math import lcm
 
 from .coeffs import (GaussianRational, GR_ONE, GR_I, FreqExp, FREQ_VARS,
-                     FREQ_ZERO, LinComb, SparseSum, Accumulator,
-                     parse_gaussian, _as_fraction, _freqexp, _merged,
+                     FREQ_ZERO, LinComb, SparseSum, Accumulator, _freqexp,
+                     parse_gaussian, parse_rational, _as_fraction, _merged,
                      _pairs, _set_space, _set_terms, _sparse, _ZERO, _ONE)
 from .errors import ParseError, SingularAtomError, MagnitudeTieError
 from .words import Word, Path
@@ -65,7 +65,8 @@ class TrigPath(Path):
     def __init__(self, components):
         comps = []
         for comp in components:
-            entries = tuple((Fraction(f), a if isinstance(a, GaussianRational)
+            entries = tuple((_as_fraction(f),
+                             a if isinstance(a, GaussianRational)
                              else GaussianRational(a)) for f, a in comp)
             if len({f for f, _ in entries}) != len(entries):
                 raise ParseError("repeated frequency inside one component")
@@ -81,11 +82,8 @@ class TrigPath(Path):
             if "@" not in piece:
                 raise ParseError(f"expected amp@freq, got {piece!r}")
             amp_text, _, freq_text = piece.partition("@")
-            try:
-                freq = Fraction(freq_text.strip())
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad frequency {freq_text!r}") from None
-            entries.append((freq, parse_gaussian(amp_text.strip())))
+            entries.append((parse_rational(freq_text.strip()),
+                            parse_gaussian(amp_text.strip())))
         return entries
 
 
@@ -319,10 +317,6 @@ def _sector_cuts(sigma, bound):
 def chi_measure(nu, var="t", bound=DEFAULT_BOUND):
     """chi against an explicit measure: sector split through T^sigma."""
     total = Accumulator(FreqExp.zero())
-    if nu.n == 0:
-        for amp in nu.terms.values():
-            total.add(FreqExp.one(), amp)
-        return total.value()
     for sigma, piece in split_measure(nu).items():
         total.add(_phi(t_sigma(sigma, bound).items(), piece, var))
     return total.value()

@@ -51,10 +51,11 @@ class TestPolyParsing:
         assert str(p.component(1)) == "1/2*x^3-x+2"
 
     def test_compact_forms(self):
-        p = PolyPath.parse("1: 2x\n2: x^2\n3: -x")
+        p = PolyPath.parse("1: 2x\n2: x^2\n3: -x\n4: 1.5x - .25 + 2.")
         assert str(p.component(1)) == "2*x"
         assert str(p.component(2)) == "x^2"
         assert str(p.component(3)) == "-x"
+        assert str(p.component(4)) == "3/2*x+7/4"
 
     def test_comments_and_blanks(self):
         p = PolyPath.parse("# driving path\n\n1: x\n")
@@ -69,10 +70,12 @@ class TestPolyParsing:
             PolyPath.parse("one: x")
 
     def test_bad_term(self):
-        with pytest.raises(ParseError):
-            PolyPath.parse("1: x + y")
-        with pytest.raises(ParseError):
-            PolyPath.parse("1: ")
+        for body in ["x + y", "", "1+", "1 ++ x", "+-x", "x -", "+", "2*",
+                     "2* + x", "*x", "x^", "x^-1", "1e2", "1E2", "1_0",
+                     "x^1_0", "\u0661", "x2", "2x3", "1/2/3", "1/x", "(1)",
+                     "x*2", "1\t+x", "i"]:
+            with pytest.raises(ParseError):
+                PolyPath.parse(f"1: {body}")
 
     def test_letter_out_of_range(self, path):
         with pytest.raises(ParseError):
@@ -105,8 +108,11 @@ class TestWordIntegrals:
             assert at_t and not any(at_t.values())
 
     def test_shuffle_character(self, path):
-        I = iter_int_char(path, Shuffle(2))
+        H = Shuffle(2)
+        I = iter_int_char(path, H)
         assert validate_character(I, 3) == []
+        # the law reads each product once, so none is memoized
+        assert len(H._product_memo) == 0
 
     def test_chen(self, path):
         for w in ["12", "21", "112", "1221"]:

@@ -261,7 +261,20 @@ class TestExitCodes:
         ("1: 1/0*x\n", ["iterint", "a"]),
         (None, ["iterint", "ab"]),
         (None, ["fno", "chi", "ab"]),
-    ], ids=["freq-over-zero", "coeff-over-zero", "iterint-dir", "fno-dir"])
+        ("1: 1 +\n", ["iterint", "a"]),
+        ("1: 1 ++ x\n", ["iterint", "a"]),
+        ("1: 1@1, 1+-i@2\n", ["fno", "chi", "a"]),
+        ("1: 2*\n", ["iterint", "a"]),
+        ("1: x^\n", ["iterint", "a"]),
+        ("1: i^2@1\n", ["fno", "chi", "a"]),
+        ("1: 1e2\n", ["iterint", "a"]),
+        ("1: 1@1e2\n", ["fno", "chi", "a"]),
+        ("1: 1_0\n", ["iterint", "a"]),
+        ("1: 1_0@1\n", ["fno", "chi", "a"]),
+    ], ids=["freq-over-zero", "coeff-over-zero", "iterint-dir", "fno-dir",
+            "dangling-sign", "doubled-sign", "doubled-sign-amp",
+            "trailing-star", "power-missing", "i-squared", "exponent",
+            "exponent-freq", "underscore", "underscore-amp"])
     def test_bad_path_file_exits_2(self, capsys, tmp_path, text, argv):
         p = tmp_path
         if text is not None:

@@ -1,16 +1,19 @@
 from fractions import Fraction
+import importlib.util
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from foresthopf.coeffs import (GaussianRational, GR_ZERO, GR_ONE, GR_I,
-                               parse_gaussian, MultiPoly, FreqExp, LinComb,
+                               parse_gaussian, parse_power_sum,
+                               parse_rational, MultiPoly, FreqExp, LinComb,
                                Accumulator, _freqexp, _lincomb, _poly,
                                _sparse, _ZERO)
-from foresthopf.characters import _integral_from_s
+from foresthopf.characters import PolyPath, _integral_from_s
 from foresthopf.errors import ParseError
 from foresthopf.forests import enumerate_heap_ordered
-from foresthopf.fourier import AtomMeasure
+from foresthopf.fourier import AtomMeasure, TrigPath
 from foresthopf.hopf import STRUCTURES
 from foresthopf.morphisms import ThetaMatrix, theta, theta_dec, t_sigma
 from foresthopf.perms import all_perms
@@ -58,8 +61,10 @@ class TestGaussianRational:
     def test_parse_roundtrip(self):
         for text in ["1/2+3/4*i", "i", "-i", "-2+i", "0", "5", "-7/3-2*i"]:
             assert str(parse_gaussian(text)) == text
-        with pytest.raises(ParseError):
-            parse_gaussian("1+j")
+        for text in ["1+j", "1+", "1++i", "+-i", "i-", "2*", "2*+i", "*i",
+                     "i^", "i^2", "1e2", "1_0", "i2"]:
+            with pytest.raises(ParseError):
+                parse_gaussian(text)
         with pytest.raises(ParseError) as exc:
             parse_gaussian("")
         assert str(exc.value) == "empty Gaussian rational"
@@ -431,3 +436,80 @@ class TestIntCoefficients:
                 LinComb([("x", bad)])
             with pytest.raises(TypeError, match="not an exact rational"):
                 LinComb.of("x") * bad
+
+
+class TestReader:
+    """parse_power_sum and parse_rational: the one reader of the exact
+    rationals in path files, behind parse_gaussian, PolyPath and the
+    frequencies of TrigPath."""
+
+    def test_terms(self):
+        assert parse_power_sum("1/2*x^3 - x + 2", "x", "p") \
+            == {3: Fraction(1, 2), 1: -1, 0: 2}
+        # repeated powers sum; a decimal is exact
+        assert parse_power_sum("2x + x - .5 + 1.", "x", "p") \
+            == {1: 3, 0: Fraction(1, 2)}
+        assert parse_power_sum("-x^0 + 3*x^1 + 0.25x^12", "x", "p") \
+            == {0: -1, 1: 3, 12: Fraction(1, 4)}
+
+    def test_messages(self):
+        for text, message in [
+                (" ", "empty polynomial"),
+                ("1 +", "bad polynomial term '+' in '1 +'"),
+                ("2x^", "bad polynomial term '^' in '2x^'"),
+                ("1/0 + x", "zero denominator in '1/0'")]:
+            with pytest.raises(ParseError) as exc:
+                parse_power_sum(text, "x", "polynomial")
+            assert str(exc.value) == message
+
+    def test_rational(self):
+        for text, value in [("-7/11", Fraction(-7, 11)), ("+5", 5),
+                            (" - 1 / 2", Fraction(-1, 2)),
+                            ("1.25", Fraction(5, 4)), (".5", Fraction(1, 2)),
+                            ("3.", 3)]:
+            assert parse_rational(text) == value
+        for text in ["", "+", "1e2", "1e-2", "1_0", "1+1", "1/0", "inf",
+                     "nan", "0x10", "1/2.5", "\u0661", "i"]:
+            with pytest.raises(ParseError):
+                parse_rational(text)
+        # a constructor given text reads it the same way
+        assert GaussianRational("1/2", "-3") == GaussianRational(
+            Fraction(1, 2), -3)
+        with pytest.raises(ParseError):
+            GaussianRational("1e2")
+
+    @given(gaussians)
+    def test_reads_str_of_a_gaussian(self, a):
+        assert parse_gaussian(str(a)) == a
+
+    @given(line_polys)
+    def test_reads_str_of_a_polynomial(self, p):
+        assert PolyPath.parse(f"1: {p}").component(1) == p
+
+    def test_reads_the_benchmark_inputs(self):
+        # the literal forms the benchmark writes, and then its inputs in
+        # full against the plain data its oracles compare with: a reader
+        # that refused one would fail every benchmark round
+        assert parse_power_sum("2x^1", "x", "p") == {1: 2}
+        assert parse_power_sum("1 - 2x^1", "x", "p") == {0: 1, 1: -2}
+        assert parse_power_sum("-2/3x^1 + 1x^4", "x", "p") \
+            == {1: Fraction(-2, 3), 4: 1}
+        assert parse_rational("-7/11") == Fraction(-7, 11)
+        assert parse_gaussian("-i") == -GR_I
+        assert parse_gaussian("1/2") == Fraction(1, 2)
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs",
+            Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        made = inputs.make_inputs("fourier-chen", 1)
+        trig = inputs.spec("fourier-j")["path"]
+        assert TrigPath.parse(made["fourier-j"]["path"]).components == tuple(
+            tuple((f, GaussianRational(*amp)) for f, amp in trig[letter])
+            for letter in sorted(trig))
+        for text, poly in zip(made["iterated-integrals"]["paths"],
+                              inputs.spec("iterated-integrals")["paths"],
+                              strict=True):
+            assert PolyPath.parse(text).components == tuple(
+                MultiPoly(("x",), {(k,): c for k, c in poly[letter].items()})
+                for letter in sorted(poly))

@@ -364,6 +364,11 @@ class TestChi:
 
     def test_empty_word(self, path):
         assert chi(path, Word(())) == FreqExp.one()
+        # the sector expansion of the empty atom is its amplitude
+        amp = GaussianRational(2, -3)
+        for var in ("t", "u", "s"):
+            assert fourier.chi_measure(AtomMeasure(0, {(): amp}), var) \
+                == FreqExp.one() * amp
 
     def test_shuffle_character(self, path):
         # chi(w1 shuffle w2) = chi(w1) chi(w2)
